@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from . import counting, flipgraph, treegen
 from .dualtree import (default_root_leaf, dual_tree_labeling,
@@ -21,31 +20,6 @@ from .dualtree import (default_root_leaf, dual_tree_labeling,
 from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, ParsedGraph,
                          blocks, build_embedding, parse_graph)
 from .errors import CertificationError, GraphError, ParseError
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one field per option across subcommands."""
-
-    command: str
-    path: str | None = None
-    listing_path: str | None = None
-    root_edge: int | None = None
-    tiebreak: str = "closest"
-    initial: str | None = None
-    max_trees: int | None = None
-    klass: str = "any"
-    expect_complete: bool = False
-    fib: bool = False
-    per_block: bool = False
-    kind: str | None = None
-    max_n: int = 4
-    budget: int = 2 * 10 ** 6
-    out: str | None = None
-    no_timings: bool = False
-    restriction: str = "any"
-    fmt: str = "text"
-    root_vertex: int | None = None
 
 
 def _read(path: str) -> str:
@@ -91,15 +65,15 @@ def _root_line(sd, root: int, g: MultiGraph) -> str:
     return f"root: dart ({tail},{g.other_end(e, tail)}) of edge {e}"
 
 
-def cmd_label(cfg: RunConfig, out) -> int:
-    parsed = _load(cfg.path)
+def cmd_label(args: argparse.Namespace, out) -> int:
+    parsed = _load(args.path)
     if parsed.directed:
         raise GraphError("label expects an undirected graph")
     g = parsed.graph
-    if cfg.per_block:
+    if args.per_block:
         return _label_per_block(parsed, out)
     emb = _embed(parsed)
-    sd, osd, labeling = _labeling_for(emb, cfg.root_edge)
+    sd, osd, labeling = _labeling_for(emb, args.root)
     print(_root_line(sd, osd.root, g), file=out)
     for e in range(g.m):
         u, v = g.edges[e]
@@ -140,8 +114,8 @@ def _label_per_block(parsed: ParsedGraph, out) -> int:
     return 0
 
 
-_TIEBREAKS = ("closest", "prefer-pivot", "prefer-face", "prefer-face-inner",
-              "prefer-paf", "prefer-pof")
+_TIEBREAKS = ("closest",) + tuple("prefer-" + k.replace("_", "-")
+                                  for k in treegen.RESTRICTIONS if k != "any")
 
 
 def _tiebreak_rule(name: str):
@@ -151,24 +125,25 @@ def _tiebreak_rule(name: str):
     return treegen.tiebreak_prefer(kind)
 
 
-def cmd_gen(cfg: RunConfig, out) -> int:
-    parsed = _load(cfg.path)
+def cmd_gen(args: argparse.Namespace, out) -> int:
+    parsed = _load(args.path)
     if parsed.directed:
         raise GraphError("gen expects an undirected graph")
     g = parsed.graph
     emb = _embed(parsed)
-    sd, osd, labeling = _labeling_for(emb, cfg.root_edge)
+    sd, osd, labeling = _labeling_for(emb, args.root)
     initial = None
-    if cfg.initial is not None:
+    if args.initial is not None:
         try:
-            labels = [int(t) for t in cfg.initial.split(",") if t.strip()]
+            labels = [int(t) for t in args.initial.split(",") if t.strip()]
         except ValueError:
             raise GraphError("--initial expects comma-separated labels")
         initial = treegen.spanning_tree_from_labels(g, labeling, labels)
+    expected = counting.count_matrix_tree(g)
     listing = treegen.greedy_listing(
         g, labeling=labeling, embedding=emb, initial=initial,
-        tiebreak=_tiebreak_rule(cfg.tiebreak), max_trees=cfg.max_trees,
-        check=True, classify=True)
+        tiebreak=_tiebreak_rule(args.tiebreak), max_trees=args.max_trees,
+        check=True, classify=True, expected_count=expected)
     for line in listing.render_lines():
         print(line, file=out)
     classes = [c for _, c in listing.steps]
@@ -178,7 +153,6 @@ def cmd_gen(cfg: RunConfig, out) -> int:
         "all-paf": all(c.paf for c in classes),
         "all-pof": all(c.pof for c in classes),
     }
-    expected = counting.count_matrix_tree(g)
     complete = "yes" if len(listing.trees) == expected else "no"
     parts = [f"# trees={len(listing.trees)}", f"expected={expected}",
              f"complete={complete}", "genlex=yes"]
@@ -232,20 +206,20 @@ def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
                            complete=assume_complete or None)
 
 
-def cmd_verify(cfg: RunConfig, out) -> int:
-    parsed = _load(cfg.path)
+def cmd_verify(args: argparse.Namespace, out) -> int:
+    parsed = _load(args.path)
     if parsed.directed:
         raise GraphError("verify expects an undirected graph")
     g = parsed.graph
     emb = _embed(parsed)
-    sd, osd, labeling = _labeling_for(emb, cfg.root_edge)
-    listing = parse_listing(_read(cfg.listing_path), g, labeling, emb,
-                            cfg.expect_complete)
+    sd, osd, labeling = _labeling_for(emb, args.root)
+    listing = parse_listing(_read(args.listing), g, labeling, emb,
+                            args.expect_complete)
     genlex_ok = treegen.verify_genlex(listing)
     print(f"genlex: {'ok' if genlex_ok else 'FAIL'}", file=out)
-    rep = treegen.verify_gray(listing, required_class=cfg.klass)
+    rep = treegen.verify_gray(listing, required_class=args.klass)
     if rep.ok:
-        print(f"exchanges: ok class={cfg.klass} trees={rep.count}"
+        print(f"exchanges: ok class={args.klass} trees={rep.count}"
               + (f" expected={rep.expected}" if rep.expected is not None else ""),
               file=out)
     else:
@@ -254,8 +228,8 @@ def cmd_verify(cfg: RunConfig, out) -> int:
     return 0 if genlex_ok and rep.ok else 1
 
 
-def cmd_count(cfg: RunConfig, out) -> int:
-    parsed = _load(cfg.path)
+def cmd_count(args: argparse.Namespace, out) -> int:
+    parsed = _load(args.path)
     if parsed.directed:
         raise GraphError("count expects an undirected graph")
     g = parsed.graph
@@ -266,65 +240,47 @@ def cmd_count(cfg: RunConfig, out) -> int:
     if t1 != t2:
         print("count mismatch between methods", file=out)
         return 1
-    if cfg.fib:
+    if args.fib:
         emb = _embed(parsed)
         rep = counting.check_fib_bound(emb)
         print(rep.line(), file=out)
     return 0
 
 
-def cmd_experiment(cfg: RunConfig, out) -> int:
-    if cfg.kind not in ("pivot", "paf", "arborescence"):
-        raise GraphError(f"unknown experiment kind {cfg.kind!r}")
+def cmd_experiment(args: argparse.Namespace, out) -> int:
+    # with --out the report goes to the file and only the summary to stdout
     lines: list[str] = []
-    with_t = not cfg.no_timings
-
-    def on_record(rec):
-        line = rec.line(with_t)
-        if cfg.out is None:
-            print(line, file=out)
-        else:
-            lines.append(line)
-
-    header = f"# experiment={cfg.kind} max-n={cfg.max_n} budget={cfg.budget}"
-    if cfg.out is None:
-        print(header, file=out)
-    else:
-        lines.append(header)
-    report = flipgraph.run_experiment(cfg.kind, cfg.max_n, cfg.budget,
-                                      on_record=on_record)
-    counts: dict[str, int] = {}
-    for r in report.records:
-        counts[r.result] = counts.get(r.result, 0) + 1
-    summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts))
-    tail = (f"# summary {summary} discrepancies={len(report.discrepancies)}")
-    if cfg.out is None:
-        print(tail, file=out)
-    else:
-        lines.append(tail)
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    emit = lines.append if args.out is not None else (lambda line: print(line, file=out))
+    emit(f"# experiment={args.kind} max-n={args.max_n} budget={args.budget}")
+    report = flipgraph.run_experiment(
+        args.kind, args.max_n, args.budget,
+        on_record=lambda rec: emit(rec.line(not args.no_timings)))
+    tail = report.summary_line()
+    emit(tail)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         print(tail, file=out)
     return 1 if report.discrepancies else 0
 
 
-def cmd_flip(cfg: RunConfig, out) -> int:
-    parsed = _load(cfg.path)
+def cmd_flip(args: argparse.Namespace, out) -> int:
+    parsed = _load(args.path)
     if parsed.directed:
-        if cfg.root_vertex is None:
+        if args.root_vertex is None:
             raise GraphError("directed input needs --root-vertex")
         d = flipgraph.DiGraph(parsed.graph.n, parsed.graph.edges)
-        fg = flipgraph.arborescence_flip_graph(d, cfg.root_vertex)
+        fg = flipgraph.arborescence_flip_graph(d, args.root_vertex)
     else:
-        if cfg.restriction in ("any", "pivot") and parsed.outer is None:
-            fg = flipgraph.build_flip_graph(parsed.graph, cfg.restriction)
+        if args.restriction in ("any", "pivot") and parsed.outer is None:
+            fg = flipgraph.build_flip_graph(parsed.graph, args.restriction)
         else:
-            fg = flipgraph.build_flip_graph(_embed(parsed), cfg.restriction)
-    text = (flipgraph.to_dot(fg) if cfg.fmt == "dot" else flipgraph.to_text(fg))
-    if cfg.out is None:
+            fg = flipgraph.build_flip_graph(_embed(parsed), args.restriction)
+    text = (flipgraph.to_dot(fg) if args.fmt == "dot" else flipgraph.to_text(fg))
+    if args.out is None:
         print(text, file=out)
     else:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return 0
 
@@ -395,36 +351,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.path = getattr(args, "path", None)
-    cfg.listing_path = getattr(args, "listing", None)
-    cfg.root_edge = getattr(args, "root", None)
-    cfg.tiebreak = getattr(args, "tiebreak", "closest")
-    cfg.initial = getattr(args, "initial", None)
-    cfg.max_trees = getattr(args, "max_trees", None)
-    cfg.klass = getattr(args, "klass", "any")
-    cfg.expect_complete = getattr(args, "expect_complete", False)
-    cfg.fib = getattr(args, "fib", False)
-    cfg.per_block = getattr(args, "per_block", False)
-    cfg.kind = getattr(args, "kind", None)
-    cfg.max_n = getattr(args, "max_n", 4)
-    cfg.budget = getattr(args, "budget", 2 * 10 ** 6)
-    cfg.out = getattr(args, "out", None)
-    cfg.no_timings = getattr(args, "no_timings", False)
-    cfg.restriction = getattr(args, "restriction", "any")
-    cfg.fmt = getattr(args, "fmt", "text")
-    cfg.root_vertex = getattr(args, "root_vertex", None)
-    return cfg
-
-
 def entry(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config(args)
     try:
-        return _COMMANDS[cfg.command](cfg, out)
+        return _COMMANDS[args.command](args, out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -434,7 +366,3 @@ def entry(argv=None, out=None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main() -> None:
-    sys.exit(entry())

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedgraph import EdgeLabeling, EmbeddedGraph, MultiGraph
+from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _path_labels,
+                         _rooted_tree)
 from .errors import CertificationError, GraphError, NotTwoConnectedError
 
 
@@ -183,28 +184,24 @@ def dual_tree_labeling(osd: OrientedSplitDual) -> EdgeLabeling:
     sd = osd.split
     g = sd.emb.graph
     label = [0] * g.m
-    counter = [0]
-
-    def descend(node: int, in_edge: int) -> None:
-        if sd.is_leaf(node):
-            return
-        rot = sd.rotation_at(node)
-        idx = rot.index(in_edge)
-        t = len(rot)
-        for k in range(1, t):
-            e = rot[(idx + k) % t]
-            counter[0] += 1
-            label[e] = counter[0]
-            descend(osd.head_of[e], e)
-
-    root_edge = sd.adjacency[osd.root][0][0]
-    counter[0] += 1
-    label[root_edge] = counter[0]
-    descend(osd.head_of[root_edge], root_edge)
+    counter = 0
+    # preorder with an explicit stack: an edge's subtree is labeled before
+    # its next sibling, so siblings are pushed in reverse
+    stack = [sd.adjacency[osd.root][0][0]]
+    while stack:
+        e = stack.pop()
+        counter += 1
+        label[e] = counter
+        node = osd.head_of[e]
+        if not sd.is_leaf(node):
+            rot = sd.rotation_at(node)
+            idx = rot.index(e)
+            t = len(rot)
+            stack.extend(rot[(idx + k) % t] for k in range(t - 1, 0, -1))
     for e in g.loop_edges():
-        counter[0] += 1
-        label[e] = counter[0]
-    if counter[0] != g.m:
+        counter += 1
+        label[e] = counter
+    if counter != g.m:
         raise CertificationError("labeling walk did not cover every edge")
     return EdgeLabeling(tuple(label))
 
@@ -353,33 +350,6 @@ def check_vertex_label_chain(osd: OrientedSplitDual, labeling: EdgeLabeling) -> 
     return CheckReport(not bad, tuple(bad))
 
 
-def _tree_path_edges(g: MultiGraph, tree_ids, s: int, goal: int) -> list[int]:
-    """Edges on the unique s..goal path in the tree given by tree_ids."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for e in tree_ids:
-        u, v = g.edges[e]
-        adj.setdefault(u, []).append((e, v))
-        adj.setdefault(v, []).append((e, u))
-    prev: dict[int, tuple[int, int]] = {s: (-1, -1)}
-    stack = [s]
-    while stack:
-        x = stack.pop()
-        if x == goal:
-            break
-        for e, y in adj.get(x, ()):
-            if y not in prev:
-                prev[y] = (e, x)
-                stack.append(y)
-    if goal not in prev:
-        raise GraphError("endpoints not connected in the given tree")
-    path = []
-    x = goal
-    while x != s:
-        e, x = prev[x]
-        path.append(e)
-    return path
-
-
 def alternative_pof_exchange(osd: OrientedSplitDual, labeling: EdgeLabeling,
                              tree_labels, exchange: tuple[int, int]) -> tuple[int, int]:
     """Given a valid exchange {e, f} (as labels, any order) for the
@@ -392,7 +362,10 @@ def alternative_pof_exchange(osd: OrientedSplitDual, labeling: EdgeLabeling,
     lobe just before f on the face.
     """
     g = osd.emb.graph
-    tree = frozenset(labeling.edge(l) for l in tree_labels)
+    tree_labels = set(tree_labels)
+    tree = frozenset(labeling.edge(l) for l in tree_labels if 1 <= l <= g.m)
+    if len(tree) != len(tree_labels) or not g.is_spanning_tree(tree):
+        raise GraphError(f"labels {sorted(tree_labels)} do not form a spanning tree")
     if hasattr(exchange, "pair"):
         exchange = exchange.pair()
     la, lb = exchange
@@ -418,7 +391,11 @@ def alternative_pof_exchange(osd: OrientedSplitDual, labeling: EdgeLabeling,
 
     non_tree = e_id if f_id in tree else f_id
     u, w = g.edges[non_tree]
-    cycle = set(_tree_path_edges(g, tree, u, w)) | {non_tree}
+    mask = sum(1 << (l - 1) for l in tree_labels)
+    path = _path_labels(_rooted_tree(g, labeling, mask), u, w)
+    cycle = {labeling.edge(l) for l in path} | {non_tree}
+    if e_id not in cycle or f_id not in cycle:
+        raise GraphError(f"exchange {exchange} is not valid for the tree")
 
     if f_id in tree:
         j = next(k for k in range(1, len(of.edge_ids) + 1)
@@ -444,10 +421,6 @@ def alternative_pof_exchange(osd: OrientedSplitDual, labeling: EdgeLabeling,
     new_tree = tree ^ {d_id, f_id}
     if not g.is_spanning_tree(new_tree):
         raise CertificationError("replacement exchange is not valid")
-    du, dv = g.edges[d_id]
-    fu, fw = g.edges[f_id]
-    shares_vertex = len({du, dv} & {fu, fw}) > 0
-    shares_face = bool(set(osd.emb.faces_of_edge(d_id)) & set(osd.emb.faces_of_edge(f_id)))
-    if not (shares_vertex or shares_face):
+    if not (g.shares_vertex(d_id, f_id) or osd.emb.common_faces(d_id, f_id)):
         raise CertificationError("replacement exchange is neither pivot nor face")
     return (ld, lf)

@@ -88,11 +88,16 @@ class MultiGraph:
                     stack.append(w)
         return all(seen)
 
-    def is_spanning_tree(self, edge_ids) -> bool:
-        """True iff the given edge ids form a spanning tree of the graph."""
-        ids = list(edge_ids)
-        if len(ids) != self.n - 1 or len(set(ids)) != len(ids):
-            return False
+    def shares_vertex(self, a: int, b: int) -> bool:
+        """True iff edges a and b have a common endpoint (a pivot pair)."""
+        u, v = self.edges[a]
+        ends = self.edges[b]
+        return u in ends or v in ends
+
+    def joining_edges(self, edge_ids) -> list[int]:
+        """The ids among ``edge_ids``, in order, whose edge joins two
+        components of the forest grown from the ids before it (Kruskal's
+        selection).  Loops and repeated ids never join."""
         parent = list(range(self.n))
 
         def find(x):
@@ -101,15 +106,19 @@ class MultiGraph:
                 x = parent[x]
             return x
 
-        for e in ids:
+        out = []
+        for e in edge_ids:
             u, v = self.edges[e]
-            if u == v:
-                return False
             ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+            if ru != rv:
+                parent[ru] = rv
+                out.append(e)
+        return out
+
+    def is_spanning_tree(self, edge_ids) -> bool:
+        """True iff the given edge ids form a spanning tree of the graph."""
+        ids = list(edge_ids)
+        return len(ids) == self.n - 1 and len(self.joining_edges(ids)) == len(ids)
 
 
 @dataclass(frozen=True)
@@ -278,6 +287,11 @@ class EmbeddedGraph:
     def faces_of_edge(self, e: int) -> tuple[int, ...]:
         return self._edge_faces[e]
 
+    def common_faces(self, a: int, b: int) -> list[int]:
+        """Ids of the faces that edges a and b both bound (none for loops)."""
+        fb = self._edge_faces[b]
+        return [f for f in self._edge_faces[a] if f in fb]
+
     def is_outer_edge(self, e: int) -> bool:
         return self.outer_face in self._edge_faces[e]
 
@@ -392,11 +406,6 @@ def build_embedding(g: MultiGraph, outer_order) -> EmbeddedGraph:
     return EmbeddedGraph(g, outer_order, tuple(rotation), tuple(faces), outer_id, left_face)
 
 
-def faces(emb: EmbeddedGraph) -> tuple[Face, ...]:
-    """All faces of the embedding, the outer face flagged."""
-    return emb.faces
-
-
 def is_triangulation(emb: EmbeddedGraph, multi: bool = False) -> bool:
     """True iff every inner face is a triangle.
 
@@ -431,41 +440,44 @@ def blocks(g: MultiGraph) -> list[Block]:
     adj = g.adjacency()
     disc = [0] * g.n
     low = [0] * g.n
-    timer = [1]
+    timer = 1
     edge_stack: list[int] = []
     out: list[list[int]] = []
-
-    def dfs(v: int, parent_edge: int) -> None:
-        disc[v] = low[v] = timer[0]
-        timer[0] += 1
-        for e, w in adj[v]:
-            if e == parent_edge:
-                continue
-            if disc[w] == 0:
-                edge_stack.append(e)
-                dfs(w, e)
-                low[v] = min(low[v], low[w])
-                if low[w] >= disc[v]:
+    for root in range(g.n):
+        if disc[root] or not adj[root]:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        # depth-first with an explicit stack of (vertex, tree edge in, edges left)
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent_edge, rest = stack[-1]
+            for e, w in rest:
+                if e == parent_edge:
+                    continue
+                if disc[w] == 0:
+                    edge_stack.append(e)
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, e, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:
+                    edge_stack.append(e)
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
                     comp = []
                     while True:
                         f = edge_stack.pop()
                         comp.append(f)
-                        if f == e:
+                        if f == parent_edge:
                             break
                     out.append(comp)
-            elif disc[w] < disc[v]:
-                edge_stack.append(e)
-                low[v] = min(low[v], disc[w])
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, g.n + 100))
-    try:
-        for v in range(g.n):
-            if disc[v] == 0 and adj[v]:
-                dfs(v, -1)
-    finally:
-        sys.setrecursionlimit(old)
 
     result = []
     for comp in out:
@@ -475,3 +487,50 @@ def blocks(g: MultiGraph) -> list[Block]:
         ledges = tuple((local[g.edges[e][0]], local[g.edges[e][1]]) for e in comp_sorted)
         result.append(Block(MultiGraph(len(verts), ledges), tuple(verts), comp_sorted))
     return result
+
+
+def _rooted_tree(g: MultiGraph, labeling: EdgeLabeling, mask: int):
+    """The spanning tree whose labels are the set bits of ``mask``, rooted
+    at vertex 0, as (adjacency, parent vertex, parent label, depth): the
+    adjacency lists (neighbour, label) per vertex, the rest are per-vertex
+    lists.  ``mask`` must be a spanning tree."""
+    n = g.n
+    adj = [[] for _ in range(n)]
+    for l in range(1, g.m + 1):
+        if mask >> (l - 1) & 1:
+            u, v = g.edges[labeling.edge(l)]
+            adj[u].append((v, l))
+            adj[v].append((u, l))
+    parent_v = [-1] * n
+    parent_l = [0] * n
+    depth = [0] * n
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y, l in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent_v[y] = x
+                parent_l[y] = l
+                depth[y] = depth[x] + 1
+                stack.append(y)
+    return adj, parent_v, parent_l, depth
+
+
+def _path_labels(tree, u: int, v: int) -> list[int]:
+    """Labels on the u..v path of a tree from :func:`_rooted_tree`."""
+    _, parent_v, parent_l, depth = tree
+    out = []
+    while depth[u] > depth[v]:
+        out.append(parent_l[u])
+        u = parent_v[u]
+    while depth[v] > depth[u]:
+        out.append(parent_l[v])
+        v = parent_v[v]
+    while u != v:
+        out.append(parent_l[u])
+        out.append(parent_l[v])
+        u, v = parent_v[u], parent_v[v]
+    return out

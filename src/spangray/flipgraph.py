@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .counting import count_matrix_tree
@@ -193,9 +194,8 @@ def build_flip_graph(g, restriction: str = "any") -> FlipGraph:
                 if emb is not None:
                     cls = classify_exchange(emb, identity, ex)
                 else:
-                    eu, ev = graph.edges[pair[0] - 1]
-                    fu, fv = graph.edges[pair[1] - 1]
-                    cls = ExchangeClass(len({eu, ev} & {fu, fv}) > 0, False, False)
+                    cls = ExchangeClass(graph.shares_vertex(pair[0] - 1, pair[1] - 1),
+                                        False, False)
                 if not cls.matches(restriction):
                     continue
             adjacency[i].append(j)
@@ -560,15 +560,17 @@ class ExperimentReport:
     records: tuple[ExperimentRecord, ...]
     discrepancies: tuple[str, ...]
 
+    def summary_line(self) -> str:
+        """Records per result, in result order, and the discrepancy count."""
+        counts = Counter(r.result for r in self.records)
+        summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts))
+        return f"# summary {summary} discrepancies={len(self.discrepancies)}"
+
     def render_lines(self, with_timings: bool = True):
         yield f"# experiment={self.kind} graphs={len(self.records)}"
         for r in self.records:
             yield r.line(with_timings)
-        counts = {}
-        for r in self.records:
-            counts[r.result] = counts.get(r.result, 0) + 1
-        summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts))
-        yield f"# summary {summary} discrepancies={len(self.discrepancies)}"
+        yield self.summary_line()
 
 
 def _validate_certificate(fg: FlipGraph, order, cycle: bool) -> None:
@@ -590,6 +592,8 @@ def run_experiment(kind: str, max_n: int, budget: int = 2 * 10 ** 6,
     path).  A "none" result is a discrepancy with the expected claims.
     ``on_record`` is called with each ExperimentRecord as it is made.
     """
+    if max_n < 2:
+        raise GraphError(f"experiment needs max_n >= 2, got {max_n}")
     records = []
     discrepancies = []
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from . import counting
 from .dualtree import dual_tree_labeling, orient_split_dual, split_dual
-from .embedgraph import EdgeLabeling, EmbeddedGraph, MultiGraph
+from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _path_labels,
+                         _rooted_tree)
 from .errors import CertificationError, GraphError
 
 
@@ -57,6 +58,9 @@ class Exchange:
         return (self.smaller, self.larger)
 
 
+RESTRICTIONS = ("any", "pivot", "face", "face_inner", "paf", "pof")
+
+
 @dataclass(frozen=True)
 class ExchangeClass:
     """Classification flags of an exchange: common endpoint (pivot),
@@ -75,14 +79,9 @@ class ExchangeClass:
         return self.pivot or self.face
 
     def matches(self, kind: str) -> bool:
-        if kind == "any":
-            return True
-        if kind in ("pivot", "face", "face_inner", "paf", "pof"):
-            return bool(getattr(self, kind))
-        raise GraphError(f"unknown exchange class {kind!r}")
-
-
-RESTRICTIONS = ("any", "pivot", "face", "face_inner", "paf", "pof")
+        if kind not in RESTRICTIONS:
+            raise GraphError(f"unknown exchange class {kind!r}")
+        return kind == "any" or bool(getattr(self, kind))
 
 
 def spanning_tree_from_labels(g: MultiGraph, labeling: EdgeLabeling, labels) -> SpanningTree:
@@ -98,131 +97,90 @@ def spanning_tree_from_labels(g: MultiGraph, labeling: EdgeLabeling, labels) -> 
     return SpanningTree(g.m, mask)
 
 
-def is_spanning_tree(g: MultiGraph, bits) -> bool:
-    """bits: iterable of 0/1 per label position under the identity
-    labeling, or a SpanningTree."""
-    if isinstance(bits, SpanningTree):
-        ids = [l - 1 for l in bits.labels()]
-    else:
-        bits = list(bits)
-        if len(bits) != g.m:
-            raise GraphError(f"expected {g.m} bits, got {len(bits)}")
-        ids = [i for i, b in enumerate(bits) if b]
-    return g.is_spanning_tree(ids)
+def _kruskal(g: MultiGraph, labeling: EdgeLabeling, labels) -> SpanningTree:
+    """The spanning tree Kruskal's rule builds taking labels in the given order."""
+    ids = g.joining_edges(labeling.edge(l) for l in labels)
+    if len(ids) != g.n - 1:
+        raise GraphError("graph is not connected; it has no spanning tree")
+    mask = 0
+    for e in ids:
+        mask |= 1 << (labeling.label(e) - 1)
+    return SpanningTree(g.m, mask)
 
 
 def kruskal_tree(g: MultiGraph, labeling: EdgeLabeling) -> SpanningTree:
     """The spanning tree greedily built from the smallest labels."""
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    mask = 0
-    picked = 0
-    for l in range(1, g.m + 1):
-        u, v = g.edges[labeling.edge(l)]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            mask |= 1 << (l - 1)
-            picked += 1
-    if picked != g.n - 1:
-        raise GraphError("graph is not connected; it has no spanning tree")
-    return SpanningTree(g.m, mask)
+    return _kruskal(g, labeling, range(1, g.m + 1))
 
 
 def random_spanning_tree(g: MultiGraph, labeling: EdgeLabeling,
                          rng: random.Random) -> SpanningTree:
+    """Kruskal's tree for a random order of the labels: label l takes
+    rank order[l - 1] of one shuffle of 1..m."""
     order = list(range(1, g.m + 1))
     rng.shuffle(order)
-    shuffled = EdgeLabeling(tuple(order[labeling.label(e) - 1] for e in range(g.m)))
-    # kruskal over the shuffled order, then map back to real labels
-    t = kruskal_tree(g, shuffled)
-    mask = 0
-    for l in t.labels():
-        mask |= 1 << (labeling.label(shuffled.edge(l)) - 1)
-    return SpanningTree(g.m, mask)
+    return _kruskal(g, labeling, sorted(range(1, g.m + 1), key=lambda l: order[l - 1]))
 
 
-def _tree_adjacency(g: MultiGraph, labeling: EdgeLabeling, mask: int):
-    adj = [[] for _ in range(g.n)]
-    for l in range(1, g.m + 1):
-        if mask >> (l - 1) & 1:
-            u, v = g.edges[labeling.edge(l)]
-            adj[u].append((v, l))
-            adj[v].append((u, l))
-    return adj
+def _label_tables(g: MultiGraph, labeling: EdgeLabeling):
+    """Per label l (index 0 unused): the endpoints of its edge, and its mask bit."""
+    ends = [None] + [g.edges[labeling.edge(l)] for l in range(1, g.m + 1)]
+    bit = [0] + [1 << (l - 1) for l in range(1, g.m + 1)]
+    return ends, bit
 
 
-def _parents(n: int, adj) -> tuple[list, list, list]:
-    parent_v = [-1] * n
-    parent_l = [0] * n
-    depth = [0] * n
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
+def _partners(tables, mask: int, tree, f: int) -> list[int]:
+    """The labels e < f that exchange with f in the tree ``mask``
+    (``tree`` is its :func:`_rooted_tree`), ascending."""
+    ends, bit = tables
+    u, v = ends[f]
+    if not mask & bit[f]:
+        # adding f closes a cycle along the tree path between its
+        # endpoints; partners are the smaller path labels
+        return sorted(e for e in _path_labels(tree, u, v) if e < f)
+    # removing f splits the tree; partners are the smaller non-tree
+    # labels crossing the split (a loop never crosses)
+    adj, _, parent_l, _ = tree
+    child = u if parent_l[u] == f else v
+    side = bytearray(len(adj))
+    side[child] = 1
+    stack = [child]
     while stack:
         x = stack.pop()
         for y, l in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent_v[y] = x
-                parent_l[y] = l
-                depth[y] = depth[x] + 1
+            if l != f and not side[y]:
+                side[y] = 1
                 stack.append(y)
-    return parent_v, parent_l, depth
-
-
-def _path_labels(u: int, v: int, parent_v, parent_l, depth) -> list[int]:
     out = []
-    while depth[u] > depth[v]:
-        out.append(parent_l[u])
-        u = parent_v[u]
-    while depth[v] > depth[u]:
-        out.append(parent_l[v])
-        v = parent_v[v]
-    while u != v:
-        out.append(parent_l[u])
-        out.append(parent_l[v])
-        u, v = parent_v[u], parent_v[v]
+    for e in range(1, f):
+        if not mask & bit[e]:
+            eu, ev = ends[e]
+            if side[eu] != side[ev]:
+                out.append(e)
     return out
 
 
 def valid_exchanges(g: MultiGraph, labeling: EdgeLabeling,
                     tree: SpanningTree) -> tuple[Exchange, ...]:
     """All valid exchanges of the tree, sorted by (larger, smaller)."""
+    tables = _label_tables(g, labeling)
     mask = tree.mask
-    adj = _tree_adjacency(g, labeling, mask)
-    parent_v, parent_l, depth = _parents(g.n, adj)
+    rooted = _rooted_tree(g, labeling, mask)
     out = []
     for f in range(1, g.m + 1):
-        fe = labeling.edge(f)
-        if mask >> (f - 1) & 1 or g.is_loop(fe):
-            continue
-        u, v = g.edges[fe]
-        for e in _path_labels(u, v, parent_v, parent_l, depth):
-            out.append(Exchange(removed=e, added=f))
-    out.sort(key=lambda x: (x.larger, x.smaller))
+        f_in = mask >> (f - 1) & 1
+        for e in _partners(tables, mask, rooted, f):
+            out.append(Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f))
     return tuple(out)
 
 
 def classify_exchange(emb: EmbeddedGraph, labeling: EdgeLabeling,
                       exchange: Exchange) -> ExchangeClass:
-    g = emb.graph
     a = labeling.edge(exchange.removed)
     b = labeling.edge(exchange.added)
-    au, av = g.edges[a]
-    bu, bv = g.edges[b]
-    pivot = len({au, av} & {bu, bv}) > 0
-    fa, fb = set(emb.faces_of_edge(a)), set(emb.faces_of_edge(b))
-    common = fa & fb
-    face = bool(common)
-    face_inner = any(f != emb.outer_face for f in common)
-    return ExchangeClass(pivot, face, face_inner)
+    common = emb.common_faces(a, b)
+    return ExchangeClass(emb.graph.shares_vertex(a, b), bool(common),
+                         any(f != emb.outer_face for f in common))
 
 
 @dataclass(frozen=True)
@@ -255,18 +213,15 @@ def tiebreak_prefer(kind: str, fallback=tiebreak_closest):
     applies the fallback among them.  An empty preferred set raises
     CertificationError: with a dual-tree labeling the theory guarantees
     a candidate of the preferred class in every tie."""
-    if kind not in ("pivot", "face", "face_inner", "paf", "pof"):
+    if kind == "any" or kind not in RESTRICTIONS:
         raise GraphError(f"unknown exchange class {kind!r}")
 
     def rule(ctx: TieContext) -> Exchange:
         if kind == "pivot":
-            g = ctx.graph
-            kept = []
-            for x in ctx.candidates:
-                au, av = g.edges[ctx.labeling.edge(x.removed)]
-                bu, bv = g.edges[ctx.labeling.edge(x.added)]
-                if len({au, av} & {bu, bv}) > 0:
-                    kept.append(x)
+            # needs no embedding
+            g, lab = ctx.graph, ctx.labeling
+            kept = [x for x in ctx.candidates
+                    if g.shares_vertex(lab.edge(x.removed), lab.edge(x.added))]
         else:
             kept = [x for x in ctx.candidates if ctx.classify(x).matches(kind)]
         if not kept:
@@ -338,6 +293,8 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
             labeling = EdgeLabeling.identity(g.m)
     if labeling.m != g.m:
         raise GraphError("labeling size does not match the graph")
+    if max_trees is not None and max_trees < 1:
+        raise GraphError(f"max_trees must be at least 1, got {max_trees}")
     if classify is None:
         classify = embedding is not None
     if classify and embedding is None:
@@ -351,59 +308,25 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
     else:
         spanning_tree_from_labels(g, labeling, initial.labels())
 
-    n, m = g.n, g.m
-    ends = [None] * (m + 1)
-    loop = [False] * (m + 1)
-    for l in range(1, m + 1):
-        e = labeling.edge(l)
-        ends[l] = g.edges[e]
-        loop[l] = g.is_loop(e)
-    bit = [0] + [1 << (l - 1) for l in range(1, m + 1)]
-
+    m = g.m
+    tables = _label_tables(g, labeling)
+    bit = tables[1]
     mask = initial.mask
     visited = {mask}
     trees = [mask]
     steps: list[tuple[Exchange, ExchangeClass | None]] = []
-    adj = _tree_adjacency(g, labeling, mask)
-    parent_v, parent_l, depth = _parents(n, adj)
+    rooted = _rooted_tree(g, labeling, mask)
 
     while max_trees is None or len(trees) < max_trees:
         chosen = None
         for f in range(1, m + 1):
-            if loop[f]:
-                continue
             fbit = bit[f]
-            cands: list[Exchange] = []
-            if mask & fbit:
-                # removing f splits the tree; partners are the smaller
-                # non-tree labels crossing the split
-                u, v = ends[f]
-                child = u if parent_l[u] == f else v
-                side = bytearray(n)
-                side[child] = 1
-                stack = [child]
-                while stack:
-                    x = stack.pop()
-                    for y, l in adj[x]:
-                        if l != f and not side[y]:
-                            side[y] = 1
-                            stack.append(y)
-                for e in range(1, f):
-                    if mask & bit[e] or loop[e]:
-                        continue
-                    eu, ev = ends[e]
-                    if side[eu] != side[ev]:
-                        if mask ^ fbit ^ bit[e] not in visited:
-                            cands.append(Exchange(removed=f, added=e))
-            else:
-                # adding f closes a cycle along the tree path between
-                # its endpoints; partners are the smaller path labels
-                u, v = ends[f]
-                path = _path_labels(u, v, parent_v, parent_l, depth)
-                smaller = sorted(e for e in path if e < f)
-                for e in smaller:
-                    if mask ^ fbit ^ bit[e] not in visited:
-                        cands.append(Exchange(removed=e, added=f))
+            f_in = mask & fbit
+            cands = []
+            for e in _partners(tables, mask, rooted, f):
+                if mask ^ fbit ^ bit[e] not in visited:
+                    cands.append(Exchange(removed=f, added=e) if f_in
+                                 else Exchange(removed=e, added=f))
             if cands:
                 ctx = TieContext(g, labeling, embedding, mask, tuple(cands))
                 chosen = tiebreak(ctx)
@@ -421,8 +344,7 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
         trees.append(mask)
         cls = classify_exchange(embedding, labeling, chosen) if classify else None
         steps.append((chosen, cls))
-        adj = _tree_adjacency(g, labeling, mask)
-        parent_v, parent_l, depth = _parents(n, adj)
+        rooted = _rooted_tree(g, labeling, mask)
 
     truncated = max_trees is not None and len(trees) >= max_trees
     complete: bool | None = None

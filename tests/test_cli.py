@@ -46,8 +46,9 @@ class TestLabel:
         p.write_text(BOWTIE)
         rc, out = run(["label", str(p), "--per-block"])
         assert rc == 0
-        assert out.count("block ") == 2
         assert out.count("label 1") == 2  # each block labels from 1
+        blocks = [l for l in out.splitlines() if l.startswith("block ")]
+        assert blocks == ["block 0: vertices 2,3,4", "block 1: vertices 0,1,2"]
 
     def test_not_two_connected_without_per_block(self, tmp_path):
         p = tmp_path / "bowtie.txt"
@@ -83,6 +84,12 @@ class TestGen:
         assert rc == 0
         assert "trees=5" in out.splitlines()[-1]
         assert "complete=no" in out.splitlines()[-1]
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_max_trees_below_one_rejected(self, fan_file, k):
+        rc, out = run(["gen", fan_file, "--max-trees", k])
+        assert rc == 2
+        assert out == ""
 
     def test_deterministic(self, fan_file):
         _, a = run(["gen", fan_file])
@@ -189,6 +196,12 @@ class TestExperiment:
              "--no-timings", "--out", str(p2)])
         assert p1.read_text() == p2.read_text()
         assert p1.read_text().endswith("discrepancies=0\n")
+
+    @pytest.mark.parametrize("n", ["-1", "1"])
+    def test_max_n_below_two_rejected(self, n):
+        rc, out = run(["experiment", "--kind", "paf", "--max-n", n])
+        assert rc == 2
+        assert "# summary" not in out
 
     def test_arborescence_ids_carry_roots(self):
         rc, out = run(["experiment", "--kind", "arborescence", "--max-n", "3",

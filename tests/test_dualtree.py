@@ -13,7 +13,8 @@ from spangray.dualtree import (alternative_pof_exchange,
                                weak_dual)
 from spangray.embedgraph import (EdgeLabeling, MultiGraph, build_embedding,
                                  is_triangulation)
-from spangray.errors import CertificationError, NotTwoConnectedError
+from spangray.counting import extremal_family
+from spangray.errors import CertificationError, GraphError, NotTwoConnectedError
 from spangray.treegen import (Exchange, classify_exchange, greedy_listing,
                               valid_exchanges)
 
@@ -71,6 +72,14 @@ class TestLabeling:
         osd = orient_split_dual(sd, default_root_leaf(sd))
         lab = dual_tree_labeling(osd)
         assert lab.label_of == (1, 2, 3, 4, 5, 6, 7)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 40, 400, 1500])
+    def test_strip_identity(self, k):
+        """The strip numbers its edges in walk order, so the default
+        labeling is the identity; k = 1500 (m = 3001) is deeper than
+        the interpreter's recursion limit."""
+        osd = orient_split_dual(split_dual(extremal_family(k)))
+        assert dual_tree_labeling(osd) == EdgeLabeling.identity(2 * k + 1)
 
     def test_every_root_gives_bijection(self):
         for emb in (fan_embedding(), diamond_embedding(),
@@ -211,3 +220,14 @@ class TestAlternativeExchange:
 
     def test_bundle_exhaustive(self):
         assert self._sweep(build_embedding(bundle_graph(4), (0, 1))) > 0
+
+    def test_rejects_bad_input(self):
+        """A non-tree, or an exchange that does not lead to a tree, is
+        bad input, not a failed construction."""
+        osd = orient_split_dual(split_dual(extremal_family(4)))
+        lab = dual_tree_labeling(osd)
+        for labels, ex in (([1, 2], (2, 3)), ([1, 2, 3, 4, 5], (2, 6)),
+                           ([0, 1, 2, 4, 6], (2, 3)), ([1, 2, 4, 6, 8], (4, 3)),
+                           ([1, 2, 4, 6, 8], (8, 7))):
+            with pytest.raises(GraphError):
+                alternative_pof_exchange(osd, lab, labels, ex)

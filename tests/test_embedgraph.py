@@ -40,6 +40,12 @@ class TestMultiGraph:
         g = loopy_triangle()
         assert not g.is_spanning_tree((0, 3))  # loop never helps
 
+    def test_joining_edges_in_order(self, fan):
+        # edge 2 closes the cycle 0-1-2, the second 3 repeats
+        assert fan.joining_edges([0, 1, 2, 3, 3]) == [0, 1, 3]
+        assert fan.joining_edges([6, 5, 4]) == [6, 5]
+        assert loopy_triangle().joining_edges([3, 0]) == [0]
+
 
 class TestEdgeLabeling:
     def test_identity_roundtrip(self):

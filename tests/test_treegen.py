@@ -6,12 +6,13 @@ import pytest
 
 from conftest import (bundle_graph, cycle_graph, k33_graph, loopy_triangle,
                       wheel_graph)
-from spangray.counting import count_matrix_tree
+from spangray.counting import count_matrix_tree, enumerate_outerplane
 from spangray.embedgraph import EdgeLabeling, MultiGraph, build_embedding
 from spangray.errors import CertificationError, GraphError
+from spangray.flipgraph import enumerate_spanning_trees
 from spangray.treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
                               SpanningTree, TieContext, classify_exchange,
-                              greedy_listing, is_spanning_tree, kruskal_tree,
+                              greedy_listing, kruskal_tree,
                               random_spanning_tree, spanning_tree_from_labels,
                               tiebreak_closest, tiebreak_prefer,
                               tiebreak_random, valid_exchanges, verify_genlex,
@@ -52,10 +53,6 @@ class TestSpanningTree:
         with pytest.raises(GraphError):
             spanning_tree_from_labels(fan, lab, [1, 2, 4])
 
-    def test_is_spanning_tree_bits(self, fan):
-        assert is_spanning_tree(fan, [1, 1, 0, 1, 0, 1, 0])
-        assert not is_spanning_tree(fan, [1, 1, 1, 1, 0, 0, 0])
-
     def test_kruskal(self, fan):
         lab = EdgeLabeling.identity(7)
         assert kruskal_tree(fan, lab).labels() == frozenset({1, 2, 4, 6})
@@ -65,7 +62,7 @@ class TestSpanningTree:
         rng = random.Random(3)
         for _ in range(20):
             t = random_spanning_tree(fan, lab, rng)
-            assert is_spanning_tree(fan, t)
+            assert fan.is_spanning_tree(lab.edge(l) for l in t.labels())
 
 
 class TestExchange:
@@ -95,6 +92,25 @@ class TestValidExchanges:
         t = spanning_tree_from_labels(fan, lab, [1, 2, 5, 6])
         pairs = [(ex.larger, ex.smaller) for ex in valid_exchanges(fan, lab, t)]
         assert pairs == sorted(pairs)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_brute_force_oracle(self, shuffle):
+        """Every tree of every outerplane multigraph with m <= 7: the
+        exchanges are exactly the pairs (e, f) for which T - e + f is a
+        spanning tree, ordered by (larger, smaller)."""
+        rng = random.Random(11)
+        for emb in enumerate_outerplane(7):
+            g = emb.graph
+            lab = EdgeLabeling.shuffled(g.m, rng) if shuffle else EdgeLabeling.identity(g.m)
+            for t in enumerate_spanning_trees(g):
+                tree = {lab.label(l - 1) for l in t.labels()}
+                want = sorted(
+                    (Exchange(removed=e, added=f) for e in tree
+                     for f in set(range(1, g.m + 1)) - tree
+                     if g.is_spanning_tree(lab.edge(l) for l in tree - {e} | {f})),
+                    key=lambda x: (x.larger, x.smaller))
+                mask = sum(1 << (l - 1) for l in tree)
+                assert valid_exchanges(g, lab, SpanningTree(g.m, mask)) == tuple(want)
 
     def test_loops_never_appear(self):
         g = loopy_triangle()
@@ -252,6 +268,11 @@ class TestGreedyListing:
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):
             greedy_listing(MultiGraph(3, ((0, 1),)))
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_max_trees_below_one_rejected(self, fan, k):
+        with pytest.raises(GraphError):
+            greedy_listing(fan, max_trees=k)
 
 
 class TestVerifiers:
