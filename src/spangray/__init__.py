@@ -1,9 +1,10 @@
 """Gray codes of spanning trees of outerplane multigraphs.
 
 Generation is greedy: repeat the exchange that makes the smallest
-possible larger label and leads to an unvisited tree.  With edge
-labels taken from a dual-tree traversal the walk provably lists every
-spanning tree in genlex order, and tie-breaking preferences yield
+possible larger label and leads to a tree not listed yet.  The listing
+is genlex, so the walk (``greedy_walk``) needs no memory of the trees
+it listed.  With edge labels taken from a dual-tree traversal the walk
+provably lists every spanning tree, and tie-breaking preferences yield
 all-pivot or all-pof listings on the right graph classes.  The rest of
 the package exists to verify those claims independently: exact tree
 counts, Fibonacci extremal bounds, flip-graph Hamilton experiments,
@@ -26,7 +27,7 @@ from .counting import (check_fib_bound, check_fib_product, count_bruteforce,
                        enumerate_outerplane, extremal_family, fib)
 from .treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
                       SpanningTree, classify_exchange, greedy_listing,
-                      kruskal_tree, random_spanning_tree,
+                      greedy_walk, kruskal_tree, random_spanning_tree,
                       spanning_tree_from_labels, tiebreak_closest,
                       tiebreak_prefer, tiebreak_random, valid_exchanges,
                       verify_genlex, verify_gray)

@@ -97,7 +97,9 @@ class MultiGraph:
     def joining_edges(self, edge_ids) -> list[int]:
         """The ids among ``edge_ids``, in order, whose edge joins two
         components of the forest grown from the ids before it (Kruskal's
-        selection).  Loops and repeated ids never join."""
+        selection).  Loops and repeated ids never join; an id outside
+        0..m-1 raises GraphError."""
+        m = self.m
         parent = list(range(self.n))
 
         def find(x):
@@ -108,6 +110,8 @@ class MultiGraph:
 
         out = []
         for e in edge_ids:
+            if not 0 <= e < m:
+                raise GraphError(f"edge id {e} out of range 0..{m - 1}")
             u, v = self.edges[e]
             ru, rv = find(u), find(v)
             if ru != rv:
@@ -116,9 +120,10 @@ class MultiGraph:
         return out
 
     def is_spanning_tree(self, edge_ids) -> bool:
-        """True iff the given edge ids form a spanning tree of the graph."""
+        """True iff the given edge ids form a spanning tree of the graph;
+        an id outside 0..m-1 raises GraphError."""
         ids = list(edge_ids)
-        return len(ids) == self.n - 1 and len(self.joining_edges(ids)) == len(ids)
+        return len(self.joining_edges(ids)) == len(ids) == self.n - 1
 
 
 @dataclass(frozen=True)

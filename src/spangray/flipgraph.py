@@ -17,8 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .counting import count_matrix_tree
-from .embedgraph import EmbeddedGraph, MultiGraph, blocks, build_embedding
-from .errors import CertificationError, GraphError
+from .embedgraph import (EmbeddedGraph, MultiGraph, _check_crossings, blocks,
+                         build_embedding)
+from .errors import CertificationError, EmbeddingError, GraphError
 from .treegen import (Exchange, ExchangeClass, RESTRICTIONS, SpanningTree,
                       classify_exchange)
 
@@ -461,26 +462,12 @@ def find_outerplane_order(g: MultiGraph) -> tuple[int, ...] | None:
         pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
-        if _interleave_free(g, pos, n):
-            return order
+        try:
+            _check_crossings(g, pos)
+        except EmbeddingError:
+            continue
+        return order
     return None
-
-
-def _interleave_free(g: MultiGraph, pos, n: int) -> bool:
-    keyed = []
-    for u, v in g.edges:
-        if u != v:
-            a, b = pos[u], pos[v]
-            keyed.append((min(a, b), max(a, b)))
-    for i in range(len(keyed)):
-        a, b = keyed[i]
-        for j in range(i + 1, len(keyed)):
-            c, d = keyed[j]
-            if len({a, b, c, d}) < 4:
-                continue
-            if (a < c < b) != (a < d < b):
-                return False
-    return True
 
 
 def enumerate_small_graphs(n: int, filter: str = "all", dedup: bool = True):
@@ -634,10 +621,9 @@ def run_experiment(kind: str, max_n: int, budget: int = 2 * 10 ** 6,
             for d in enumerate_small_digraphs(n):
                 for root in range(n):
                     t0 = time.perf_counter()
-                    arbs = enumerate_arborescences(d, root)
-                    if not arbs:
-                        continue
                     fg = arborescence_flip_graph(d, root)
+                    if not fg.node_count:
+                        continue
                     res = hamilton_path(fg, cycle=False, budget=budget)
                     if res.status == "found":
                         _validate_certificate(fg, res.order, cycle=False)

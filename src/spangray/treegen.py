@@ -1,19 +1,22 @@
 """Greedy generation of spanning-tree Gray codes.
 
-The generator keeps a set of visited trees and repeatedly applies, among
-all edge exchanges that lead to an unvisited tree, one that minimizes
-the larger of the two edge labels; a tie-breaking rule picks among the
-remaining candidates, which always share that larger edge.  Run this
-way, the listing visits every spanning tree exactly once and is genlex
-on the characteristic vectors (all trees sharing a suffix appear
-consecutively), for every labeling, initial tree, and tie-breaking
-rule.  With a dual-tree labeling of an outerplane graph, preferring
-pivot exchanges (triangulations) or pivot-or-face exchanges (general
-case) in ties yields Gray codes restricted to those exchange classes.
+The generator repeatedly applies, among all edge exchanges that lead to
+a tree not listed yet, one that minimizes the larger of the two edge
+labels; a tie-breaking rule picks among the remaining candidates, which
+always share that larger edge.  Run this way, the listing visits every
+spanning tree exactly once and is genlex on the characteristic vectors
+(all trees sharing a suffix appear consecutively), for every labeling,
+initial tree, and tie-breaking rule; Merino, Mütze and Williams (FUN
+2022) prove this for every matroid.  Genlex order lets
+:func:`greedy_walk` keep one block mask in place of the trees it listed.
+With a dual-tree labeling of an outerplane graph, preferring pivot
+exchanges (triangulations) or pivot-or-face exchanges (general case) in
+ties yields Gray codes restricted to those exchange classes.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -163,6 +166,9 @@ def _partners(tables, mask: int, tree, f: int) -> list[int]:
 def valid_exchanges(g: MultiGraph, labeling: EdgeLabeling,
                     tree: SpanningTree) -> tuple[Exchange, ...]:
     """All valid exchanges of the tree, sorted by (larger, smaller)."""
+    if tree.m != g.m:
+        raise GraphError(f"tree has {tree.m} labels, the graph {g.m} edges")
+    spanning_tree_from_labels(g, labeling, tree.labels())
     tables = _label_tables(g, labeling)
     mask = tree.mask
     rooted = _rooted_tree(g, labeling, mask)
@@ -273,13 +279,65 @@ class Listing:
                 yield line
 
 
+def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
+                embedding: EmbeddedGraph | None, initial, tiebreak,
+                classify: bool = False):
+    """The greedy exchange walk as a stream of ``(mask, step)``, one per
+    tree; ``step`` is the ``(Exchange, ExchangeClass | None)`` that
+    reached the tree, None for the first.  ``initial`` is a SpanningTree,
+    its labels, or None for :func:`kruskal_tree`.
+
+    Bit f-1 of the block mask ``h`` is set while the tree lies in the
+    second half of its level-f block, the run of trees sharing its labels
+    above f.  The walk skips those levels; at the others every partner
+    of f reaches an unlisted tree, so all of them form the tie set.
+    """
+    if labeling.m != g.m:
+        raise GraphError("labeling size does not match the graph")
+    if classify and embedding is None:
+        raise GraphError("classification needs an embedding")
+    if initial is None:
+        initial = kruskal_tree(g, labeling)
+    elif isinstance(initial, SpanningTree):
+        spanning_tree_from_labels(g, labeling, initial.labels())
+    else:
+        initial = spanning_tree_from_labels(g, labeling, initial)
+
+    tables = _label_tables(g, labeling)
+    bit = tables[1]
+    mask, h = initial.mask, 0
+    yield mask, None
+    while True:
+        rooted = _rooted_tree(g, labeling, mask)
+        for f in range(1, g.m + 1):
+            if not h & bit[f]:
+                partners = _partners(tables, mask, rooted, f)
+                if partners:
+                    break
+        else:
+            return
+        fbit = bit[f]
+        f_in = mask & fbit
+        cands = tuple(Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f)
+                      for e in partners)
+        chosen = tiebreak(TieContext(g, labeling, embedding, mask, cands))
+        if chosen not in cands:
+            raise GraphError("tie-breaking rule left the tie set")
+        mask ^= bit[chosen.removed] ^ bit[chosen.added]
+        # the tree enters the second half of its level-f block, and
+        # every lower level starts a new block
+        h = (h | fbit) & -fbit
+        yield mask, (chosen, classify_exchange(embedding, labeling, chosen) if classify else None)
+
+
 def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
                    embedding: EmbeddedGraph | None = None,
                    initial: SpanningTree | None = None,
                    tiebreak=None, max_trees: int | None = None,
                    check: bool = True, classify: bool | None = None,
                    expected_count: int | None = None) -> Listing:
-    """Run the greedy exchange walk until no unvisited tree is reachable.
+    """The trees and steps of :func:`greedy_walk`, to its end or to
+    ``max_trees`` trees.
 
     With check=True (and no truncation) the result is certified: the
     number of trees must match an independent count and the chi
@@ -291,65 +349,24 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
                 orient_split_dual(split_dual(embedding)))
         else:
             labeling = EdgeLabeling.identity(g.m)
-    if labeling.m != g.m:
-        raise GraphError("labeling size does not match the graph")
     if max_trees is not None and max_trees < 1:
         raise GraphError(f"max_trees must be at least 1, got {max_trees}")
     if classify is None:
         classify = embedding is not None
-    if classify and embedding is None:
-        raise GraphError("classification needs an embedding")
-    if tiebreak is None:
-        tiebreak = tiebreak_closest
-    if initial is None:
-        initial = kruskal_tree(g, labeling)
-    elif not isinstance(initial, SpanningTree):
-        initial = spanning_tree_from_labels(g, labeling, initial)
-    else:
-        spanning_tree_from_labels(g, labeling, initial.labels())
+    walk = greedy_walk(g, labeling, embedding, initial,
+                       tiebreak_closest if tiebreak is None else tiebreak, classify)
+    trees = []
+    steps: list[tuple[Exchange, ExchangeClass | None]] = []
+    for mask, step in itertools.islice(walk, max_trees):
+        trees.append(mask)
+        if step is not None:
+            steps.append(step)
 
     m = g.m
-    tables = _label_tables(g, labeling)
-    bit = tables[1]
-    mask = initial.mask
-    visited = {mask}
-    trees = [mask]
-    steps: list[tuple[Exchange, ExchangeClass | None]] = []
-    rooted = _rooted_tree(g, labeling, mask)
-
-    while max_trees is None or len(trees) < max_trees:
-        chosen = None
-        for f in range(1, m + 1):
-            fbit = bit[f]
-            f_in = mask & fbit
-            cands = []
-            for e in _partners(tables, mask, rooted, f):
-                if mask ^ fbit ^ bit[e] not in visited:
-                    cands.append(Exchange(removed=f, added=e) if f_in
-                                 else Exchange(removed=e, added=f))
-            if cands:
-                ctx = TieContext(g, labeling, embedding, mask, tuple(cands))
-                chosen = tiebreak(ctx)
-                if chosen not in cands:
-                    raise GraphError("tie-breaking rule left the tie set")
-                if chosen.larger != f:
-                    raise CertificationError("tie set mixes larger labels")
-                break
-        if chosen is None:
-            break
-        mask = mask ^ bit[chosen.removed] ^ bit[chosen.added]
-        if mask in visited:
-            raise CertificationError("exchange revisited a tree")
-        visited.add(mask)
-        trees.append(mask)
-        cls = classify_exchange(embedding, labeling, chosen) if classify else None
-        steps.append((chosen, cls))
-        rooted = _rooted_tree(g, labeling, mask)
-
     truncated = max_trees is not None and len(trees) >= max_trees
     complete: bool | None = None
     if check:
-        if not verify_genlex([SpanningTree(m, x) for x in trees]):
+        if not verify_genlex_masks(trees, m):
             raise CertificationError("listing is not genlex")
         if not truncated:
             want = expected_count if expected_count is not None \
@@ -369,10 +386,9 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
 def verify_genlex(listing) -> bool:
     """True iff all bitstrings sharing a suffix appear consecutively.
 
-    Recursive form: the last-coordinate column must read 0^a 1^b or
-    1^a 0^b, and each constant block must be genlex one coordinate
-    shorter.  Accepts a Listing, SpanningTree sequence, or mask list
-    plus uniform m.
+    Equivalently, the last-coordinate column reads 0^a 1^b or 1^a 0^b,
+    and each constant block is genlex one coordinate shorter.  Accepts a
+    Listing or a SpanningTree sequence; see :func:`verify_genlex_masks`.
     """
     if isinstance(listing, Listing):
         masks, m = listing.masks(), listing.graph.m
@@ -389,25 +405,24 @@ def verify_genlex(listing) -> bool:
 
 
 def verify_genlex_masks(masks, m: int) -> bool:
-    spans = [(0, len(masks))]
-    for pos in range(m - 1, -1, -1):
-        b = 1 << pos
-        nxt = []
-        for lo, hi in spans:
-            if hi - lo <= 1:
-                continue
-            flips = [i for i in range(lo + 1, hi)
-                     if (masks[i] & b) != (masks[i - 1] & b)]
-            if len(flips) > 1:
+    """True iff the m-bit masks are genlex, in one pass.
+
+    Keeps the block mask of :func:`greedy_walk`: consecutive masks that
+    first differ (from the top) at bit p stay in one block of the bits
+    above p, and bit p may change only once per such block.
+    """
+    low = (1 << m) - 1
+    h = 0
+    masks = iter(masks)
+    prev = next(masks, 0)
+    for x in masks:
+        d = (x ^ prev) & low
+        if d:
+            top = 1 << (d.bit_length() - 1)
+            if h & top:
                 return False
-            if flips:
-                nxt.append((lo, flips[0]))
-                nxt.append((flips[0], hi))
-            else:
-                nxt.append((lo, hi))
-        spans = nxt
-        if not spans:
-            break
+            h = (h | top) & -top
+        prev = x
     return True
 
 

@@ -46,6 +46,13 @@ class TestMultiGraph:
         assert fan.joining_edges([6, 5, 4]) == [6, 5]
         assert loopy_triangle().joining_edges([3, 0]) == [0]
 
+    @pytest.mark.parametrize("ids", [(0, 1, 3, -2), (0, 1, 3, 7), (0, 1, 3, 5, 9)])
+    def test_edge_ids_out_of_range(self, fan, ids):
+        with pytest.raises(GraphError):
+            fan.is_spanning_tree(ids)
+        with pytest.raises(GraphError):
+            fan.joining_edges(ids)
+
 
 class TestEdgeLabeling:
     def test_identity_roundtrip(self):

@@ -1,21 +1,27 @@
 """Greedy generation, tie rules, genlex verification, exchange classes."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import (bundle_graph, cycle_graph, k33_graph, loopy_triangle,
                       wheel_graph)
-from spangray.counting import count_matrix_tree, enumerate_outerplane
-from spangray.embedgraph import EdgeLabeling, MultiGraph, build_embedding
+from spangray.counting import (count_matrix_tree, enumerate_outerplane,
+                               extremal_family)
+from spangray.dualtree import dual_tree_labeling, orient_split_dual, split_dual
+from spangray.embedgraph import (EdgeLabeling, MultiGraph, _rooted_tree,
+                                 build_embedding)
 from spangray.errors import CertificationError, GraphError
 from spangray.flipgraph import enumerate_spanning_trees
 from spangray.treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
-                              SpanningTree, TieContext, classify_exchange,
-                              greedy_listing, kruskal_tree,
-                              random_spanning_tree, spanning_tree_from_labels,
-                              tiebreak_closest, tiebreak_prefer,
-                              tiebreak_random, valid_exchanges, verify_genlex,
+                              SpanningTree, TieContext, _label_tables,
+                              _partners, classify_exchange, greedy_listing,
+                              greedy_walk, kruskal_tree, random_spanning_tree,
+                              spanning_tree_from_labels, tiebreak_closest,
+                              tiebreak_prefer, tiebreak_random,
+                              valid_exchanges, verify_genlex,
                               verify_genlex_masks, verify_gray)
 
 
@@ -33,6 +39,33 @@ def genlex_brute(masks, m):
                 seen.add(s)
                 prev = s
     return True
+
+
+def visited_set_walk(g, lab, emb, initial, tiebreak):
+    """Reference greedy walk that remembers every tree it listed: each
+    step takes the smallest larger label f with a partner e whose
+    exchange reaches an unlisted tree, and breaks the tie among those."""
+    tables = _label_tables(g, lab)
+    bit = tables[1]
+    mask = initial.mask
+    visited, masks, steps = {mask}, [mask], []
+    while True:
+        tree = _rooted_tree(g, lab, mask)
+        for f in range(1, g.m + 1):
+            f_in = mask & bit[f]
+            cands = tuple(Exchange(removed=f, added=e) if f_in
+                          else Exchange(removed=e, added=f)
+                          for e in _partners(tables, mask, tree, f)
+                          if mask ^ bit[f] ^ bit[e] not in visited)
+            if cands:
+                break
+        else:
+            return masks, steps
+        ex = tiebreak(TieContext(g, lab, emb, mask, cands))
+        mask ^= bit[ex.removed] ^ bit[ex.added]
+        visited.add(mask)
+        masks.append(mask)
+        steps.append(ex)
 
 
 class TestSpanningTree:
@@ -111,6 +144,13 @@ class TestValidExchanges:
                     key=lambda x: (x.larger, x.smaller))
                 mask = sum(1 << (l - 1) for l in tree)
                 assert valid_exchanges(g, lab, SpanningTree(g.m, mask)) == tuple(want)
+
+    def test_rejects_non_trees(self, fan):
+        lab = EdgeLabeling.identity(7)
+        with pytest.raises(GraphError):
+            valid_exchanges(fan, lab, SpanningTree(7, 0b1111))  # cycle 1-2-3
+        with pytest.raises(GraphError):
+            valid_exchanges(fan, lab, SpanningTree(8, 0b0101011))  # m differs
 
     def test_loops_never_appear(self):
         g = loopy_triangle()
@@ -275,6 +315,79 @@ class TestGreedyListing:
             greedy_listing(fan, max_trees=k)
 
 
+class TestWalk:
+    @pytest.mark.parametrize("make", [
+        lambda seed: tiebreak_closest,
+        lambda seed: tiebreak_prefer("pof"),
+        lambda seed: tiebreak_random(random.Random(seed)),
+    ], ids=["closest", "prefer-pof", "random"])
+    def test_matches_visited_set_walk(self, make):
+        """Every outerplane multigraph with m <= 7, every root, two
+        seeded initial trees: the block-mask walk lists the same trees
+        with the same steps as the walk that remembers its trees."""
+        rng = random.Random(5)
+        runs = 0
+        for emb in enumerate_outerplane(7):
+            g = emb.graph
+            sd = split_dual(emb)
+            for root in sd.leaves():
+                lab = dual_tree_labeling(orient_split_dual(sd, root))
+                for _ in range(2):
+                    init = random_spanning_tree(g, lab, rng)
+                    seed = rng.randrange(2 ** 32)
+                    masks, steps = visited_set_walk(g, lab, emb, init, make(seed))
+                    listing = greedy_listing(g, labeling=lab, embedding=emb,
+                                             initial=init, tiebreak=make(seed))
+                    assert listing.masks() == masks
+                    assert [ex for ex, _ in listing.steps] == steps
+                    runs += 1
+        assert runs == 410
+
+    def test_stream_is_the_listing(self, fan, fan_emb):
+        listing = greedy_listing(fan, embedding=fan_emb)
+        stream = list(greedy_walk(fan, listing.labeling, fan_emb, None,
+                                  tiebreak_closest, classify=True))
+        assert [x for x, _ in stream] == listing.masks()
+        assert stream[0][1] is None
+        assert tuple(step for _, step in stream[1:]) == listing.steps
+
+    def test_memory_flat_in_trees(self):
+        """Streaming the 17-edge strip keeps no per-tree state: the traced
+        peak after all 2,584 trees stays within 1.5x of the peak after
+        the first 250.  CPython keeps freed tuples on free lists that
+        tracemalloc still counts, so a full walk of a larger strip first
+        fills those lists and the peak shows live memory only."""
+        def walk(k):
+            emb = extremal_family(k)
+            lab = dual_tree_labeling(orient_split_dual(split_dual(emb)))
+            return greedy_walk(emb.graph, lab, emb, None, tiebreak_prefer("pof"),
+                               classify=True)
+
+        for _ in walk(9):
+            pass
+        stream = walk(8)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in itertools.islice(stream, 250)) == 250
+            early = tracemalloc.get_traced_memory()[1]
+            assert 250 + sum(1 for _ in stream) == 2584
+            late = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert late <= 1.5 * early, (early, late)
+
+    def test_rejects_bad_input(self, fan):
+        lab = EdgeLabeling.identity(7)
+        bad = [(EdgeLabeling.identity(6), None, False),
+               (lab, SpanningTree(7, 0b1111), False),
+               (lab, [1, 2, 3, 4], False),
+               (lab, None, True)]
+        for labeling, initial, classify in bad:
+            with pytest.raises(GraphError):
+                next(greedy_walk(fan, labeling, None, initial, tiebreak_closest,
+                                 classify))
+
+
 class TestVerifiers:
     def test_genlex_oracle_agreement_on_listings(self, fan, fan_emb):
         listing = greedy_listing(fan, embedding=fan_emb)
@@ -292,6 +405,25 @@ class TestVerifiers:
             assert verify_genlex_masks(masks, m) == genlex_brute(masks, m)
             agree += 1
         assert agree == 400
+
+    @pytest.mark.parametrize("order", ["shuffled", "sorted", "nudged"])
+    def test_genlex_oracle_agreement_with_repeats(self, order):
+        """Seeded sequences drawn with replacement, as drawn, sorted (an
+        ascending or descending mask order is genlex), or sorted with one
+        element moved, against the definition."""
+        rng = random.Random(7)
+        verdicts = set()
+        for _ in range(600):
+            m = rng.randrange(1, 9)
+            masks = [rng.randrange(2 ** m) for _ in range(rng.randrange(1, 40))]
+            if order != "shuffled":
+                masks.sort(reverse=rng.random() < 0.5)
+            if order == "nudged":
+                masks.insert(rng.randrange(len(masks)), masks.pop(rng.randrange(len(masks))))
+            want = genlex_brute(masks, m)
+            assert verify_genlex_masks(masks, m) == want, (masks, m)
+            verdicts.add(want)
+        assert verdicts == ({True} if order == "sorted" else {True, False})
 
     def test_genlex_catches_swap(self, fan, fan_emb):
         masks = greedy_listing(fan, embedding=fan_emb).masks()
