@@ -24,7 +24,8 @@ from .dualtree import (IncidenceList, OrientedSplitDual, SplitDual,
                        weak_dual)
 from .counting import (check_fib_bound, check_fib_product, count_bruteforce,
                        count_del_contract, count_matrix_tree,
-                       enumerate_outerplane, extremal_family, fib)
+                       count_series_parallel, enumerate_outerplane,
+                       extremal_family, fib)
 from .treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
                       SpanningTree, classify_exchange, greedy_listing,
                       greedy_walk, kruskal_tree, random_spanning_tree,

@@ -130,6 +130,8 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
     if parsed.directed:
         raise GraphError("gen expects an undirected graph")
     g = parsed.graph
+    if args.max_trees is not None and args.max_trees < 1:
+        raise GraphError(f"--max-trees must be at least 1, got {args.max_trees}")
     emb = _embed(parsed)
     sd, osd, labeling = _labeling_for(emb, args.root)
     initial = None
@@ -139,7 +141,8 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
         except ValueError:
             raise GraphError("--initial expects comma-separated labels")
         initial = treegen.spanning_tree_from_labels(g, labeling, labels)
-    expected = counting.count_matrix_tree(g)
+    # the embedding makes g outerplane, so it reduces series-parallel
+    expected = counting.count_series_parallel(g)
     listing = treegen.greedy_listing(
         g, labeling=labeling, embedding=emb, initial=initial,
         tiebreak=_tiebreak_rule(args.tiebreak), max_trees=args.max_trees,

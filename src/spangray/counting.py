@@ -1,7 +1,10 @@
 """Exact spanning-tree counting and the Fibonacci extremal bound.
 
-Two independent counters (Kirchhoff determinant and deletion-
-contraction) serve as oracles for the generator.  The extremal checker
+Three independent counters serve as oracles for the generator: the
+Kirchhoff determinant (any multigraph, O(n^3)), deletion-contraction
+(any multigraph, exponential, for cross-checks) and series-parallel
+reduction (outerplane and other K4-minor-free multigraphs, O(m)
+reductions).  The extremal checker
 verifies t(G) <= f_{m+1} for outerplane multigraphs and the exact
 characterization of equality: no loops, 2-connected, all inner faces of
 length at most 3, weak dual a path, and every digon face sharing an
@@ -65,6 +68,57 @@ def count_matrix_tree(g: MultiGraph) -> int:
             row_i[k] = 0
         prev = akk
     return sign * a[d - 1][d - 1]
+
+
+def count_series_parallel(g: MultiGraph) -> int:
+    """Number of spanning trees by series, parallel and pendant
+    reductions, O(m) reductions on bigints.  Each bundle of edges
+    between two vertices carries (trees, forests): its spanning trees,
+    and its spanning forests of two trees that separate the two ends.
+    Loops are skipped and a disconnected graph has 0 trees; a graph that
+    does not reduce to one vertex (it has a K4 minor, so it is not
+    outerplane) raises GraphError."""
+    if not g.is_connected():
+        return 0
+    bundles: list[dict[int, tuple[int, int]] | None] = [{} for _ in range(g.n)]
+
+    def join(u, v, t, f):
+        # a bundle already between u and v goes in parallel
+        if v in bundles[u]:
+            t0, f0 = bundles[u][v]
+            t, f = t0 * f + f0 * t, f0 * f
+        bundles[u][v] = bundles[v][u] = (t, f)
+
+    for u, v in g.edges:
+        if u != v:
+            join(u, v, 1, 1)
+    trees = 1
+    left = g.n
+    todo = [v for v in range(g.n) if len(bundles[v]) <= 2]
+    while todo and left > 1:
+        v = todo.pop()
+        at = bundles[v]
+        if at is None:
+            continue
+        if len(at) == 1:
+            # pendant: a spanning tree reaches v through one of t trees
+            ((u, (t, _)),) = at.items()
+            del bundles[u][v]
+            trees *= t
+            near = (u,)
+        else:
+            # series: v's two bundles become one between its neighbours
+            (u, (t1, f1)), (x, (t2, f2)) = at.items()
+            del bundles[u][v], bundles[x][v]
+            join(u, x, t1 * t2, t1 * f2 + f1 * t2)
+            near = (u, x)
+        bundles[v] = None
+        left -= 1
+        todo.extend(w for w in near if len(bundles[w]) <= 2)
+    if left > 1:
+        raise GraphError("graph does not reduce by series and parallel steps "
+                         "(it has a K4 minor)")
+    return trees
 
 
 def _compact_encode(n: int, edges) -> tuple:

@@ -308,26 +308,33 @@ class EmbeddedGraph:
 
 
 def _check_crossings(g: MultiGraph, pos: list[int]) -> None:
-    n = g.n
+    """Raise EmbeddingError naming two edges that cross when every edge
+    is drawn as a chord between its endpoints' outer positions (loops
+    and chords sharing an end position never cross).
+
+    One sweep over the chords by near end, longest first, with a stack
+    of open chords whose far ends never increase toward the top: chords
+    ending at or before the near end are closed, and a chord reaching
+    past the top's far end crosses the top.
+    """
     chords = []
     for e, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
         a, b = pos[u], pos[v]
-        chords.append((e, a, b))
-    for i in range(len(chords)):
-        e1, a, b = chords[i]
-        span = (b - a) % n
-        for j in range(i + 1, len(chords)):
-            e2, c, d = chords[j]
-            if c in (a, b) or d in (a, b):
-                continue
-            cin = 0 < (c - a) % n < span
-            din = 0 < (d - a) % n < span
-            if cin != din:
-                raise EmbeddingError(
-                    f"edges {e1} {g.edges[e1]} and {e2} {g.edges[e2]} cross "
-                    f"under the given outer order")
+        if a > b:
+            a, b = b, a
+        if a != b:
+            chords.append((a, -b, e))
+    chords.sort()
+    stack: list[tuple[int, int]] = []
+    for a, b, e in chords:
+        while stack and stack[-1][0] <= a:
+            stack.pop()
+        if stack and stack[-1][0] < -b:
+            e1, e2 = sorted((stack[-1][1], e))
+            raise EmbeddingError(
+                f"edges {e1} {g.edges[e1]} and {e2} {g.edges[e2]} cross "
+                f"under the given outer order")
+        stack.append((-b, e))
 
 
 def build_embedding(g: MultiGraph, outer_order) -> EmbeddedGraph:
@@ -348,19 +355,14 @@ def build_embedding(g: MultiGraph, outer_order) -> EmbeddedGraph:
     _check_crossings(g, pos)
     n = g.n
 
-    rotation: list[tuple[int, ...]] = []
-    for v in range(n):
-        ends = []
-        for e, (a, b) in enumerate(g.edges):
-            if a == b:
-                continue
-            if a == v or b == v:
-                other = b if a == v else a
-                # nested parallel arcs: ascending id at the low-position end
-                nesting = e if pos[v] < pos[other] else -e
-                ends.append(((pos[other] - pos[v]) % n, nesting, e))
-        ends.sort()
-        rotation.append(tuple(e for _, _, e in ends))
+    ends: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(g.edges):
+        if a != b:
+            # nested parallel arcs: ascending id at the low-position end
+            low = e if pos[a] < pos[b] else -e
+            ends[a].append(((pos[b] - pos[a]) % n, low, e))
+            ends[b].append(((pos[a] - pos[b]) % n, -low, e))
+    rotation = [tuple(e for _, _, e in sorted(at)) for at in ends]
 
     # face tracing: successor of dart (e, t) is (f, head) where f precedes e
     # in the ccw rotation at head
@@ -494,48 +496,105 @@ def blocks(g: MultiGraph) -> list[Block]:
     return result
 
 
-def _rooted_tree(g: MultiGraph, labeling: EdgeLabeling, mask: int):
-    """The spanning tree whose labels are the set bits of ``mask``, rooted
-    at vertex 0, as (adjacency, parent vertex, parent label, depth): the
-    adjacency lists (neighbour, label) per vertex, the rest are per-vertex
-    lists.  ``mask`` must be a spanning tree."""
+def _rooted_tree(g: MultiGraph, labeling: EdgeLabeling, mask: int,
+                 k: int | None = None):
+    """The spanning tree whose labels are the set bits of ``mask``, with
+    its edges labelled ``k`` or more contracted (none if ``k`` is None),
+    rooted at vertex 0: as (part, parent, parent label) per-vertex
+    lists.  ``part[x]`` is the smallest vertex of x's contracted part,
+    which stands for the part; only those vertices have a parent, -1
+    elsewhere and at the root's part.  Paths between parts hold exactly
+    the labels below ``k`` of the paths in the whole tree.  ``mask``
+    must be a spanning tree; :func:`_exchange_tree` keeps the result up
+    to date across exchanges of labels below ``k``."""
     n = g.n
+    if k is None:
+        k = g.m + 1
     adj = [[] for _ in range(n)]
     for l in range(1, g.m + 1):
         if mask >> (l - 1) & 1:
             u, v = g.edges[labeling.edge(l)]
             adj[u].append((v, l))
             adj[v].append((u, l))
+    part = [-1] * n
+    for s in range(n):
+        if part[s] < 0:
+            part[s] = s
+            stack = [s]
+            while stack:
+                x = stack.pop()
+                for y, l in adj[x]:
+                    if l >= k and part[y] < 0:
+                        part[y] = s
+                        stack.append(y)
     parent_v = [-1] * n
     parent_l = [0] * n
-    depth = [0] * n
-    seen = [False] * n
-    seen[0] = True
+    up = [-1] * n
     stack = [0]
     while stack:
         x = stack.pop()
         for y, l in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent_v[y] = x
-                parent_l[y] = l
-                depth[y] = depth[x] + 1
+            if y != up[x]:
+                up[y] = x
+                if l < k:
+                    parent_v[part[y]] = part[x]
+                    parent_l[part[y]] = l
                 stack.append(y)
-    return adj, parent_v, parent_l, depth
+    return part, parent_v, parent_l
+
+
+def _exchange_tree(tree, r: int, added: tuple[int, int], a: int) -> None:
+    """Update a tree from :func:`_rooted_tree` in place for the exchange
+    that drops the tree edge labelled ``r`` and adds the edge ``added``
+    (its endpoints) labelled ``a``, both below the tree's ``k``.  The
+    parts of the ends of ``added`` climb in turns until one crosses
+    ``r``: that end lies on the side cut off from the root, and the
+    parent links on its way up to ``r`` are reversed, so the side hangs
+    from the other end.  O(length of the cycle that ``added`` closes),
+    whatever the size of the side."""
+    part, parent_v, parent_l = tree
+    inner, outer = part[added[0]], part[added[1]]
+    x, y = inner, outer
+    for _ in parent_v:
+        if parent_l[x] == r:
+            break
+        if parent_l[y] == r:
+            inner, outer = outer, inner
+            break
+        if parent_v[x] >= 0:
+            x = parent_v[x]
+        if parent_v[y] >= 0:
+            y = parent_v[y]
+    else:
+        raise GraphError(f"label {a} does not close a cycle through label {r}")
+    x, up, label = inner, outer, a
+    while True:
+        nxt, nxt_label = parent_v[x], parent_l[x]
+        parent_v[x], parent_l[x] = up, label
+        if nxt_label == r:
+            return
+        x, up, label = nxt, x, nxt_label
 
 
 def _path_labels(tree, u: int, v: int) -> list[int]:
-    """Labels on the u..v path of a tree from :func:`_rooted_tree`."""
-    _, parent_v, parent_l, depth = tree
-    out = []
-    while depth[u] > depth[v]:
-        out.append(parent_l[u])
-        u = parent_v[u]
-    while depth[v] > depth[u]:
-        out.append(parent_l[v])
-        v = parent_v[v]
-    while u != v:
-        out.append(parent_l[u])
-        out.append(parent_l[v])
-        u, v = parent_v[u], parent_v[v]
-    return out
+    """Labels on the u..v path of a tree from :func:`_rooted_tree`, in
+    O(path length): the parts of u and v climb in turns until one
+    reaches a part the other has passed."""
+    part, parent_v, parent_l = tree
+    u, v = part[u], part[v]
+    seen_u, seen_v = {u: 0}, {v: 0}     # part -> labels climbed to it
+    up_u, up_v = [], []
+    for _ in parent_v:
+        if u in seen_v:
+            return up_u + up_v[:seen_v[u]]
+        if v in seen_u:
+            return up_u[:seen_u[v]] + up_v
+        if parent_v[u] >= 0:
+            up_u.append(parent_l[u])
+            u = parent_v[u]
+            seen_u[u] = len(up_u)
+        if parent_v[v] >= 0:
+            up_v.append(parent_l[v])
+            v = parent_v[v]
+            seen_v[v] = len(up_v)
+    raise GraphError("the parent links do not form a tree")

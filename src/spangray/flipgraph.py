@@ -21,7 +21,7 @@ from .embedgraph import (EmbeddedGraph, MultiGraph, _check_crossings, blocks,
                          build_embedding)
 from .errors import CertificationError, EmbeddingError, GraphError
 from .treegen import (Exchange, ExchangeClass, RESTRICTIONS, SpanningTree,
-                      classify_exchange)
+                      _chi_line, classify_exchange)
 
 
 def enumerate_spanning_trees(g: MultiGraph) -> tuple[SpanningTree, ...]:
@@ -72,7 +72,7 @@ class Arborescence:
         return frozenset(i for i in range(self.m) if self.mask >> i & 1)
 
     def chi(self) -> str:
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.m))
+        return _chi_line(self.mask, self.m)
 
 
 class DiGraph:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from . import counting
 from .dualtree import dual_tree_labeling, orient_split_dual, split_dual
-from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _path_labels,
-                         _rooted_tree)
+from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _exchange_tree,
+                         _path_labels, _rooted_tree)
 from .errors import CertificationError, GraphError
 
 
@@ -39,7 +39,12 @@ class SpanningTree:
         return frozenset(l for l in range(1, self.m + 1) if self.mask >> (l - 1) & 1)
 
     def chi(self) -> str:
-        return "".join("1" if self.mask >> l & 1 else "0" for l in range(self.m))
+        return _chi_line(self.mask, self.m)
+
+
+def _chi_line(mask: int, m: int) -> str:
+    """The m-bit mask as a 0/1 line, bit 0 leftmost ("" for m = 0)."""
+    return bin(mask | 1 << m)[3:][::-1]
 
 
 @dataclass(frozen=True)
@@ -132,35 +137,18 @@ def _label_tables(g: MultiGraph, labeling: EdgeLabeling):
     return ends, bit
 
 
-def _partners(tables, mask: int, tree, f: int) -> list[int]:
-    """The labels e < f that exchange with f in the tree ``mask``
-    (``tree`` is its :func:`_rooted_tree`), ascending."""
-    ends, bit = tables
-    u, v = ends[f]
-    if not mask & bit[f]:
-        # adding f closes a cycle along the tree path between its
-        # endpoints; partners are the smaller path labels
-        return sorted(e for e in _path_labels(tree, u, v) if e < f)
-    # removing f splits the tree; partners are the smaller non-tree
-    # labels crossing the split (a loop never crosses)
-    adj, _, parent_l, _ = tree
-    child = u if parent_l[u] == f else v
-    side = bytearray(len(adj))
-    side[child] = 1
-    stack = [child]
-    while stack:
-        x = stack.pop()
-        for y, l in adj[x]:
-            if l != f and not side[y]:
-                side[y] = 1
-                stack.append(y)
-    out = []
-    for e in range(1, f):
-        if not mask & bit[e]:
-            eu, ev = ends[e]
-            if side[eu] != side[ev]:
-                out.append(e)
-    return out
+def _partners(bit, mask: int, path, f: int) -> list[int]:
+    """The labels e < f that exchange with f in the tree ``mask``,
+    ascending.  ``bit`` is the mask bit per label (:func:`_label_tables`)
+    and ``path(l)`` the labels on the tree path between the ends of l."""
+    if mask & bit[f]:
+        # removing f splits the tree; partners are the smaller non-tree
+        # labels whose tree path crosses the split, i.e. runs through f
+        # (a loop's path is empty)
+        return [e for e in range(1, f) if not mask & bit[e] and f in path(e)]
+    # adding f closes a cycle along the tree path between its endpoints;
+    # partners are the smaller path labels
+    return sorted(e for e in path(f) if e < f)
 
 
 def valid_exchanges(g: MultiGraph, labeling: EdgeLabeling,
@@ -169,13 +157,17 @@ def valid_exchanges(g: MultiGraph, labeling: EdgeLabeling,
     if tree.m != g.m:
         raise GraphError(f"tree has {tree.m} labels, the graph {g.m} edges")
     spanning_tree_from_labels(g, labeling, tree.labels())
-    tables = _label_tables(g, labeling)
+    ends, bit = _label_tables(g, labeling)
     mask = tree.mask
     rooted = _rooted_tree(g, labeling, mask)
+    # each non-tree label's path once, as a set: every tree edge f
+    # tests the paths of all smaller non-tree labels
+    paths = [None] + [None if mask & bit[l] else frozenset(_path_labels(rooted, *ends[l]))
+                      for l in range(1, g.m + 1)]
     out = []
     for f in range(1, g.m + 1):
         f_in = mask >> (f - 1) & 1
-        for e in _partners(tables, mask, rooted, f):
+        for e in _partners(bit, mask, paths.__getitem__, f):
             out.append(Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f))
     return tuple(out)
 
@@ -291,6 +283,11 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     second half of its level-f block, the run of trees sharing its labels
     above f.  The walk skips those levels; at the others every partner
     of f reaches an unlisted tree, so all of them form the tie set.
+    The walk keeps the tree rooted, with its edges labelled k or more
+    contracted, and updates it per exchange by :func:`_exchange_tree`,
+    so a step pays for the labels below k on its paths only.  Partners
+    of f are read from it while f < k; a level f >= k rebuilds it with
+    k = 2f, so it is built O(log m) times.
     """
     if labeling.m != g.m:
         raise GraphError("labeling size does not match the graph")
@@ -303,15 +300,22 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     else:
         initial = spanning_tree_from_labels(g, labeling, initial)
 
-    tables = _label_tables(g, labeling)
-    bit = tables[1]
+    ends, bit = _label_tables(g, labeling)
     mask, h = initial.mask, 0
+    k = min(2, g.m + 1)
+    rooted = _rooted_tree(g, labeling, mask, k)
+
+    def path(l):
+        return _path_labels(rooted, *ends[l])
+
     yield mask, None
     while True:
-        rooted = _rooted_tree(g, labeling, mask)
         for f in range(1, g.m + 1):
             if not h & bit[f]:
-                partners = _partners(tables, mask, rooted, f)
+                if f >= k:
+                    k = min(2 * f, g.m + 1)
+                    rooted = _rooted_tree(g, labeling, mask, k)
+                partners = _partners(bit, mask, path, f)
                 if partners:
                     break
         else:
@@ -323,7 +327,9 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
         chosen = tiebreak(TieContext(g, labeling, embedding, mask, cands))
         if chosen not in cands:
             raise GraphError("tie-breaking rule left the tie set")
-        mask ^= bit[chosen.removed] ^ bit[chosen.added]
+        r, a = chosen.removed, chosen.added
+        mask ^= bit[r] ^ bit[a]
+        _exchange_tree(rooted, r, ends[a], a)
         # the tree enters the second half of its level-f block, and
         # every lower level starts a new block
         h = (h | fbit) & -fbit

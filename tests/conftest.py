@@ -56,6 +56,29 @@ def loopy_triangle():
     return MultiGraph(3, ((0, 1), (1, 2), (0, 2), (1, 1)))
 
 
+def random_outerplane_multigraph(n, rng):
+    """A seeded 2-connected outerplane multigraph on n >= 2 vertices
+    drawn on the circle 0..n-1: the polygon, a random half of the
+    diagonals of a random triangulation, and parallel copies of a few
+    edges, in shuffled order."""
+    edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
+    polygons = [list(range(n))]
+    while polygons:
+        poly = polygons.pop()
+        k = len(poly)
+        if k < 4:
+            continue
+        i, d = rng.randrange(k), rng.randrange(2, k - 1)
+        j = (i + d) % k
+        if rng.random() < 0.5:
+            edges.append((poly[i], poly[j]))
+        polygons.append([poly[(i + t) % k] for t in range(d + 1)])
+        polygons.append([poly[(j + t) % k] for t in range(k - d + 1)])
+    edges += rng.sample(edges, rng.randrange(min(len(edges), 8) + 1))
+    rng.shuffle(edges)
+    return MultiGraph(n, tuple(edges))
+
+
 @pytest.fixture
 def fan():
     return fan_graph()

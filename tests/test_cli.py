@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from spangray import counting
 from spangray.cli import entry
 
 FAN = "5 7\nouter: 0 1 2 3 4\n0 1\n1 2\n0 2\n2 3\n0 3\n3 4\n0 4\n"
@@ -90,6 +91,30 @@ class TestGen:
         rc, out = run(["gen", fan_file, "--max-trees", k])
         assert rc == 2
         assert out == ""
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_max_trees_checked_before_counting(self, tmp_path, monkeypatch, k):
+        g = counting.extremal_family(150).graph
+        assert g.m == 301
+        p = tmp_path / "strip.txt"
+        p.write_text(f"{g.n} {g.m}\nouter: {' '.join(map(str, range(g.n)))}\n"
+                     + "".join(f"{u} {v}\n" for u, v in g.edges))
+
+        def refuse(g):
+            raise AssertionError("counted before checking --max-trees")
+
+        for name in ("count_series_parallel", "count_matrix_tree"):
+            monkeypatch.setattr(counting, name, refuse)
+        assert run(["gen", str(p), "--max-trees", k]) == (2, "")
+
+    def test_gen_certifies_with_series_parallel_count(self, fan_file, monkeypatch):
+        def refuse(g):
+            raise AssertionError("gen used the determinant")
+
+        monkeypatch.setattr(counting, "count_matrix_tree", refuse)
+        rc, out = run(["gen", fan_file])
+        assert rc == 0
+        assert "trees=21 expected=21 complete=yes" in out.splitlines()[-1]
 
     def test_deterministic(self, fan_file):
         _, a = run(["gen", fan_file])

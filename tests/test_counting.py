@@ -6,11 +6,11 @@ import pytest
 
 from conftest import (bundle_graph, complete_graph, cycle_graph,
                       diamond_graph, fan_graph, k33_graph, loopy_triangle,
-                      triangle_with_parallel)
+                      random_outerplane_multigraph, triangle_with_parallel)
 from spangray.counting import (check_fib_bound, check_fib_product,
                                count_bruteforce, count_del_contract,
-                               count_matrix_tree, enumerate_outerplane,
-                               extremal_family, fib)
+                               count_matrix_tree, count_series_parallel,
+                               enumerate_outerplane, extremal_family, fib)
 from spangray.embedgraph import MultiGraph, blocks, build_embedding
 from spangray.errors import GraphError
 
@@ -47,12 +47,15 @@ class TestCounts:
         for g, want in KNOWN_COUNTS:
             assert count_del_contract(g) == want
             assert count_bruteforce(g) == want
+            if g not in (complete_graph(4), complete_graph(5), k33_graph()):
+                assert count_series_parallel(g) == want     # no K4 minor
 
     def test_disconnected_is_zero(self):
         g = MultiGraph(4, ((0, 1), (2, 3)))
         assert count_matrix_tree(g) == 0
         assert count_del_contract(g) == 0
         assert count_bruteforce(g) == 0
+        assert count_series_parallel(g) == 0
 
     def test_random_multigraphs(self):
         rng = random.Random(17)
@@ -84,6 +87,37 @@ class TestCounts:
         g = bundle_graph(21)
         with pytest.raises(GraphError):
             count_bruteforce(g)
+
+
+class TestSeriesParallel:
+    def test_matches_kirchhoff_on_sweep(self):
+        graphs = [emb.graph for emb in enumerate_outerplane(9)]
+        assert len(graphs) == 292
+        for g in graphs:
+            assert count_series_parallel(g) == count_matrix_tree(g)
+
+    def test_matches_kirchhoff_on_random_outerplane(self):
+        rng = random.Random(23)
+        for n in (2, 3, 4, 7, 12, 30, 60, 120, 200):
+            for _ in range(2 if n >= 120 else 6):
+                g = random_outerplane_multigraph(n, rng)
+                build_embedding(g, range(n))     # outerplane on the circle
+                assert count_series_parallel(g) == count_matrix_tree(g)
+
+    def test_long_strip_is_fibonacci(self):
+        g = extremal_family(1500).graph
+        assert g.m == 3001
+        assert count_series_parallel(g) == fib(3002)
+
+    def test_edge_cases(self):
+        assert count_series_parallel(MultiGraph(1, ())) == 1
+        assert count_series_parallel(MultiGraph(1, ((0, 0), (0, 0)))) == 1
+        looped = MultiGraph(5, fan_graph().edges + ((0, 0), (3, 3), (3, 3)))
+        assert count_series_parallel(looped) == 21
+        assert count_series_parallel(MultiGraph(5, complete_graph(4).edges)) == 0
+        for g in (complete_graph(4), complete_graph(5), k33_graph()):
+            with pytest.raises(GraphError):
+                count_series_parallel(g)
 
 
 class TestFibBound:

@@ -1,11 +1,15 @@
 """Graph container, parsing, circle embeddings, blocks."""
 
+import random
+import re
+
 import pytest
 
 from conftest import (bundle_graph, cycle_graph, diamond_graph, fan_graph,
                       loopy_triangle, triangle_with_parallel)
-from spangray.embedgraph import (EdgeLabeling, MultiGraph, blocks,
-                                 build_embedding, is_triangulation,
+from spangray.counting import enumerate_outerplane
+from spangray.embedgraph import (EdgeLabeling, MultiGraph, _check_crossings,
+                                 blocks, build_embedding, is_triangulation,
                                  parse_graph)
 from spangray.errors import EmbeddingError, GraphError, ParseError
 
@@ -106,6 +110,33 @@ class TestParseGraph:
             pytest.fail("expected ParseError")
 
 
+def crossing_pairs(g, pos):
+    """Reference: every pair of edges that cross as chords between their
+    outer positions, by testing all pairs (loops and chords sharing an
+    end position never cross)."""
+    n = g.n
+    chords = [(e, pos[u], pos[v]) for e, (u, v) in enumerate(g.edges) if u != v]
+    out = set()
+    for i, (e1, a, b) in enumerate(chords):
+        span = (b - a) % n
+        for e2, c, d in chords[i + 1:]:
+            if c in (a, b) or d in (a, b):
+                continue
+            if (0 < (c - a) % n < span) != (0 < (d - a) % n < span):
+                out.add((e1, e2))
+    return out
+
+
+def sweep_verdict(g, pos):
+    """The pair of edges _check_crossings names, or None if it passes."""
+    try:
+        _check_crossings(g, pos)
+    except EmbeddingError as exc:
+        e1, e2 = re.match(r"edges (\d+) \(.*?\) and (\d+) ", str(exc)).groups()
+        return int(e1), int(e2)
+    return None
+
+
 class TestEmbedding:
     def test_fan_faces(self, fan_emb):
         inner = fan_emb.inner_faces()
@@ -134,6 +165,32 @@ class TestEmbedding:
         g = MultiGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)))
         with pytest.raises(EmbeddingError):
             build_embedding(g, (0, 1, 2, 3))
+
+    def test_crossing_sweep_matches_pair_scan(self):
+        """The stack sweep rejects exactly the chord sets that the pair
+        scan finds a crossing in, and names a crossing pair: seeded
+        random chord sets (parallels and loops included), and every
+        2-connected outerplane multigraph with m <= 9 under its own
+        order and under a seeded shuffled one."""
+        rng = random.Random(21)
+        cases = []
+        for _ in range(3000):
+            n = rng.randrange(1, 9)
+            edges = tuple((rng.randrange(n), rng.randrange(n))
+                          for _ in range(rng.randrange(8)))
+            cases.append((MultiGraph(n, edges), rng.sample(range(n), n)))
+        for emb in enumerate_outerplane(9):
+            g = emb.graph
+            cases.append((g, list(range(g.n))))
+            cases.append((g, rng.sample(range(g.n), g.n)))
+        rejected = 0
+        for g, pos in cases:
+            want = crossing_pairs(g, pos)
+            got = sweep_verdict(g, pos)
+            assert (got is None) == (not want), (g, pos)
+            assert got is None or got in want
+            rejected += got is not None
+        assert 500 < rejected < len(cases) - 500
 
     def test_bundle_faces(self):
         emb = build_embedding(bundle_graph(3), (0, 1))

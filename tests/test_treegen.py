@@ -7,14 +7,16 @@ import tracemalloc
 import pytest
 
 from conftest import (bundle_graph, cycle_graph, k33_graph, loopy_triangle,
-                      wheel_graph)
+                      random_outerplane_multigraph, wheel_graph)
+from spangray import treegen
 from spangray.counting import (count_matrix_tree, enumerate_outerplane,
                                extremal_family)
-from spangray.dualtree import dual_tree_labeling, orient_split_dual, split_dual
-from spangray.embedgraph import (EdgeLabeling, MultiGraph, _rooted_tree,
-                                 build_embedding)
+from spangray.dualtree import (default_root_leaf, dual_tree_labeling,
+                               orient_split_dual, split_dual)
+from spangray.embedgraph import (EdgeLabeling, MultiGraph, _path_labels,
+                                 _rooted_tree, build_embedding)
 from spangray.errors import CertificationError, GraphError
-from spangray.flipgraph import enumerate_spanning_trees
+from spangray.flipgraph import Arborescence, enumerate_spanning_trees
 from spangray.treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
                               SpanningTree, TieContext, _label_tables,
                               _partners, classify_exchange, greedy_listing,
@@ -41,21 +43,25 @@ def genlex_brute(masks, m):
     return True
 
 
-def visited_set_walk(g, lab, emb, initial, tiebreak):
+def visited_set_walk(g, lab, emb, initial, tiebreak, max_trees=None):
     """Reference greedy walk that remembers every tree it listed: each
     step takes the smallest larger label f with a partner e whose
-    exchange reaches an unlisted tree, and breaks the tie among those."""
-    tables = _label_tables(g, lab)
-    bit = tables[1]
+    exchange reaches an unlisted tree, and breaks the tie among those.
+    It rebuilds the whole rooted tree for every tree."""
+    ends, bit = _label_tables(g, lab)
     mask = initial.mask
     visited, masks, steps = {mask}, [mask], []
-    while True:
+
+    def path(l):
+        return _path_labels(tree, *ends[l])
+
+    while len(masks) != max_trees:
         tree = _rooted_tree(g, lab, mask)
         for f in range(1, g.m + 1):
             f_in = mask & bit[f]
             cands = tuple(Exchange(removed=f, added=e) if f_in
                           else Exchange(removed=e, added=f)
-                          for e in _partners(tables, mask, tree, f)
+                          for e in _partners(bit, mask, path, f)
                           if mask ^ bit[f] ^ bit[e] not in visited)
             if cands:
                 break
@@ -66,6 +72,7 @@ def visited_set_walk(g, lab, emb, initial, tiebreak):
         visited.add(mask)
         masks.append(mask)
         steps.append(ex)
+    return masks, steps
 
 
 class TestSpanningTree:
@@ -73,6 +80,18 @@ class TestSpanningTree:
         t = SpanningTree(7, 0b0101011)
         assert t.chi() == "1101010"
         assert t.labels() == frozenset({1, 2, 4, 6})
+
+    def test_chi_matches_per_bit_reference(self):
+        """The one-call chi line equals the per-bit rendering (label 1
+        leftmost) for m = 0..70 on seeded masks, and so does the
+        arborescence export's."""
+        rng = random.Random(13)
+        for m in range(71):
+            for mask in {0, (1 << m) - 1} | {rng.getrandbits(m) for _ in range(20)}:
+                want = "".join("1" if mask >> l & 1 else "0" for l in range(m))
+                assert SpanningTree(m, mask).chi() == want
+                assert Arborescence(m, 0, mask).chi() == want
+        assert SpanningTree(0, 0).chi() == ""
 
     def test_from_labels_valid(self, fan):
         lab = EdgeLabeling.identity(7)
@@ -342,6 +361,125 @@ class TestWalk:
                     assert [ex for ex, _ in listing.steps] == steps
                     runs += 1
         assert runs == 410
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: tiebreak_closest,
+        lambda seed: tiebreak_prefer("pof"),
+        lambda seed: tiebreak_random(random.Random(seed)),
+    ], ids=["closest", "prefer-pof", "random"])
+    def test_tree_state_matches_rebuild(self, make, monkeypatch):
+        """The walk builds its rooted, contracted tree O(log m) times and
+        updates it per exchange; after every step it equals the tree
+        rebuilt from the mask with the same k (a rooted tree's part,
+        parent and label arrays are unique).  Every outerplane
+        multigraph with m <= 7, every root, two seeded initial trees."""
+        held = []
+
+        def build(*args):
+            held.append((args[3], _rooted_tree(*args)))
+            return held[-1][1]
+
+        monkeypatch.setattr(treegen, "_rooted_tree", build)
+        rng = random.Random(9)
+        trees = 0
+        for emb in enumerate_outerplane(7):
+            g = emb.graph
+            sd = split_dual(emb)
+            for root in sd.leaves():
+                lab = dual_tree_labeling(orient_split_dual(sd, root))
+                for _ in range(2):
+                    init = random_spanning_tree(g, lab, rng)
+                    held.clear()
+                    for mask, _ in greedy_walk(g, lab, emb, init,
+                                               make(rng.randrange(2 ** 32))):
+                        k, tree = held[-1]
+                        assert tree == _rooted_tree(g, lab, mask, k)
+                        trees += 1
+                    assert len(held) <= 1 + g.m.bit_length()
+        assert trees == 5148         # the trees of 410 complete walks
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: tiebreak_closest,
+        lambda seed: tiebreak_prefer("pof"),
+        lambda seed: tiebreak_random(random.Random(seed)),
+    ], ids=["closest", "prefer-pof", "random"])
+    def test_larger_graphs_match_reference(self, make, monkeypatch):
+        """Seeded 2-connected outerplane multigraphs up to n = 60, whose
+        walks widen the contracted tree several times: the first 300
+        trees and steps equal those of the reference walk, and after
+        every step the tree equals a rebuild with the same k."""
+        held = []
+
+        def build(*args):
+            held.append((args[3], _rooted_tree(*args)))
+            return held[-1][1]
+
+        rng = random.Random(13)
+        for n in (12, 25, 40, 60):
+            g = random_outerplane_multigraph(n, rng)
+            emb = build_embedding(g, range(n))
+            sd = split_dual(emb)
+            lab = dual_tree_labeling(orient_split_dual(sd, default_root_leaf(sd)))
+            init = random_spanning_tree(g, lab, rng)
+            seed = rng.randrange(2 ** 32)
+            masks, steps = visited_set_walk(g, lab, emb, init, make(seed), max_trees=300)
+            held.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(treegen, "_rooted_tree", build)
+                walk = []
+                for mask, step in itertools.islice(
+                        greedy_walk(g, lab, emb, init, make(seed)), 300):
+                    k, tree = held[-1]
+                    assert tree == _rooted_tree(g, lab, mask, k)
+                    walk.append((mask, step))
+            assert [mask for mask, _ in walk] == masks
+            assert [step[0] for _, step in walk[1:]] == steps
+            assert 3 <= len(held) <= 1 + g.m.bit_length()
+
+    def test_contracted_paths_keep_the_low_labels(self):
+        """Contracting the tree edges labelled k or more leaves, between
+        the parts of any two vertices, exactly the labels below k of
+        their tree path (found here by a search of the whole tree), and
+        names each part by its smallest vertex."""
+        rng = random.Random(17)
+        for n in (2, 5, 12, 30):
+            g = random_outerplane_multigraph(n, rng)
+            perm = list(range(1, g.m + 1))
+            rng.shuffle(perm)
+            lab = EdgeLabeling(tuple(perm))
+            mask = random_spanning_tree(g, lab, rng).mask
+            adj = [[] for _ in range(n)]
+            for l in range(1, g.m + 1):
+                if mask >> (l - 1) & 1:
+                    u, v = g.edges[lab.edge(l)]
+                    adj[u].append((v, l))
+                    adj[v].append((u, l))
+
+            def tree_path(u, v):
+                back = {u: None}
+                todo = [u]
+                while todo:
+                    x = todo.pop()
+                    for y, l in adj[x]:
+                        if y not in back:
+                            back[y] = (x, l)
+                            todo.append(y)
+                labels = []
+                while back[v] is not None:
+                    v, l = back[v]
+                    labels.append(l)
+                return labels
+
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(40)]
+            for k in range(1, g.m + 2):
+                tree = _rooted_tree(g, lab, mask, k)
+                part = tree[0]
+                for x in range(n):
+                    assert part[part[x]] == part[x] <= x
+                for u, v in pairs:
+                    want = sorted(l for l in tree_path(u, v) if l < k)
+                    assert sorted(_path_labels(tree, u, v)) == want
+                    assert (part[u] == part[v]) == (want == [])
 
     def test_stream_is_the_listing(self, fan, fan_emb):
         listing = greedy_listing(fan, embedding=fan_emb)
