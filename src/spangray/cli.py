@@ -12,6 +12,7 @@ All output is deterministic; experiment timings can be zeroed with
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import counting, flipgraph, treegen
@@ -194,11 +195,9 @@ def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
                 raise ParseError("tree line without a step line", lineno)
             if len(line) != m or set(line) - {"0", "1"}:
                 raise ParseError(f"expected {m} bits, got {line!r}", lineno)
-            mask = 0
-            for i, ch in enumerate(line):
-                if ch == "1":
-                    mask |= 1 << i
-            masks.append(mask)
+            # the check above keeps out the "_" and sign int() would take;
+            # bit 0 is leftmost
+            masks.append(int(line[::-1], 2))
     if not masks:
         raise ParseError("listing contains no trees")
     if len(steps) != len(masks) - 1:
@@ -298,7 +297,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged and costs a small part of building it."""
     p = argparse.ArgumentParser(
         prog="spangray",
         description="Gray codes of spanning trees of outerplane graphs")

@@ -440,21 +440,51 @@ class GrayReport:
     expected: int | None
 
 
+def _first_non_tree(g: MultiGraph, labeling: EdgeLabeling, masks) -> int | None:
+    """Index of the first mask whose bits below m are not a spanning
+    tree, or None.  A mask one swap away from the tree before it (label
+    r out, a in, both at most m) is a tree iff r lies on the tree path
+    of a: a path test on the previous tree, kept rooted and contracted
+    above k as :func:`greedy_walk` keeps it, with k raised to 2 max(r, a)
+    when a swap reaches it.  Any other mask gets the full union-find
+    test and a rebuild at k = 2."""
+    m = g.m
+    ends, _ = _label_tables(g, labeling)
+    prev = 0            # no label leaves 0, so the first mask gets the full test
+    for i, x in enumerate(masks):
+        d = x ^ prev
+        r, a = (d & prev).bit_length(), (d & x).bit_length()
+        top = max(r, a)
+        if r and a and d == 1 << r - 1 | 1 << a - 1 and top <= m:
+            if top >= k:
+                k = min(2 * top, m + 1)
+                tree = _rooted_tree(g, labeling, prev, k)
+            if r not in _path_labels(tree, *ends[a]):
+                return i
+            _exchange_tree(tree, r, ends[a], a)
+        else:
+            if not g.is_spanning_tree([labeling.edge(p + 1) for p in range(m) if x >> p & 1]):
+                return i
+            k = min(2, m + 1)
+            tree = _rooted_tree(g, labeling, x, k)
+        prev = x
+    return None
+
+
 def verify_gray(listing: Listing, required_class: str = "any",
                 expected_count: int | None = None) -> GrayReport:
-    """Re-validate a listing: no repeats, completeness against an
-    independent count, one exchange per consecutive pair, and the
-    requested class for every step."""
+    """Re-validate a listing: every tree a spanning tree, no repeats,
+    completeness against an independent count, one exchange per
+    consecutive pair, and the requested class for every step."""
     if required_class not in RESTRICTIONS:
         raise GraphError(f"unknown exchange class {required_class!r}")
+    if required_class != "any" and listing.embedding is None:
+        raise GraphError("class verification needs an embedding")
     bad = []
     masks = listing.masks()
-    lab = listing.labeling
-    for i, x in enumerate(masks):
-        ids = [lab.edge(p + 1) for p in range(listing.graph.m) if x >> p & 1]
-        if not listing.graph.is_spanning_tree(ids):
-            bad.append(f"tree {i} is not a spanning tree")
-            break
+    first_bad = _first_non_tree(listing.graph, listing.labeling, masks)
+    if first_bad is not None:
+        bad.append(f"tree {first_bad} is not a spanning tree")
     if len(set(masks)) != len(masks):
         seen = {}
         for i, x in enumerate(masks):
@@ -481,8 +511,6 @@ def verify_gray(listing: Listing, required_class: str = "any",
             if rec != ex:
                 bad.append(f"step {i - 1} records {rec.pair()}, trees differ by {ex.pair()}")
         if required_class != "any":
-            if listing.embedding is None:
-                raise GraphError("class verification needs an embedding")
             cls = classify_exchange(listing.embedding, listing.labeling, ex)
             if not cls.matches(required_class):
                 bad.append(f"step {i - 1} exchange {ex.pair()} is not {required_class}")

@@ -1,11 +1,15 @@
 """End-to-end command line behaviour: formats, exit codes, determinism."""
 
 import io
+import random
 
 import pytest
 
-from spangray import counting
-from spangray.cli import entry
+from spangray import cli, counting
+from spangray.cli import entry, parse_listing
+from spangray.embedgraph import EdgeLabeling, MultiGraph
+from spangray.errors import ParseError
+from spangray.treegen import _chi_line
 
 FAN = "5 7\nouter: 0 1 2 3 4\n0 1\n1 2\n0 2\n2 3\n0 3\n3 4\n0 4\n"
 DIAMOND = "4 5\nouter: 0 1 2 3\n0 1\n1 2\n0 2\n2 3\n0 3\n"
@@ -178,6 +182,49 @@ class TestVerify:
         assert rc == 0
         rc, _ = run(["verify", fan_file, str(lp), "--expect-complete"])
         assert rc == 1
+
+    def test_chi_lines_round_trip(self):
+        """Every chi line _chi_line writes, m = 1 ... 70, reads back as
+        its mask (for m = 0 it is the empty line, which reads as blank)."""
+        rng = random.Random(3)
+        for m in range(1, 71):
+            g = MultiGraph(2, ((0, 1),) * m)
+            lab = EdgeLabeling.identity(m)
+            for mask in (0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(5))):
+                listing = parse_listing(_chi_line(mask, m) + "\n", g, lab, None, False)
+                assert listing.masks() == [mask]
+
+    @pytest.mark.parametrize("bad", ["1_0", "+10", "10+", "1 0"])
+    def test_tree_line_with_stray_characters(self, bad):
+        g = MultiGraph(3, ((0, 1), (1, 2), (0, 2)))
+        text = f"110\n- 1 + 3\n{bad}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_listing(text, g, EdgeLabeling.identity(3), None, False)
+        assert exc.value.line == 3
+
+    def test_parser_built_once(self, fan_file, tmp_path, monkeypatch, capsys):
+        """gen, a usage error, gen again and verify in one process print
+        with the one cached parser what a parser built per call prints."""
+        lp = tmp_path / "l.txt"
+
+        def session():
+            outs = [run(["gen", fan_file, "--tiebreak", "prefer-pof"])]
+            with pytest.raises(SystemExit) as exc:
+                run(["gen", fan_file, "--tiebreak", "nearest"])
+            outs.append((exc.value.code, capsys.readouterr().err))
+            outs.append(run(["gen", fan_file, "--max-trees", "5", "--root", "3"]))
+            lp.write_text(outs[0][1])
+            outs.append(run(["verify", fan_file, str(lp), "--class", "pof",
+                             "--expect-complete"]))
+            return outs
+
+        cached = session()
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = session()
+        assert cached == fresh
+        assert cached[1][0] == 2 and "invalid choice: 'nearest'" in cached[1][1]
+        assert cached[3][0] == 0
 
 
 class TestCount:

@@ -75,6 +75,104 @@ def visited_set_walk(g, lab, emb, initial, tiebreak, max_trees=None):
     return masks, steps
 
 
+def from_scratch_first_non_tree(g, lab, masks):
+    """Reference for ``treegen._first_non_tree``: the union-find check
+    of every listed tree from scratch, as ``verify_gray`` used to run."""
+    for i, x in enumerate(masks):
+        if not g.is_spanning_tree([lab.edge(p + 1) for p in range(g.m) if x >> p & 1]):
+            return i
+    return None
+
+
+def off_path_swaps(g, lab, mask):
+    """Every (r, a) with a a non-tree label and r a tree label off the
+    tree path of a, split by whether r lies above the lowest common
+    ancestor of a's ends in the tree rooted at vertex 0."""
+    _, up, up_label = _rooted_tree(g, lab, mask)
+
+    def climb(x):
+        labels = set()
+        while up[x] >= 0:
+            labels.add(up_label[x])
+            x = up[x]
+        return labels
+
+    tree = [l for l in range(1, g.m + 1) if mask >> (l - 1) & 1]
+    above, aside = [], []
+    for a in range(1, g.m + 1):
+        if not mask >> (a - 1) & 1:
+            cu, cv = (climb(v) for v in g.edges[lab.edge(a)])
+            for r in tree:
+                if r not in cu ^ cv:
+                    (above if r in cu else aside).append((r, a))
+    return above, aside
+
+
+def exchange_walk(g, lab, mask, steps, rng):
+    """A seeded walk of valid exchanges, not genlex: step j picks among
+    the exchanges whose larger label is at most a cap that rises from 2
+    to m (or is the smallest there is), so a verifier that widens its
+    tree meets ever larger labels."""
+    masks, exs = [mask], []
+    for j in range(steps):
+        cands = valid_exchanges(g, lab, SpanningTree(g.m, mask))
+        if not cands:
+            break
+        cap = max(2 + j * g.m // steps, cands[0].larger)
+        ex = rng.choice([x for x in cands if x.larger <= cap])
+        mask ^= 1 << ex.removed - 1 | 1 << ex.added - 1
+        masks.append(mask)
+        exs.append(ex)
+    return masks, exs
+
+
+def with_loop(g, rng):
+    """The graph with a loop at a seeded vertex, at a seeded edge id."""
+    edges = list(g.edges)
+    v = rng.randrange(g.n)
+    edges.insert(rng.randrange(g.m + 1), (v, v))
+    return MultiGraph(g.n, tuple(edges))
+
+
+def corrupted_listings(listing, rng):
+    """The listing and seeded corruptions of it, as (name, Listing): a
+    first tree that is not a tree, swaps whose removed label is off the
+    added label's path (above the LCA of its ends or aside), a repeated
+    tree, bits at or above m and loop labels (each alone and in a swap),
+    and a two-swap step followed by valid swaps."""
+    g, lab, m = listing.graph, listing.labeling, listing.graph.m
+    masks = listing.masks()
+
+    def make(ms):
+        return Listing(g, lab, listing.embedding,
+                       tuple(SpanningTree(m, x) for x in ms), listing.steps,
+                       listing.truncated, None)
+
+    yield "valid", listing
+    yield "first_not_tree", make([masks[0] ^ 1 << rng.randrange(m)] + masks[1:])
+    if len(masks) < 2:
+        return
+    i = rng.randrange(1, len(masks))
+    for name, swaps in zip(("above_lca", "aside"), off_path_swaps(g, lab, masks[i - 1])):
+        if swaps:
+            r, a = rng.choice(swaps)
+            yield name, make(masks[:i] + [masks[i - 1] ^ 1 << r - 1 ^ 1 << a - 1]
+                             + masks[i + 1:])
+    yield "repeat", make(masks[:i] + masks[i - 1:])
+    yield "high_bit", make(masks[:i] + [masks[i] | 1 << m] + masks[i + 1:])
+    r = masks[i - 1] & -masks[i - 1]
+    yield "high_bit_swap", make(masks[:i] + [masks[i - 1] ^ r | 1 << m] + masks[i + 1:])
+    for e in g.loop_edges():
+        loop = 1 << lab.label(e) - 1
+        yield "loop_bit", make(masks[:i] + [masks[i] | loop] + masks[i + 1:])
+        yield "loop_swap", make(masks[:i] + [masks[i - 1] ^ r ^ loop] + masks[i + 1:])
+    two = [j for j in range(1, len(masks) - 1)
+           if bin(masks[j - 1] ^ masks[j + 1]).count("1") == 4]
+    if two:
+        j = rng.choice(two)
+        yield "two_swap", make(masks[:j] + masks[j + 1:])
+
+
 class TestSpanningTree:
     def test_chi_and_labels(self):
         t = SpanningTree(7, 0b0101011)
@@ -597,6 +695,107 @@ class TestVerifiers:
         fake = Listing(listing.graph, listing.labeling, listing.embedding,
                        tuple(trees), listing.steps, True, None)
         assert not verify_gray(fake).ok
+
+    @staticmethod
+    def _against_reference(listings, klass, monkeypatch, rng):
+        """verify_gray on each listing and its corruptions gives the
+        report it gives with the from-scratch tree check; a listing of
+        single swaps costs at most 1 + bit_length(m) tree builds.
+        Returns the corruption names met and the most builds one
+        listing took."""
+        built = []
+
+        def build(*args):
+            built.append(args[3])
+            return _rooted_tree(*args)
+
+        names, most = set(), 0
+        for listing in listings:
+            m = listing.graph.m
+            for name, fake in corrupted_listings(listing, rng):
+                plain = name.startswith(("high_bit", "loop")) or fake.embedding is None
+                k = "any" if plain else klass
+                built.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(treegen, "_rooted_tree", build)
+                    rep = verify_gray(fake, k)
+                with monkeypatch.context() as mp:
+                    mp.setattr(treegen, "_first_non_tree", from_scratch_first_non_tree)
+                    assert rep == verify_gray(fake, k), name
+                if name in ("valid", "above_lca", "aside"):
+                    assert len(built) <= 1 + m.bit_length(), (name, built)
+                    most = max(most, len(built))
+                if name in ("first_not_tree", "above_lca", "aside", "loop_swap"):
+                    assert "is not a spanning tree" in rep.violations[0]
+                names.add(name)
+        return names, most
+
+    def test_gray_matches_reference_on_sweep(self, monkeypatch):
+        """Every outerplane multigraph with m <= 7 and every root: a
+        seeded greedy listing, a seeded walk of valid exchanges that is
+        not genlex, the listing of the graph with a loop added, and
+        their corruptions give the report of the from-scratch check."""
+        rng = random.Random(21)
+        listings = []
+        for emb in enumerate_outerplane(7):
+            g = emb.graph
+            sd = split_dual(emb)
+            for root in sd.leaves():
+                lab = dual_tree_labeling(orient_split_dual(sd, root))
+                init = random_spanning_tree(g, lab, rng)
+                rule = rng.choice([tiebreak_closest, tiebreak_prefer("pof")])
+                listings.append(greedy_listing(g, labeling=lab, embedding=emb,
+                                               initial=init, tiebreak=rule))
+                masks, exs = exchange_walk(g, lab, init.mask, 20, rng)
+                listings.append(Listing(g, lab, emb, tuple(SpanningTree(g.m, x) for x in masks),
+                                        tuple((ex, None) for ex in exs), True, None))
+            gl = with_loop(g, rng)
+            labl = EdgeLabeling.shuffled(gl.m, rng)
+            listings.append(greedy_listing(gl, labeling=labl,
+                                           initial=random_spanning_tree(gl, labl, rng)))
+        assert len(listings) == 462
+        for klass in ("any", "pof", "pivot"):
+            names, _ = self._against_reference(listings, klass, monkeypatch, rng)
+            assert names == {"valid", "first_not_tree", "above_lca", "aside", "repeat",
+                             "high_bit", "high_bit_swap", "loop_bit", "loop_swap",
+                             "two_swap"}
+
+    def test_gray_matches_reference_on_larger_graphs(self, monkeypatch):
+        """Seeded 2-connected outerplane multigraphs with n = 12 ... 60:
+        300-tree greedy listings, 300-step exchange walks that widen the
+        verifier's tree several times, the same with a loop added, and
+        their corruptions give the report of the from-scratch check."""
+        rng = random.Random(23)
+        for n in (12, 25, 40, 60):
+            g = random_outerplane_multigraph(n, rng)
+            emb = build_embedding(g, range(n))
+            sd = split_dual(emb)
+            lab = dual_tree_labeling(orient_split_dual(sd, default_root_leaf(sd)))
+            init = random_spanning_tree(g, lab, rng)
+            listing = greedy_listing(g, labeling=lab, embedding=emb, initial=init,
+                                     max_trees=300)
+            masks, exs = exchange_walk(g, lab, init.mask, 300, rng)
+            walk = Listing(g, lab, emb, tuple(SpanningTree(g.m, x) for x in masks),
+                           tuple((ex, None) for ex in exs), True, None)
+            gl = with_loop(g, rng)
+            labl = EdgeLabeling.shuffled(gl.m, rng)
+            looped = greedy_listing(gl, labeling=labl, max_trees=300,
+                                    initial=random_spanning_tree(gl, labl, rng))
+            names, _ = self._against_reference([listing, looped], "pof", monkeypatch, rng)
+            assert {"above_lca", "aside", "repeat", "two_swap", "loop_swap"} <= names
+            _, most = self._against_reference([walk], "pof", monkeypatch, rng)
+            assert most >= 3
+
+    def test_gray_needs_embedding_for_classes(self):
+        """A class check without an embedding raises even when no step
+        reaches it: here a listing of one tree."""
+        g = cycle_graph(3)
+        lab = EdgeLabeling.identity(3)
+        one = Listing(g, lab, None, (SpanningTree(3, 0b011),), (), True, None)
+        assert verify_gray(one).ok
+        for klass in ("pof", "pivot"):
+            with pytest.raises(GraphError):
+                verify_gray(one, required_class=klass)
 
     def test_gray_completeness(self, fan, fan_emb):
         part = greedy_listing(fan, embedding=fan_emb, max_trees=6)
