@@ -219,7 +219,10 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
                             args.expect_complete)
     genlex_ok = treegen.verify_genlex(listing)
     print(f"genlex: {'ok' if genlex_ok else 'FAIL'}", file=out)
-    rep = treegen.verify_gray(listing, required_class=args.klass)
+    # the embedding makes g outerplane, so it reduces series-parallel
+    expected = counting.count_series_parallel(g) if args.expect_complete else None
+    rep = treegen.verify_gray(listing, required_class=args.klass,
+                              expected_count=expected)
     if rep.ok:
         print(f"exchanges: ok class={args.klass} trees={rep.count}"
               + (f" expected={rep.expected}" if rep.expected is not None else ""),

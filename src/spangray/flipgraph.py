@@ -4,24 +4,24 @@ and the small-graph experiment sweeps.
 The flip graph has one node per spanning tree and an edge for every
 valid exchange; restrictions keep only exchanges of a given class.
 Arborescence flip graphs connect arborescences differing in two arcs
-with the same head.  The Hamilton solver is a deterministic
-backtracker with a step budget, so "none" always means an exhaustive
-search and "unknown" means the budget ran out.
+(which then share their head).  Both are built by grouping the nodes
+by each mask with one bit cleared: a group holds nodes one swap apart.
+The Hamilton solver is a deterministic backtracker with a step budget,
+so "none" always means an exhaustive search and "unknown" means the
+budget ran out.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .counting import count_matrix_tree
-from .embedgraph import (EmbeddedGraph, MultiGraph, _check_crossings, blocks,
-                         build_embedding)
+from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _check_crossings,
+                         blocks, build_embedding)
 from .errors import CertificationError, EmbeddingError, GraphError
-from .treegen import (Exchange, ExchangeClass, RESTRICTIONS, SpanningTree,
-                      _chi_line, classify_exchange)
+from .treegen import Exchange, SpanningTree, _chi_line, _class_test
 
 
 def enumerate_spanning_trees(g: MultiGraph) -> tuple[SpanningTree, ...]:
@@ -159,72 +159,50 @@ class FlipGraph:
         return len(self.edge_labels)
 
 
-def _pair_exchange(a: int, b: int) -> tuple[int, int] | None:
-    """Labels (smaller, larger) if masks a, b differ by one swap."""
-    diff = a ^ b
-    lo = diff & a
-    hi = diff & b
-    if bin(lo).count("1") == 1 and bin(hi).count("1") == 1:
-        return tuple(sorted((lo.bit_length(), hi.bit_length())))
-    return None
+def _flip_graph(nodes, restriction: str, keep) -> FlipGraph:
+    """Flip graph on ``nodes``, distinct objects with a ``mask``.  Two
+    masks are one swap apart exactly when clearing one set bit of each
+    leaves the same core, so the nodes are grouped by each of their
+    cores and every pair in a group is one swap; it is an edge when
+    ``keep`` accepts the Exchange.  That is one dict insert per set bit
+    of each node and one step per swap, not a scan of all pairs.  Edges
+    are listed by (i, j), i < j, so every adjacency comes out ascending."""
+    groups = defaultdict(list)
+    for i, t in enumerate(nodes):
+        x = t.mask
+        while x:
+            b = x & -x
+            groups[t.mask ^ b].append(i)
+            x ^= b
+    labels = []
+    for core, group in groups.items():
+        for i, j in itertools.combinations(group, 2):
+            ex = Exchange(removed=(nodes[i].mask ^ core).bit_length(),
+                          added=(nodes[j].mask ^ core).bit_length())
+            if keep(ex):
+                labels.append((i, j, ex.pair()))
+    labels.sort()
+    adjacency = [[] for _ in nodes]
+    for i, j, _ in labels:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    return FlipGraph(nodes, restriction, tuple(map(tuple, adjacency)), tuple(labels))
 
 
 def build_flip_graph(g, restriction: str = "any") -> FlipGraph:
     """Flip graph of all spanning trees under the identity labeling.
     Face-based restrictions need an EmbeddedGraph."""
-    if restriction not in RESTRICTIONS:
-        raise GraphError(f"unknown restriction {restriction!r}")
-    if isinstance(g, EmbeddedGraph):
-        emb, graph = g, g.graph
-    else:
-        emb, graph = None, g
-    if restriction not in ("any", "pivot") and emb is None:
-        raise GraphError(f"restriction {restriction!r} needs an embedding")
-    from .embedgraph import EdgeLabeling
-    identity = EdgeLabeling.identity(graph.m)
-    nodes = enumerate_spanning_trees(graph)
-    adjacency = [[] for _ in nodes]
-    labels = []
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            pair = _pair_exchange(nodes[i].mask, nodes[j].mask)
-            if pair is None:
-                continue
-            if restriction != "any":
-                ex = Exchange(removed=pair[0], added=pair[1])
-                if emb is not None:
-                    cls = classify_exchange(emb, identity, ex)
-                else:
-                    cls = ExchangeClass(graph.shares_vertex(pair[0] - 1, pair[1] - 1),
-                                        False, False)
-                if not cls.matches(restriction):
-                    continue
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-            labels.append((i, j, pair))
-    return FlipGraph(nodes, restriction,
-                     tuple(tuple(sorted(x)) for x in adjacency), tuple(labels))
+    emb, graph = (g, g.graph) if isinstance(g, EmbeddedGraph) else (None, g)
+    keep = _class_test(graph, emb, EdgeLabeling.identity(graph.m), restriction)
+    return _flip_graph(enumerate_spanning_trees(graph), restriction, keep)
 
 
 def arborescence_flip_graph(d: DiGraph, root: int) -> FlipGraph:
-    """Nodes are the arborescences from the root; edges swap two arcs
-    with the same head."""
-    nodes = enumerate_arborescences(d, root)
-    adjacency = [[] for _ in nodes]
-    labels = []
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            diff = nodes[i].mask ^ nodes[j].mask
-            if bin(diff).count("1") != 2:
-                continue
-            a, b = [k for k in range(d.m) if diff >> k & 1]
-            if d.arcs[a][1] != d.arcs[b][1]:
-                continue
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-            labels.append((i, j, (a + 1, b + 1)))
-    return FlipGraph(nodes, "arc-exchange",
-                     tuple(tuple(sorted(x)) for x in adjacency), tuple(labels))
+    """Nodes are the arborescences from the root; edges swap two arcs.
+    The two arcs share their head: every non-root vertex has exactly one
+    in-arc, so the arc that enters must replace the one that leaves."""
+    return _flip_graph(enumerate_arborescences(d, root), "arc-exchange",
+                       lambda ex: True)
 
 
 @dataclass(frozen=True)
@@ -263,8 +241,7 @@ def hamilton_path(fg: FlipGraph, cycle: bool = False,
             raise GraphError("forced endpoints must be two distinct nodes")
 
     if cycle:
-        starts = [0]
-        target_back = True
+        start = 0
     else:
         # path search: a virtual node adjacent to everything (or to the
         # two forced endpoints) turns it into a cycle search
@@ -279,10 +256,8 @@ def hamilton_path(fg: FlipGraph, cycle: bool = False,
             if vadj >> i & 1:
                 adj[i] |= 1 << virtual
         n += 1
-        starts = [virtual]
-        target_back = True
+        start = virtual
 
-    start = starts[0]
     # small graphs: exhaustive backtracking first ("none" needs it);
     # large graphs: rotation-extension first, backtracking as fallback
     if n <= 24:

@@ -181,6 +181,21 @@ def classify_exchange(emb: EmbeddedGraph, labeling: EdgeLabeling,
                          any(f != emb.outer_face for f in common))
 
 
+def _class_test(g: MultiGraph, emb: EmbeddedGraph | None,
+                labeling: EdgeLabeling, kind: str):
+    """The predicate "this Exchange is of class ``kind``".  Pivot reads
+    the graph only; the face-based classes need the embedding."""
+    if kind not in RESTRICTIONS:
+        raise GraphError(f"unknown exchange class {kind!r}")
+    if kind == "any":
+        return lambda ex: True
+    if kind == "pivot":
+        return lambda ex: g.shares_vertex(labeling.edge(ex.removed), labeling.edge(ex.added))
+    if emb is None:
+        raise GraphError(f"exchange class {kind!r} needs an embedding")
+    return lambda ex: classify_exchange(emb, labeling, ex).matches(kind)
+
+
 @dataclass(frozen=True)
 class TieContext:
     """What a tie-breaking rule gets to look at: the current tree and
@@ -192,11 +207,6 @@ class TieContext:
     embedding: EmbeddedGraph | None
     tree_mask: int
     candidates: tuple[Exchange, ...]
-
-    def classify(self, exchange: Exchange) -> ExchangeClass:
-        if self.embedding is None:
-            raise GraphError("class-based tie-breaking needs an embedding")
-        return classify_exchange(self.embedding, self.labeling, exchange)
 
 
 def tiebreak_closest(ctx: TieContext) -> Exchange:
@@ -215,13 +225,8 @@ def tiebreak_prefer(kind: str, fallback=tiebreak_closest):
         raise GraphError(f"unknown exchange class {kind!r}")
 
     def rule(ctx: TieContext) -> Exchange:
-        if kind == "pivot":
-            # needs no embedding
-            g, lab = ctx.graph, ctx.labeling
-            kept = [x for x in ctx.candidates
-                    if g.shares_vertex(lab.edge(x.removed), lab.edge(x.added))]
-        else:
-            kept = [x for x in ctx.candidates if ctx.classify(x).matches(kind)]
+        keep = _class_test(ctx.graph, ctx.embedding, ctx.labeling, kind)
+        kept = [x for x in ctx.candidates if keep(x)]
         if not kept:
             raise CertificationError(
                 f"no {kind} exchange in tie set {[x.pair() for x in ctx.candidates]}")
@@ -389,25 +394,14 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
                    tuple(steps), truncated, complete)
 
 
-def verify_genlex(listing) -> bool:
+def verify_genlex(listing: Listing) -> bool:
     """True iff all bitstrings sharing a suffix appear consecutively.
 
     Equivalently, the last-coordinate column reads 0^a 1^b or 1^a 0^b,
-    and each constant block is genlex one coordinate shorter.  Accepts a
-    Listing or a SpanningTree sequence; see :func:`verify_genlex_masks`.
+    and each constant block is genlex one coordinate shorter; see
+    :func:`verify_genlex_masks`.
     """
-    if isinstance(listing, Listing):
-        masks, m = listing.masks(), listing.graph.m
-    else:
-        items = list(listing)
-        if not items:
-            return True
-        if isinstance(items[0], SpanningTree):
-            m = items[0].m
-            masks = [t.mask for t in items]
-        else:
-            raise GraphError("need SpanningTree items; use verify_genlex_masks")
-    return verify_genlex_masks(masks, m)
+    return verify_genlex_masks(listing.masks(), listing.graph.m)
 
 
 def verify_genlex_masks(masks, m: int) -> bool:
@@ -476,10 +470,9 @@ def verify_gray(listing: Listing, required_class: str = "any",
     """Re-validate a listing: every tree a spanning tree, no repeats,
     completeness against an independent count, one exchange per
     consecutive pair, and the requested class for every step."""
-    if required_class not in RESTRICTIONS:
-        raise GraphError(f"unknown exchange class {required_class!r}")
     if required_class != "any" and listing.embedding is None:
         raise GraphError("class verification needs an embedding")
+    keep = _class_test(listing.graph, listing.embedding, listing.labeling, required_class)
     bad = []
     masks = listing.masks()
     first_bad = _first_non_tree(listing.graph, listing.labeling, masks)
@@ -510,8 +503,6 @@ def verify_gray(listing: Listing, required_class: str = "any",
             rec = listing.steps[i - 1][0]
             if rec != ex:
                 bad.append(f"step {i - 1} records {rec.pair()}, trees differ by {ex.pair()}")
-        if required_class != "any":
-            cls = classify_exchange(listing.embedding, listing.labeling, ex)
-            if not cls.matches(required_class):
-                bad.append(f"step {i - 1} exchange {ex.pair()} is not {required_class}")
+        if not keep(ex):
+            bad.append(f"step {i - 1} exchange {ex.pair()} is not {required_class}")
     return GrayReport(not bad, tuple(bad), len(masks), expected)

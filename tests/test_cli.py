@@ -183,6 +183,27 @@ class TestVerify:
         rc, _ = run(["verify", fan_file, str(lp), "--expect-complete"])
         assert rc == 1
 
+    def test_expect_complete_counts_without_determinant(self, fan_file, tmp_path,
+                                                       monkeypatch):
+        """verify --expect-complete counts by series-parallel reduction:
+        with the determinant refused, a complete and an incomplete
+        listing print what they printed when it counted."""
+        want = {}
+        for k, text in ((None, "genlex: ok\nexchanges: ok class=pof trees=21 expected=21\n"),
+                        ("4", "genlex: ok\nexchanges: FAIL listing has 4 trees, count says 21\n")):
+            argv = ["gen", fan_file, "--tiebreak", "prefer-pof"]
+            lp = tmp_path / f"listing-{k}.txt"
+            lp.write_text(run(argv + (["--max-trees", k] if k else []))[1])
+            want[str(lp)] = (0 if k is None else 1, text)
+
+        def refuse(g):
+            raise AssertionError("verify used the determinant")
+
+        monkeypatch.setattr(counting, "count_matrix_tree", refuse)
+        for lp, expected in want.items():
+            assert run(["verify", fan_file, lp, "--class", "pof",
+                        "--expect-complete"]) == expected
+
     def test_chi_lines_round_trip(self):
         """Every chi line _chi_line writes, m = 1 ... 70, reads back as
         its mask (for m = 0 it is the empty line, which reads as blank)."""

@@ -1,14 +1,16 @@
 """Flip graphs, Hamilton search, arborescences, small-graph sweeps."""
 
 import itertools
+import random
 
 import pytest
 
 from conftest import (bundle_graph, complete_graph, cycle_graph,
                       diamond_embedding, diamond_graph, fan_embedding,
                       fan_graph, k33_graph)
-from spangray.counting import count_matrix_tree
-from spangray.embedgraph import MultiGraph, build_embedding
+from spangray.counting import count_matrix_tree, enumerate_outerplane
+from spangray.embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph,
+                                 build_embedding)
 from spangray.errors import CertificationError, GraphError
 from spangray.flipgraph import (Arborescence, DiGraph, FlipGraph,
                                 arborescence_flip_graph, build_flip_graph,
@@ -18,7 +20,59 @@ from spangray.flipgraph import (Arborescence, DiGraph, FlipGraph,
                                 enumerate_spanning_trees,
                                 find_outerplane_order, hamilton_path,
                                 run_experiment, to_dot, to_text)
-from spangray.treegen import greedy_listing
+from spangray.treegen import (Exchange, ExchangeClass, RESTRICTIONS,
+                              classify_exchange, greedy_listing)
+
+
+def pair_scan_flip_graph(g, restriction="any"):
+    """Reference for ``build_flip_graph``: the scan of all T(T-1)/2
+    pairs of trees it replaced, with its own swap decoder and class
+    filter (pivot by a shared end when there is no embedding)."""
+    emb, graph = (g, g.graph) if isinstance(g, EmbeddedGraph) else (None, g)
+    identity = EdgeLabeling.identity(graph.m)
+    nodes = enumerate_spanning_trees(graph)
+    adjacency = [[] for _ in nodes]
+    labels = []
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        diff = nodes[i].mask ^ nodes[j].mask
+        lo, hi = diff & nodes[i].mask, diff & nodes[j].mask
+        if bin(lo).count("1") != 1 or bin(hi).count("1") != 1:
+            continue
+        pair = tuple(sorted((lo.bit_length(), hi.bit_length())))
+        if restriction != "any":
+            if emb is not None:
+                cls = classify_exchange(emb, identity, Exchange(*pair))
+            else:
+                cls = ExchangeClass(graph.shares_vertex(pair[0] - 1, pair[1] - 1),
+                                    False, False)
+            if not cls.matches(restriction):
+                continue
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+        labels.append((i, j, pair))
+    return FlipGraph(nodes, restriction,
+                     tuple(tuple(sorted(x)) for x in adjacency), tuple(labels))
+
+
+def pair_scan_arborescence_flip_graph(d, root):
+    """Reference for ``arborescence_flip_graph``: the pair scan it
+    replaced, joining arborescences that differ in two arcs with the
+    same head."""
+    nodes = enumerate_arborescences(d, root)
+    adjacency = [[] for _ in nodes]
+    labels = []
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        diff = nodes[i].mask ^ nodes[j].mask
+        if bin(diff).count("1") != 2:
+            continue
+        a, b = [k for k in range(d.m) if diff >> k & 1]
+        if d.arcs[a][1] != d.arcs[b][1]:
+            continue
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+        labels.append((i, j, (a + 1, b + 1)))
+    return FlipGraph(nodes, "arc-exchange",
+                     tuple(tuple(sorted(x)) for x in adjacency), tuple(labels))
 
 
 def make_flip(n, edges):
@@ -147,6 +201,52 @@ class TestBuildFlipGraph:
         assert len(set(walk)) == fg.node_count
         for a, b in zip(walk, walk[1:]):
             assert frozenset((a, b)) in byset
+
+
+class TestFlipGraphMatchesPairScan:
+    """The builder that groups nodes by shared core gives the same
+    FlipGraph, field for field and in the same order, as the pair scan."""
+
+    def test_outerplane_every_restriction(self):
+        """Every 2-connected outerplane multigraph with m <= 8, and each
+        one with m <= 7 with a loop added, embedded under every
+        restriction and bare under any and pivot."""
+        embs = list(enumerate_outerplane(8))
+        embs += [build_embedding(MultiGraph(e.graph.n, e.graph.edges + ((v, v),)),
+                                 e.outer_order)
+                 for e in embs if e.graph.m <= 7 for v in (0, e.graph.n - 1)]
+        for emb in embs:
+            for r in RESTRICTIONS:
+                assert build_flip_graph(emb, r) == pair_scan_flip_graph(emb, r)
+            for r in ("any", "pivot"):
+                assert build_flip_graph(emb.graph, r) == pair_scan_flip_graph(emb.graph, r)
+
+    def test_two_connected_graphs(self):
+        for n in range(2, 6):
+            for g in enumerate_small_graphs(n, "2-connected"):
+                for r in ("any", "pivot"):
+                    assert build_flip_graph(g, r) == pair_scan_flip_graph(g, r)
+
+    def test_digraphs_every_root(self):
+        for n in range(2, 5):
+            for d in enumerate_small_digraphs(n):
+                for root in range(n):
+                    assert (arborescence_flip_graph(d, root)
+                            == pair_scan_arborescence_flip_graph(d, root))
+
+    def test_seeded_multidigraphs(self):
+        """Seeded digraphs with loops and parallel arcs, at a random root."""
+        rng = random.Random(17)
+        with_edges = 0
+        for _ in range(200):
+            n = rng.randrange(1, 6)
+            arcs = [(rng.randrange(n), rng.randrange(n))
+                    for _ in range(rng.randrange(n, 3 * n + 1))]
+            d, root = DiGraph(n, arcs), rng.randrange(n)
+            fg = arborescence_flip_graph(d, root)
+            assert fg == pair_scan_arborescence_flip_graph(d, root)
+            with_edges += fg.edge_count > 0
+        assert with_edges >= 50
 
 
 class TestHamilton:

@@ -18,8 +18,9 @@ from spangray.embedgraph import (EdgeLabeling, MultiGraph, _path_labels,
 from spangray.errors import CertificationError, GraphError
 from spangray.flipgraph import Arborescence, enumerate_spanning_trees
 from spangray.treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
-                              SpanningTree, TieContext, _label_tables,
-                              _partners, classify_exchange, greedy_listing,
+                              SpanningTree, TieContext, _class_test,
+                              _label_tables, _partners, classify_exchange,
+                              greedy_listing,
                               greedy_walk, kruskal_tree, random_spanning_tree,
                               spanning_tree_from_labels, tiebreak_closest,
                               tiebreak_prefer, tiebreak_random,
@@ -330,6 +331,39 @@ class TestClassify:
         # (0,1) and (2,3) share only the outer face
         c = classify_exchange(diamond_emb, lab, Exchange(removed=1, added=4))
         assert not c.pivot and c.face and not c.face_inner
+
+
+class TestClassTest:
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_agrees_with_classify(self, shuffle):
+        """Every exchange of every tree of every outerplane multigraph
+        with m <= 7: each kind's predicate, and the bare-graph pivot
+        and any predicates, agree with ``classify_exchange``."""
+        rng = random.Random(13)
+        checked = 0
+        for emb in enumerate_outerplane(7):
+            g = emb.graph
+            lab = EdgeLabeling.shuffled(g.m, rng) if shuffle else EdgeLabeling.identity(g.m)
+            tests = {k: _class_test(g, emb, lab, k) for k in RESTRICTIONS}
+            bare = {k: _class_test(g, None, lab, k) for k in ("any", "pivot")}
+            for t in enumerate_spanning_trees(g):
+                mask = sum(1 << (lab.label(l - 1) - 1) for l in t.labels())
+                for ex in valid_exchanges(g, lab, SpanningTree(g.m, mask)):
+                    cls = classify_exchange(emb, lab, ex)
+                    for k in RESTRICTIONS:
+                        assert tests[k](ex) == cls.matches(k), (g.edges, ex, k)
+                    for k, test in bare.items():
+                        assert test(ex) == cls.matches(k), (g.edges, ex, k)
+                    checked += 1
+        assert checked > 1000
+
+    def test_errors(self, fan, fan_emb):
+        lab = EdgeLabeling.identity(7)
+        with pytest.raises(GraphError, match="unknown"):
+            _class_test(fan, fan_emb, lab, "bogus")
+        for k in ("face", "face_inner", "paf", "pof"):
+            with pytest.raises(GraphError, match="embedding"):
+                _class_test(fan, None, lab, k)
 
 
 class TestGreedyListing:
