@@ -193,7 +193,7 @@ def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
         else:
             if masks and len(steps) != len(masks):
                 raise ParseError("tree line without a step line", lineno)
-            if len(line) != m or set(line) - {"0", "1"}:
+            if len(line) != m or line.strip("01"):
                 raise ParseError(f"expected {m} bits, got {line!r}", lineno)
             # the check above keeps out the "_" and sign int() would take;
             # bit 0 is leftmost

@@ -212,7 +212,7 @@ def check_fib_bound(emb: EmbeddedGraph) -> FibBoundReport:
     equivalence is not asserted (certified=False).
     """
     g = emb.graph
-    t = count_matrix_tree(g)
+    t = count_series_parallel(g)  # g is outerplane: it reduces
     bound = fib(g.m + 1)
     if t > bound:
         raise CertificationError(f"t={t} exceeds f_{g.m + 1}={bound}")

@@ -258,14 +258,11 @@ def hamilton_path(fg: FlipGraph, cycle: bool = False,
         n += 1
         start = virtual
 
-    # small graphs: exhaustive backtracking first ("none" needs it);
-    # large graphs: rotation-extension first, backtracking as fallback
+    # small graphs: exhaustive backtracking only ("none" needs it, and
+    # it gives up only once the whole budget is spent); large graphs:
+    # rotation-extension first, backtracking as fallback
     if n <= 24:
         status, order, steps = _backtrack_cycle(adj, n, start, budget)
-        if status == "unknown" and steps < budget:
-            order, extra = _posa_cycle(adj, n, budget - steps)
-            steps += extra
-            status = "found" if order is not None else "unknown"
     else:
         order, steps = _posa_cycle(adj, n, budget // 2)
         if order is not None:
@@ -445,64 +442,59 @@ def find_outerplane_order(g: MultiGraph) -> tuple[int, ...] | None:
     return None
 
 
-def enumerate_small_graphs(n: int, filter: str = "all", dedup: bool = True):
-    """All simple graphs on n labeled vertices (edge subsets of the
-    complete graph), optionally filtered and deduplicated by the
-    minimum encoding over all vertex permutations."""
+def _classes(n: int, pairs, image):
+    """One subset of ``pairs`` per isomorphism class, the first by
+    increasing bitmask, as a tuple of pairs; ``image(p, pair)`` is the
+    pair under the vertex permutation ``p``.  The first subset of a
+    class marks its images under all n! permutations, so each later
+    copy costs one lookup."""
+    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+    images = [[bit[image(p, pair)] for pair in pairs]
+              for p in itertools.permutations(range(n))]
+    seen = bytearray(1 << len(pairs))
+    for bits in range(1 << len(pairs)):
+        if seen[bits]:
+            continue
+        chosen = [k for k in range(len(pairs)) if bits >> k & 1]
+        for img in images:
+            seen[sum(img[k] for k in chosen)] = 1
+        yield tuple(pairs[k] for k in chosen)
+
+
+def _two_connected(g: MultiGraph) -> bool:
+    """One block that holds every vertex (an edgeless graph has none)."""
+    bl = blocks(g)
+    return len(bl) == 1 and bl[0].graph.n == g.n
+
+
+def enumerate_small_graphs(n: int, filter: str = "all"):
+    """One simple graph on n vertices per isomorphism class that passes
+    the filter: the first of its class by edge-subset bitmask over the
+    pairs of the complete graph."""
     if n > 7:
         raise GraphError("guarded to n <= 7")
-    if filter not in ("all", "2-connected", "outerplane"):
+    keep = {"all": lambda g: True, "2-connected": _two_connected,
+            "outerplane": lambda g: find_outerplane_order(g) is not None}.get(filter)
+    if keep is None:
         raise GraphError(f"unknown filter {filter!r}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    perms = list(itertools.permutations(range(n))) if dedup else None
-    seen = set()
-    for bits in range(1 << len(pairs)):
-        edges = tuple(pairs[k] for k in range(len(pairs)) if bits >> k & 1)
+    for edges in _classes(n, pairs, lambda p, e: tuple(sorted((p[e[0]], p[e[1]])))):
         g = MultiGraph(n, edges)
-        if filter == "2-connected":
-            if n >= 3:
-                bl = blocks(g)
-                if len(bl) != 1 or bl[0].graph.n != n:
-                    continue
-            elif g.m == 0 or not g.is_connected():
-                continue
-        elif filter == "outerplane":
-            if not g.is_connected() or find_outerplane_order(g) is None:
-                continue
-        if dedup:
-            canon = min(tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u])
-                              for u, v in edges)) for p in perms)
-            if canon in seen:
-                continue
-            seen.add(canon)
-        yield g
+        if keep(g):
+            yield g
 
 
-def enumerate_small_digraphs(n: int, dedup: bool = True):
-    """All digraphs on n labeled vertices without loops or repeated
-    arcs (opposite arc pairs allowed), underlying graph 2-connected."""
+def enumerate_small_digraphs(n: int):
+    """One digraph on n vertices without loops or repeated arcs
+    (opposite arc pairs allowed) per isomorphism class whose underlying
+    graph is 2-connected: the first of its class by arc-subset bitmask."""
     if n > 5:
         raise GraphError("guarded to n <= 5")
     arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    perms = list(itertools.permutations(range(n))) if dedup else None
-    seen = set()
-    for bits in range(1 << len(arcs)):
-        chosen = tuple(arcs[k] for k in range(len(arcs)) if bits >> k & 1)
+    for chosen in _classes(n, arcs, lambda p, a: (p[a[0]], p[a[1]])):
         d = DiGraph(n, chosen)
-        und = d.underlying()
-        if n >= 3:
-            bl = blocks(und)
-            if len(bl) != 1 or bl[0].graph.n != n:
-                continue
-        elif und.m == 0:
-            continue
-        if dedup:
-            canon = min(tuple(sorted((p[t], p[h]) for t, h in chosen))
-                        for p in perms)
-            if canon in seen:
-                continue
-            seen.add(canon)
-        yield d
+        if _two_connected(d.underlying()):
+            yield d
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,19 @@ class TestCount:
         assert out.splitlines()[-1] == \
             "t=21 bound=f_8=21 equality=yes predicate=yes"
 
+    def test_fib_runs_the_determinant_once(self, fan_file, monkeypatch):
+        """The Fibonacci check counts by series-parallel reduction, so
+        `count --fib` prints three independent counts and one of them is
+        the determinant."""
+        calls = []
+        determinant = counting.count_matrix_tree
+        monkeypatch.setattr(counting, "count_matrix_tree",
+                            lambda g: calls.append(g) or determinant(g))
+        rc, out = run(["count", fan_file, "--fib"])
+        assert rc == 0
+        assert out.splitlines()[-1].startswith("t=21 ")
+        assert len(calls) == 1
+
     def test_nonouterplanar_counts_without_fib(self, tmp_path):
         p = tmp_path / "k4.txt"
         p.write_text(K4)

@@ -1,5 +1,6 @@
 """Flip graphs, Hamilton search, arborescences, small-graph sweeps."""
 
+import hashlib
 import itertools
 import random
 
@@ -10,7 +11,7 @@ from conftest import (bundle_graph, complete_graph, cycle_graph,
                       fan_graph, k33_graph)
 from spangray.counting import count_matrix_tree, enumerate_outerplane
 from spangray.embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph,
-                                 build_embedding)
+                                 blocks, build_embedding)
 from spangray.errors import CertificationError, GraphError
 from spangray.flipgraph import (Arborescence, DiGraph, FlipGraph,
                                 arborescence_flip_graph, build_flip_graph,
@@ -73,6 +74,60 @@ def pair_scan_arborescence_flip_graph(d, root):
         labels.append((i, j, (a + 1, b + 1)))
     return FlipGraph(nodes, "arc-exchange",
                      tuple(tuple(sorted(x)) for x in adjacency), tuple(labels))
+
+
+def min_canonical_small_graphs(n, filter="all"):
+    """Reference for ``enumerate_small_graphs``: the sweep it replaced,
+    which filters every edge subset by increasing bitmask and keeps one
+    per class by the minimum encoding over all vertex permutations."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    for bits in range(1 << len(pairs)):
+        edges = tuple(pairs[k] for k in range(len(pairs)) if bits >> k & 1)
+        g = MultiGraph(n, edges)
+        if filter == "2-connected":
+            if n >= 3:
+                bl = blocks(g)
+                if len(bl) != 1 or bl[0].graph.n != n:
+                    continue
+            elif g.m == 0 or not g.is_connected():
+                continue
+        elif filter == "outerplane":
+            if not g.is_connected() or find_outerplane_order(g) is None:
+                continue
+        canon = min(tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u])
+                          for u, v in edges)) for p in perms)
+        if canon not in seen:
+            seen.add(canon)
+            yield g
+
+
+def min_canonical_small_digraphs(n):
+    """Reference for ``enumerate_small_digraphs``, as above over arc
+    subsets whose underlying graph is 2-connected."""
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    for bits in range(1 << len(arcs)):
+        chosen = tuple(arcs[k] for k in range(len(arcs)) if bits >> k & 1)
+        d = DiGraph(n, chosen)
+        und = d.underlying()
+        if n >= 3:
+            bl = blocks(und)
+            if len(bl) != 1 or bl[0].graph.n != n:
+                continue
+        elif und.m == 0:
+            continue
+        canon = min(tuple(sorted((p[t], p[h]) for t, h in chosen)) for p in perms)
+        if canon not in seen:
+            seen.add(canon)
+            yield d
+
+
+def sweep_digest(seq):
+    """sha256 of the repr of a list of edge or arc tuples."""
+    return hashlib.sha256(repr(seq).encode()).hexdigest()
 
 
 def make_flip(n, edges):
@@ -343,8 +398,17 @@ class TestSmallGraphs:
     def test_all_count_n4(self):
         assert sum(1 for _ in enumerate_small_graphs(4, "all")) == 11
 
-    def test_no_dedup_streams_everything(self):
-        assert sum(1 for _ in enumerate_small_graphs(3, "all", dedup=False)) == 8
+    def test_matches_min_canonical_reference(self):
+        """The same graphs and digraphs, in the same order, as the
+        minimum-over-permutations dedup: graphs with n <= 5 under every
+        filter and digraphs with n <= 4."""
+        for n in range(1, 6):
+            for flt in ("all", "2-connected", "outerplane"):
+                assert ([g.edges for g in enumerate_small_graphs(n, flt)]
+                        == [g.edges for g in min_canonical_small_graphs(n, flt)]), (n, flt)
+        for n in range(1, 5):
+            assert ([d.arcs for d in enumerate_small_digraphs(n)]
+                    == [d.arcs for d in min_canonical_small_digraphs(n)]), n
 
     def test_outerplane_matches_minor_oracle(self):
         for n in (3, 4, 5):
@@ -437,8 +501,31 @@ class TestExport:
 
 
 @pytest.mark.slow
+class TestSweepDigests:
+    """Counts and sha256 digests of the full sweeps, as computed once by
+    ``min_canonical_small_graphs`` and ``min_canonical_small_digraphs``,
+    which take minutes on them."""
+
+    GRAPHS_N6 = {
+        "all": (156, "88b6dc659a6ff0fec681f892caad0d3410e4ac53d9779b29eb1135dd0ed8505c"),
+        "2-connected": (56, "e4e5ceccd9106ca4fd9a4a01c9c83dcbd7b2c0c0677d8dc1be9217fedf7d0d29"),
+        "outerplane": (46, "1a56035926ef8207fa1e4c51324ffda6413b5c47bca8214985285a436bf684fb"),
+    }
+
+    @pytest.mark.parametrize("flt", GRAPHS_N6)
+    def test_graphs_n6(self, flt):
+        seq = [g.edges for g in enumerate_small_graphs(6, flt)]
+        assert (len(seq), sweep_digest(seq)) == self.GRAPHS_N6[flt]
+
+    def test_digraphs_n5(self):
+        seq = [d.arcs for d in enumerate_small_digraphs(5)]
+        assert (len(seq), sweep_digest(seq)) == (
+            7447, "bcd24ed87d35f40d71303af000d746228e13b559d78e8a67c39e4ff7e764520f")
+
+
+@pytest.mark.slow
 class TestSixVertexExperiments:
-    """The full published ranges; minutes of runtime."""
+    """The full published ranges."""
 
     def test_pivot_n6(self):
         rep = run_experiment("pivot", 6, budget=8 * 10 ** 6)

@@ -747,7 +747,7 @@ class TestVerifiers:
         for listing in listings:
             m = listing.graph.m
             for name, fake in corrupted_listings(listing, rng):
-                plain = name.startswith(("high_bit", "loop")) or fake.embedding is None
+                plain = name.startswith("loop") or fake.embedding is None
                 k = "any" if plain else klass
                 built.clear()
                 with monkeypatch.context() as mp:
@@ -821,15 +821,30 @@ class TestVerifiers:
             assert most >= 3
 
     def test_gray_needs_embedding_for_classes(self):
-        """A class check without an embedding raises even when no step
-        reaches it: here a listing of one tree."""
+        """A face-class check without an embedding raises even when no
+        step reaches it, here on a listing of one tree; pivot reads the
+        graph only."""
         g = cycle_graph(3)
         lab = EdgeLabeling.identity(3)
         one = Listing(g, lab, None, (SpanningTree(3, 0b011),), (), True, None)
         assert verify_gray(one).ok
+        assert verify_gray(one, required_class="pivot").ok
+        with pytest.raises(GraphError):
+            verify_gray(one, required_class="pof")
+
+    def test_gray_label_above_m_is_of_no_class(self):
+        """A swap that brings in label m + 1 is reported as not of the
+        class, not raised from the labeling; "any" reports only that the
+        tree is not a spanning tree."""
+        g = cycle_graph(3)
+        emb = build_embedding(g, (0, 1, 2))
+        lab = EdgeLabeling.identity(3)
+        trees = (SpanningTree(3, 0b011), SpanningTree(3, 0b1001))
+        swap = Listing(g, lab, emb, trees, (), True, None)
+        assert verify_gray(swap).violations == ("tree 1 is not a spanning tree",)
         for klass in ("pof", "pivot"):
-            with pytest.raises(GraphError):
-                verify_gray(one, required_class=klass)
+            assert verify_gray(swap, klass).violations == (
+                "tree 1 is not a spanning tree", f"step 0 exchange (2, 4) is not {klass}")
 
     def test_gray_completeness(self, fan, fan_emb):
         part = greedy_listing(fan, embedding=fan_emb, max_trees=6)
