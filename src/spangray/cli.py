@@ -31,15 +31,17 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
 
 
-def _load(path: str) -> ParsedGraph:
-    return parse_graph(_read(path))
+def _undirected(args: argparse.Namespace) -> ParsedGraph:
+    parsed = parse_graph(_read(args.path))
+    if parsed.directed:
+        raise GraphError(f"{args.command} expects an undirected graph")
+    return parsed
 
 
-def _embed(parsed: ParsedGraph) -> EmbeddedGraph:
-    """Embedding from the file's outer order, or a searched one."""
-    g = parsed.graph
-    if parsed.outer is not None:
-        return build_embedding(g, parsed.outer)
+def _embed(g: MultiGraph, outer) -> EmbeddedGraph:
+    """Embedding from the given outer order, or a searched one."""
+    if outer is not None:
+        return build_embedding(g, outer)
     if g.n > 9:
         raise GraphError("no 'outer:' line and graph too large to search "
                          "for an outerplane order")
@@ -61,54 +63,37 @@ def _labeling_for(emb: EmbeddedGraph, root_edge: int | None):
     return sd, osd, dual_tree_labeling(osd)
 
 
-def _root_line(sd, root: int, g: MultiGraph) -> str:
-    e, tail = sd.leaf_darts[root - sd.inner_count]
-    return f"root: dart ({tail},{g.other_end(e, tail)}) of edge {e}"
+def _print_labeling(emb: EmbeddedGraph, root_edge: int | None, vertices,
+                    edge_ids, indent: str, out) -> None:
+    """The root dart and every edge's label; ``vertices`` and
+    ``edge_ids`` map the embedded graph's ids to the input file's."""
+    g = emb.graph
+    sd, osd, labeling = _labeling_for(emb, root_edge)
+    e, tail = sd.leaf_darts[osd.root - sd.inner_count]
+    print(f"{indent}root: dart ({vertices[tail]},{vertices[g.other_end(e, tail)]}) "
+          f"of edge {edge_ids[e]}", file=out)
+    for e, (u, v) in enumerate(g.edges):
+        print(f"{indent}edge ({vertices[u]},{vertices[v]}) [id {edge_ids[e]}] "
+              f"-> label {labeling.label(e)}", file=out)
 
 
 def cmd_label(args: argparse.Namespace, out) -> int:
-    parsed = _load(args.path)
-    if parsed.directed:
-        raise GraphError("label expects an undirected graph")
+    parsed = _undirected(args)
     g = parsed.graph
-    if args.per_block:
-        return _label_per_block(parsed, out)
-    emb = _embed(parsed)
-    sd, osd, labeling = _labeling_for(emb, args.root)
-    print(_root_line(sd, osd.root, g), file=out)
-    for e in range(g.m):
-        u, v = g.edges[e]
-        print(f"edge ({u},{v}) [id {e}] -> label {labeling.label(e)}", file=out)
-    return 0
-
-
-def _label_per_block(parsed: ParsedGraph, out) -> int:
-    g = parsed.graph
-    if parsed.outer is not None:
-        gpos = {v: i for i, v in enumerate(parsed.outer)}
-    else:
-        gpos = None
+    if not args.per_block:
+        _print_labeling(_embed(g, parsed.outer), args.root, range(g.n), range(g.m),
+                        "", out)
+        return 0
+    pos = None if parsed.outer is None else {v: i for i, v in enumerate(parsed.outer)}
     for b_idx, bl in enumerate(blocks(g)):
-        if gpos is not None:
-            order = tuple(sorted(range(bl.graph.n),
-                                 key=lambda lv: gpos[bl.vertices[lv]]))
-        else:
-            order = flipgraph.find_outerplane_order(bl.graph)
-            if order is None:
-                raise GraphError(f"block {b_idx} has no outerplane embedding")
-        emb = build_embedding(bl.graph, order)
-        sd, osd, labeling = _labeling_for(emb, None)
-        print(f"block {b_idx}: vertices {','.join(map(str, bl.vertices))}",
-              file=out)
-        le, ltail = sd.leaf_darts[osd.root - sd.inner_count]
-        gu = bl.vertices[ltail]
-        gv = bl.vertices[bl.graph.other_end(le, ltail)]
-        print(f"  root: dart ({gu},{gv}) of edge {bl.edge_ids[le]}", file=out)
-        for le in range(bl.graph.m):
-            lu, lv = bl.graph.edges[le]
-            print(f"  edge ({bl.vertices[lu]},{bl.vertices[lv]}) "
-                  f"[id {bl.edge_ids[le]}] -> label {labeling.label(le)}",
-                  file=out)
+        outer = None if pos is None else sorted(range(bl.graph.n),
+                                                key=lambda lv: pos[bl.vertices[lv]])
+        try:
+            emb = _embed(bl.graph, outer)
+        except GraphError as exc:
+            raise GraphError(f"block {b_idx}: {exc}")
+        print(f"block {b_idx}: vertices {','.join(map(str, bl.vertices))}", file=out)
+        _print_labeling(emb, None, bl.vertices, bl.edge_ids, "  ", out)
     for e in g.loop_edges():
         v = g.edges[e][0]
         print(f"loop ({v},{v}) [id {e}] -> unlabeled", file=out)
@@ -127,13 +112,11 @@ def _tiebreak_rule(name: str):
 
 
 def cmd_gen(args: argparse.Namespace, out) -> int:
-    parsed = _load(args.path)
-    if parsed.directed:
-        raise GraphError("gen expects an undirected graph")
+    parsed = _undirected(args)
     g = parsed.graph
     if args.max_trees is not None and args.max_trees < 1:
         raise GraphError(f"--max-trees must be at least 1, got {args.max_trees}")
-    emb = _embed(parsed)
+    emb = _embed(g, parsed.outer)
     sd, osd, labeling = _labeling_for(emb, args.root)
     initial = None
     if args.initial is not None:
@@ -209,11 +192,9 @@ def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
-    parsed = _load(args.path)
-    if parsed.directed:
-        raise GraphError("verify expects an undirected graph")
+    parsed = _undirected(args)
     g = parsed.graph
-    emb = _embed(parsed)
+    emb = _embed(g, parsed.outer)
     sd, osd, labeling = _labeling_for(emb, args.root)
     listing = parse_listing(_read(args.listing), g, labeling, emb,
                             args.expect_complete)
@@ -234,9 +215,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 
 
 def cmd_count(args: argparse.Namespace, out) -> int:
-    parsed = _load(args.path)
-    if parsed.directed:
-        raise GraphError("count expects an undirected graph")
+    parsed = _undirected(args)
     g = parsed.graph
     t1 = counting.count_matrix_tree(g)
     t2 = counting.count_del_contract(g)
@@ -246,9 +225,7 @@ def cmd_count(args: argparse.Namespace, out) -> int:
         print("count mismatch between methods", file=out)
         return 1
     if args.fib:
-        emb = _embed(parsed)
-        rep = counting.check_fib_bound(emb)
-        print(rep.line(), file=out)
+        print(counting.check_fib_bound(_embed(g, parsed.outer)).line(), file=out)
     return 0
 
 
@@ -270,17 +247,17 @@ def cmd_experiment(args: argparse.Namespace, out) -> int:
 
 
 def cmd_flip(args: argparse.Namespace, out) -> int:
-    parsed = _load(args.path)
+    parsed = parse_graph(_read(args.path))
+    g = parsed.graph
     if parsed.directed:
         if args.root_vertex is None:
             raise GraphError("directed input needs --root-vertex")
-        d = flipgraph.DiGraph(parsed.graph.n, parsed.graph.edges)
-        fg = flipgraph.arborescence_flip_graph(d, args.root_vertex)
+        fg = flipgraph.arborescence_flip_graph(flipgraph.DiGraph(g.n, g.edges),
+                                               args.root_vertex)
+    elif args.restriction in ("any", "pivot") and parsed.outer is None:
+        fg = flipgraph.build_flip_graph(g, args.restriction)
     else:
-        if args.restriction in ("any", "pivot") and parsed.outer is None:
-            fg = flipgraph.build_flip_graph(parsed.graph, args.restriction)
-        else:
-            fg = flipgraph.build_flip_graph(_embed(parsed), args.restriction)
+        fg = flipgraph.build_flip_graph(_embed(g, parsed.outer), args.restriction)
     text = (flipgraph.to_dot(fg) if args.fmt == "dot" else flipgraph.to_text(fg))
     if args.out is None:
         print(text, file=out)

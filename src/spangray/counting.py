@@ -283,25 +283,19 @@ def extremal_family(k: int, digon_ends: int = 0) -> EmbeddedGraph:
 
 
 def _dihedral_min(n: int, bound: tuple, chords: tuple) -> tuple:
-    """Canonical encoding of a polygon configuration under rotation and
-    reflection of the hull positions."""
-    best = None
-    for refl in (False, True):
-        for r in range(n):
-            if refl:
-                b = tuple(bound[(r - 1 - i) % n] for i in range(n))
-                ch = sorted(((min((r - i) % n, (r - j) % n),
-                              max((r - i) % n, (r - j) % n)), c)
-                            for (i, j), c in chords)
-            else:
-                b = tuple(bound[(i + r) % n] for i in range(n))
-                ch = sorted(((min((i - r) % n, (j - r) % n),
-                              max((i - r) % n, (j - r) % n)), c)
-                            for (i, j), c in chords)
-            enc = (b, tuple(ch))
-            if best is None or enc < best:
-                best = enc
-    return best
+    """Canonical encoding of a polygon configuration: the least over the
+    2n hull symmetries p -> s*(p - r).  A reflection (s = -1) maps side
+    i, from position i to i + 1, onto side r - i - 1."""
+
+    def image(s: int, r: int) -> tuple:
+        b = tuple(bound[(r + s * i - (s < 0)) % n] for i in range(n))
+        ch = []
+        for (i, j), c in chords:
+            p, q = s * (i - r) % n, s * (j - r) % n
+            ch.append(((min(p, q), max(p, q)), c))
+        return (b, tuple(sorted(ch)))
+
+    return min(image(s, r) for s in (1, -1) for r in range(n))
 
 
 def _chord_sets(n: int):
@@ -323,17 +317,6 @@ def _chord_sets(n: int):
                 new.append(s + [d])
         sets.extend(new)
     return sets
-
-
-def _compositions(total: int, parts: int, minimum: int):
-    """All tuples of length `parts` with entries >= minimum summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
 
 
 def enumerate_outerplane(max_m: int, triangulations_only: bool = False,
@@ -366,7 +349,9 @@ def enumerate_outerplane(max_m: int, triangulations_only: bool = False,
             for c_mult in _compositions_upto(len(chord_set), max_c, chord_budget):
                 boundary_budget = max_m - sum(c_mult)
                 max_b = 1 if simple else boundary_budget
-                for b_mult in _boundary_multiplicities(n, boundary_budget, max_b):
+                # by total, and in lexicographic order within a total
+                for b_mult in sorted(_compositions_upto(n, max_b, boundary_budget),
+                                     key=sum):
                     chords = tuple(zip(chord_set, c_mult))
                     if _dihedral_min(n, b_mult, chords) != (b_mult, tuple(
                             sorted((tuple(d), c) for d, c in chords))):
@@ -384,7 +369,8 @@ def enumerate_outerplane(max_m: int, triangulations_only: bool = False,
 
 
 def _compositions_upto(parts: int, max_each: int, budget: int):
-    """Multiplicity vectors (each 1..max_each) for the chords, total <= budget."""
+    """Multiplicity vectors (each 1..max_each) of chords or hull sides,
+    total <= budget, in lexicographic order."""
     if parts == 0:
         yield ()
         return
@@ -392,10 +378,3 @@ def _compositions_upto(parts: int, max_each: int, budget: int):
         for rest in _compositions_upto(parts - 1, max_each, budget - first):
             yield (first,) + rest
 
-
-def _boundary_multiplicities(n: int, room: int, max_each: int):
-    """Hull-side multiplicities (each >= 1), total <= room."""
-    for total in range(n, room + 1):
-        for comp in _compositions(total, n, 1):
-            if all(x <= max_each for x in comp):
-                yield comp

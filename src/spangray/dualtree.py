@@ -71,7 +71,6 @@ class SplitDual:
             ends.append((a, b))
             adj[a].append((e, b))
             adj[b].append((e, a))
-        self.edge_ends = tuple(ends)
         self.adjacency = adj
 
         nonloop = sum(1 for x in ends if x is not None)
@@ -148,7 +147,6 @@ class OrientedSplitDual:
         self.root = root
         tail = [-1] * sd.emb.graph.m
         head = [-1] * sd.emb.graph.m
-        parent_edge = [-1] * sd.node_count
         seen = [False] * sd.node_count
         seen[root] = True
         stack = [root]
@@ -158,11 +156,9 @@ class OrientedSplitDual:
                 if not seen[y]:
                     seen[y] = True
                     tail[e], head[e] = x, y
-                    parent_edge[y] = e
                     stack.append(y)
         self.tail_of = tuple(tail)
         self.head_of = tuple(head)
-        self.parent_edge = tuple(parent_edge)
         self._lobes: dict[int, tuple[frozenset[int], ...]] = {}
 
     @property

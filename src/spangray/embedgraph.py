@@ -273,10 +273,6 @@ class EmbeddedGraph:
         self.outer_face = outer_face
         self.left_face = left_face
         self.loop_edges = graph.loop_edges()
-        pos = [0] * graph.n
-        for i, v in enumerate(outer_order):
-            pos[v] = i
-        self._pos = tuple(pos)
         # per edge, the ids of the faces its two sides bound (once for loops: none)
         face_sets: list[tuple[int, ...]] = []
         for e, (u, v) in enumerate(graph.edges):
@@ -299,12 +295,6 @@ class EmbeddedGraph:
 
     def is_outer_edge(self, e: int) -> bool:
         return self.outer_face in self._edge_faces[e]
-
-    def outer_walk(self) -> tuple[tuple[int, int], ...]:
-        return self.faces[self.outer_face].darts
-
-    def position(self, v: int) -> int:
-        return self._pos[v]
 
 
 def _check_crossings(g: MultiGraph, pos: list[int]) -> None:

@@ -520,12 +520,6 @@ class ExperimentReport:
         summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts))
         return f"# summary {summary} discrepancies={len(self.discrepancies)}"
 
-    def render_lines(self, with_timings: bool = True):
-        yield f"# experiment={self.kind} graphs={len(self.records)}"
-        for r in self.records:
-            yield r.line(with_timings)
-        yield self.summary_line()
-
 
 def _validate_certificate(fg: FlipGraph, order, cycle: bool) -> None:
     byset = {frozenset((i, j)) for i, j, _ in fg.edge_labels}
@@ -565,11 +559,14 @@ def run_experiment(kind: str, max_n: int, budget: int = 2 * 10 ** 6,
             raise GraphError("experiment guarded to n <= 6")
         idx = 0
         for n in range(2, max_n + 1):
-            flt = "2-connected" if kind == "pivot" else "outerplane"
+            # paf keeps the graphs with an outerplane order, searched once
+            flt = "2-connected" if kind == "pivot" else "all"
             for g in enumerate_small_graphs(n, flt):
                 t0 = time.perf_counter()
                 if kind == "paf":
                     order = find_outerplane_order(g)
+                    if order is None:
+                        continue
                     fg = build_flip_graph(build_embedding(g, order), "paf")
                 else:
                     fg = build_flip_graph(g, "pivot")

@@ -216,11 +216,12 @@ def tiebreak_closest(ctx: TieContext) -> Exchange:
     return ctx.candidates[-1]
 
 
-def tiebreak_prefer(kind: str, fallback=tiebreak_closest):
+def tiebreak_prefer(kind: str):
     """Rule that keeps only candidates of the given exchange class and
-    applies the fallback among them.  An empty preferred set raises
-    CertificationError: with a dual-tree labeling the theory guarantees
-    a candidate of the preferred class in every tie."""
+    picks the one with the maximum smaller label, as tiebreak_closest
+    does.  An empty preferred set raises CertificationError: with a
+    dual-tree labeling the theory guarantees a candidate of the
+    preferred class in every tie."""
     if kind == "any" or kind not in RESTRICTIONS:
         raise GraphError(f"unknown exchange class {kind!r}")
 
@@ -230,8 +231,7 @@ def tiebreak_prefer(kind: str, fallback=tiebreak_closest):
         if not kept:
             raise CertificationError(
                 f"no {kind} exchange in tie set {[x.pair() for x in ctx.candidates]}")
-        return fallback(TieContext(ctx.graph, ctx.labeling, ctx.embedding,
-                                   ctx.tree_mask, tuple(kept)))
+        return kept[-1]
 
     rule.kind = kind
     return rule

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from spangray import cli, counting
+from spangray import cli, counting, flipgraph
 from spangray.cli import entry, parse_listing
 from spangray.embedgraph import EdgeLabeling, MultiGraph
 from spangray.errors import ParseError
@@ -60,6 +60,119 @@ class TestLabel:
         p.write_text(BOWTIE)
         rc, _ = run(["label", str(p)])
         assert rc == 2
+
+
+BOWTIE_OUTER = "5 6\nouter: 4 3 2 1 0\n0 1\n1 2\n0 2\n2 3\n3 4\n2 4\n"
+BOWTIE_LOOPS = "5 8\n0 1\n1 2\n2 2\n0 2\n2 3\n3 4\n4 4\n2 4\n"
+CHAIN = "7 10\n0 1\n1 2\n0 2\n1 2\n2 3\n3 4\n4 5\n5 6\n3 6\n3 5\n"
+CHAIN_OUTER = ("7 10\nouter: 0 2 1 3 6 5 4\n0 1\n1 2\n0 2\n1 2\n2 3\n3 4\n"
+               "4 5\n5 6\n3 6\n3 5\n")
+TRIANGLE_ON_K4 = "6 9\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 5\n3 5\n"
+
+
+def _edge_lines(indent, rows):
+    return [f"{indent}edge ({u},{v}) [id {e}] -> label {l}" for u, v, e, l in rows]
+
+
+class TestLabelPinned:
+    """Exact stdout of ``label`` and ``label --per-block``, as printed
+    when each block had its own embedding and label printer."""
+
+    CASES = {
+        ("fan", False): (0, ["root: dart (1,0) of edge 0"] + _edge_lines("", [
+            (0, 1, 0, 1), (1, 2, 1, 2), (0, 2, 2, 3), (2, 3, 3, 4),
+            (0, 3, 4, 5), (3, 4, 5, 6), (0, 4, 6, 7)])),
+        ("fan", True): (0, ["block 0: vertices 0,1,2,3,4", "  root: dart (1,0) of edge 0"]
+                        + _edge_lines("  ", [
+                            (0, 1, 0, 1), (1, 2, 1, 2), (0, 2, 2, 3), (2, 3, 3, 4),
+                            (0, 3, 4, 5), (3, 4, 5, 6), (0, 4, 6, 7)])),
+        ("bowtie", False): (2, []),
+        ("bowtie", True): (0, (
+            ["block 0: vertices 2,3,4", "  root: dart (3,2) of edge 3"]
+            + _edge_lines("  ", [(2, 3, 3, 1), (3, 4, 4, 2), (2, 4, 5, 3)])
+            + ["block 1: vertices 0,1,2", "  root: dart (1,0) of edge 0"]
+            + _edge_lines("  ", [(0, 1, 0, 1), (1, 2, 1, 2), (0, 2, 2, 3)]))),
+        ("bowtie-outer", False): (2, []),
+        ("bowtie-outer", True): (0, (
+            ["block 0: vertices 2,3,4", "  root: dart (2,3) of edge 3"]
+            + _edge_lines("  ", [(2, 3, 3, 1), (3, 4, 4, 3), (2, 4, 5, 2)])
+            + ["block 1: vertices 0,1,2", "  root: dart (0,1) of edge 0"]
+            + _edge_lines("  ", [(0, 1, 0, 1), (1, 2, 1, 3), (0, 2, 2, 2)]))),
+        ("bowtie-loops", False): (2, []),
+        ("bowtie-loops", True): (0, (
+            ["block 0: vertices 2,3,4", "  root: dart (3,2) of edge 4"]
+            + _edge_lines("  ", [(2, 3, 4, 1), (3, 4, 5, 2), (2, 4, 7, 3)])
+            + ["block 1: vertices 0,1,2", "  root: dart (1,0) of edge 0"]
+            + _edge_lines("  ", [(0, 1, 0, 1), (1, 2, 1, 2), (0, 2, 3, 3)])
+            + ["loop (2,2) [id 2] -> unlabeled", "loop (4,4) [id 6] -> unlabeled"])),
+        ("chain", False): (2, []),
+        ("chain", True): (0, (
+            ["block 0: vertices 3,4,5,6", "  root: dart (4,3) of edge 5"]
+            + _edge_lines("  ", [(3, 4, 5, 1), (4, 5, 6, 2), (5, 6, 7, 4),
+                                 (3, 6, 8, 5), (3, 5, 9, 3)])
+            + ["block 1: vertices 2,3", "  root: dart (2,3) of edge 4"]
+            + _edge_lines("  ", [(2, 3, 4, 1)])
+            + ["block 2: vertices 0,1,2", "  root: dart (1,0) of edge 0"]
+            + _edge_lines("  ", [(0, 1, 0, 1), (1, 2, 1, 3), (0, 2, 2, 4),
+                                 (1, 2, 3, 2)]))),
+        ("chain-outer", False): (2, []),
+        ("chain-outer", True): (0, (
+            ["block 0: vertices 3,4,5,6", "  root: dart (3,4) of edge 5"]
+            + _edge_lines("  ", [(3, 4, 5, 1), (4, 5, 6, 5), (5, 6, 7, 4),
+                                 (3, 6, 8, 3), (3, 5, 9, 2)])
+            + ["block 1: vertices 2,3", "  root: dart (2,3) of edge 4"]
+            + _edge_lines("  ", [(2, 3, 4, 1)])
+            + ["block 2: vertices 0,1,2", "  root: dart (0,1) of edge 0"]
+            + _edge_lines("  ", [(0, 1, 0, 1), (1, 2, 1, 4), (0, 2, 2, 2),
+                                 (1, 2, 3, 3)]))),
+        # the blocks before the first one that fails are printed
+        ("triangle-on-k4", True): (2, (
+            ["block 0: vertices 3,4,5", "  root: dart (4,3) of edge 6"]
+            + _edge_lines("  ", [(3, 4, 6, 1), (4, 5, 7, 2), (3, 5, 8, 3)]))),
+    }
+    FILES = {"fan": FAN, "bowtie": BOWTIE, "bowtie-outer": BOWTIE_OUTER,
+             "bowtie-loops": BOWTIE_LOOPS, "chain": CHAIN, "chain-outer": CHAIN_OUTER,
+             "triangle-on-k4": TRIANGLE_ON_K4}
+
+    @pytest.mark.parametrize("name,per_block", CASES)
+    def test_stdout(self, tmp_path, name, per_block):
+        p = tmp_path / f"{name}.txt"
+        p.write_text(self.FILES[name])
+        rc, out = run(["label", str(p)] + (["--per-block"] if per_block else []))
+        want_rc, want = self.CASES[name, per_block]
+        assert (rc, out) == (want_rc, "".join(line + "\n" for line in want))
+
+    @pytest.mark.parametrize("text,block", [(K4, 0), (TRIANGLE_ON_K4, 1)])
+    def test_error_names_the_block(self, tmp_path, capsys, text, block):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        assert run(["label", str(p), "--per-block"])[0] == 2
+        err = capsys.readouterr().err
+        assert f"block {block}" in err and "no outerplane embedding" in err
+
+
+class TestSearchCap:
+    """Without an 'outer:' line the CLI searches (n-1)! vertex orders,
+    so it refuses every graph, and every block, above 9 vertices."""
+
+    CYCLE_10 = "10 10\n" + "".join(f"{i} {(i + 1) % 10}\n" for i in range(10))
+
+    @pytest.mark.parametrize("argv", [
+        ["label"], ["label", "--per-block"], ["gen"], ["verify", "LISTING"],
+        ["count", "--fib"], ["flip", "--restriction", "pof"]])
+    def test_every_command_refuses(self, tmp_path, monkeypatch, capsys, argv):
+        def search(g):
+            raise AssertionError(f"searched the orders of {g.n} vertices")
+
+        monkeypatch.setattr(flipgraph, "find_outerplane_order", search)
+        p = tmp_path / "cycle.txt"
+        p.write_text(self.CYCLE_10)
+        listing = tmp_path / "listing.txt"
+        listing.write_text("1" * 9 + "0\n")
+        argv = [argv[0], str(p)] + [str(listing) if a == "LISTING" else a
+                                    for a in argv[1:]]
+        assert run(argv)[0] == 2
+        assert "too large to search" in capsys.readouterr().err
 
 
 class TestGen:

@@ -1,5 +1,6 @@
 """Exact counts, Fibonacci bounds, extremal families, the outerplane sweep."""
 
+import hashlib
 import random
 
 import pytest
@@ -187,6 +188,21 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_outerplane(5)) == 13
         assert sum(1 for _ in enumerate_outerplane(7, triangulations_only=True)) == 28
         assert sum(1 for _ in enumerate_outerplane(6, simple=True)) == 7
+
+    @pytest.mark.parametrize("max_m,kw,count,digest", [
+        (9, {}, 292, "c280a9d1e687cc243a77887dda9a1d8754869902fd08a7597c6c1cb6cb3d1e8b"),
+        (8, {"triangulations_only": True}, 49,
+         "99503cf05be8c3fe5d0d89f33e1c02673678bc2449a5ddc41134fe13720851a3"),
+        (8, {"simple": True}, 17,
+         "b10f6e503ff649f62f1fe9a1b9b1303c6aa9288389a1244a0bfddfc6da34afcb"),
+    ])
+    def test_pinned_sequence(self, max_m, kw, count, digest):
+        """The order of the sweep, as first written with a composition
+        walk per total and a two-branch dihedral minimum."""
+        seq = [(e.graph.n, e.graph.edges, e.outer_order)
+               for e in enumerate_outerplane(max_m, **kw)]
+        assert len(seq) == count
+        assert hashlib.sha256(repr(seq).encode()).hexdigest() == digest
 
     def test_all_two_connected_outerplane(self):
         from spangray.dualtree import split_dual

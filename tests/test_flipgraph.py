@@ -464,10 +464,16 @@ class TestExperiments:
     def test_record_format(self):
         rep = run_experiment("paf", 3)
         import re
-        for line in rep.render_lines(with_timings=False):
-            if not line.startswith("#"):
-                assert re.fullmatch(
-                    r"graph=\S+ result=(cyclic|path|none|unknown) time=0", line)
+        for rec in rep.records:
+            assert re.fullmatch(
+                r"graph=\S+ result=(cyclic|path|none|unknown) time=0", rec.line(False))
+
+    def test_paf_records_pinned(self):
+        """One record per connected outerplane class, numbered in the
+        enumerator's order."""
+        rep = run_experiment("paf", 5)
+        assert [r.line(False) for r in rep.records] == [
+            f"graph={i} result=cyclic time=0" for i in range(21)]
 
     def test_streaming_callback(self):
         got = []
