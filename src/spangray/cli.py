@@ -78,6 +78,9 @@ def _print_labeling(emb: EmbeddedGraph, root_edge: int | None, vertices,
 
 
 def cmd_label(args: argparse.Namespace, out) -> int:
+    if args.per_block and args.root is not None:
+        raise GraphError("--root does not apply to --per-block: each block is "
+                         "rooted at its default leaf")
     parsed = _undirected(args)
     g = parsed.graph
     if not args.per_block:

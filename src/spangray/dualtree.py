@@ -417,6 +417,6 @@ def alternative_pof_exchange(osd: OrientedSplitDual, labeling: EdgeLabeling,
     new_tree = tree ^ {d_id, f_id}
     if not g.is_spanning_tree(new_tree):
         raise CertificationError("replacement exchange is not valid")
-    if not (g.shares_vertex(d_id, f_id) or osd.emb.common_faces(d_id, f_id)):
+    if not osd.emb.class_index(d_id, f_id) & 3:
         raise CertificationError("replacement exchange is neither pivot nor face")
     return (ld, lf)

@@ -273,14 +273,24 @@ class EmbeddedGraph:
         self.outer_face = outer_face
         self.left_face = left_face
         self.loop_edges = graph.loop_edges()
-        # per edge, the ids of the faces its two sides bound (once for loops: none)
+        # per edge, the ids of the faces its two sides bound (none for
+        # loops), and its class bits: its end vertices as bits 0..n-1 and
+        # its faces as bits n and up
+        n = graph.n
         face_sets: list[tuple[int, ...]] = []
+        class_bits: list[int] = []
         for e, (u, v) in enumerate(graph.edges):
             if u == v:
                 face_sets.append(())
+                class_bits.append(1 << u)
             else:
-                face_sets.append((left_face[(e, u)], left_face[(e, v)]))
+                fl, fr = left_face[(e, u)], left_face[(e, v)]
+                face_sets.append((fl, fr))
+                class_bits.append(1 << u | 1 << v | 1 << n + fl | 1 << n + fr)
         self._edge_faces = tuple(face_sets)
+        self._class_bits = tuple(class_bits)
+        self._vertex_bits = (1 << n) - 1
+        self._inner_face_bits = ((1 << len(faces)) - 1 ^ 1 << outer_face) << n
 
     def inner_faces(self) -> tuple[Face, ...]:
         return tuple(f for f in self.faces if not f.is_outer)
@@ -288,10 +298,14 @@ class EmbeddedGraph:
     def faces_of_edge(self, e: int) -> tuple[int, ...]:
         return self._edge_faces[e]
 
-    def common_faces(self, a: int, b: int) -> list[int]:
-        """Ids of the faces that edges a and b both bound (none for loops)."""
-        fb = self._edge_faces[b]
-        return [f for f in self._edge_faces[a] if f in fb]
+    def class_index(self, a: int, b: int) -> int:
+        """The exchange class of edges a and b as 0..7: bit 0 set iff
+        they share an end vertex (pivot), bit 1 iff they bound a common
+        face (face), bit 2 iff a common face is inner (face_inner).  A
+        loop bounds no face."""
+        common = self._class_bits[a] & self._class_bits[b]
+        return (bool(common & self._vertex_bits) | (common > self._vertex_bits) << 1
+                | bool(common & self._inner_face_bits) << 2)
 
     def is_outer_edge(self, e: int) -> bool:
         return self.outer_face in self._edge_faces[e]

@@ -92,6 +92,14 @@ class ExchangeClass:
         return kind == "any" or bool(getattr(self, kind))
 
 
+# the eight classes by EmbeddedGraph.class_index, interned; per kind, which
+# of them are of that kind; and the flag text a listing prints for each
+_CLASSES = tuple(ExchangeClass(bool(i & 1), bool(i & 2), bool(i & 4)) for i in range(8))
+_IN_CLASS = {k: tuple(c.matches(k) for c in _CLASSES) for k in RESTRICTIONS}
+_FLAGS = {c: " [" + ",".join(k for k in ("pivot", "face", "face_inner") if getattr(c, k)) + "]"
+          for c in _CLASSES}
+
+
 def spanning_tree_from_labels(g: MultiGraph, labeling: EdgeLabeling, labels) -> SpanningTree:
     labels = set(labels)
     if not all(1 <= l <= g.m for l in labels):
@@ -174,26 +182,47 @@ def valid_exchanges(g: MultiGraph, labeling: EdgeLabeling,
 
 def classify_exchange(emb: EmbeddedGraph, labeling: EdgeLabeling,
                       exchange: Exchange) -> ExchangeClass:
-    a = labeling.edge(exchange.removed)
-    b = labeling.edge(exchange.added)
-    common = emb.common_faces(a, b)
-    return ExchangeClass(emb.graph.shares_vertex(a, b), bool(common),
-                         any(f != emb.outer_face for f in common))
+    return _CLASSES[emb.class_index(labeling.edge(exchange.removed),
+                                    labeling.edge(exchange.added))]
+
+
+def _classifier(g: MultiGraph, emb: EmbeddedGraph | None,
+                labeling: EdgeLabeling, kind: str):
+    """``(index, table)``: ``index(a, b)`` is the class index of the
+    exchange of labels a and b, and ``table[i]`` tells whether class i
+    is of the given kind.  Pivot reads the graph only, and without an
+    embedding ``index`` gives the pivot bit alone; the face-based
+    classes need the embedding."""
+    if kind not in RESTRICTIONS:
+        raise GraphError(f"unknown exchange class {kind!r}")
+    edge = labeling.edge_of
+    if emb is not None:
+        index = emb.class_index
+        return lambda a, b: index(edge[a - 1], edge[b - 1]), _IN_CLASS[kind]
+    if kind not in ("any", "pivot"):
+        raise GraphError(f"exchange class {kind!r} needs an embedding")
+    return lambda a, b: int(g.shares_vertex(edge[a - 1], edge[b - 1])), _IN_CLASS[kind]
 
 
 def _class_test(g: MultiGraph, emb: EmbeddedGraph | None,
                 labeling: EdgeLabeling, kind: str):
-    """The predicate "this Exchange is of class ``kind``".  Pivot reads
-    the graph only; the face-based classes need the embedding."""
-    if kind not in RESTRICTIONS:
-        raise GraphError(f"unknown exchange class {kind!r}")
+    """The predicate "this Exchange is of class ``kind``"."""
+    index, table = _classifier(g, emb, labeling, kind)
     if kind == "any":
         return lambda ex: True
-    if kind == "pivot":
-        return lambda ex: g.shares_vertex(labeling.edge(ex.removed), labeling.edge(ex.added))
-    if emb is None:
-        raise GraphError(f"exchange class {kind!r} needs an embedding")
-    return lambda ex: classify_exchange(emb, labeling, ex).matches(kind)
+    return lambda ex: table[index(ex.removed, ex.added)]
+
+
+def _prefer(index, table, kind: str, f: int, partners) -> tuple[int, int]:
+    """The position in ``partners``, ascending smaller labels that each
+    exchange with the larger label f, of the last one whose exchange is
+    of class ``kind``, and that exchange's class index.  ``index`` and
+    ``table`` come from :func:`_classifier`."""
+    for i in range(len(partners) - 1, -1, -1):
+        c = index(partners[i], f)
+        if table[c]:
+            return i, c
+    raise CertificationError(f"no {kind} exchange in tie set {[(e, f) for e in partners]}")
 
 
 @dataclass(frozen=True)
@@ -216,6 +245,12 @@ def tiebreak_closest(ctx: TieContext) -> Exchange:
     return ctx.candidates[-1]
 
 
+# A rule with a ``kind`` attribute declares that it picks, among the
+# candidates of that exchange class, the one with the largest smaller
+# label; :func:`greedy_walk` then makes that pick itself, on labels.
+tiebreak_closest.kind = "any"
+
+
 def tiebreak_prefer(kind: str):
     """Rule that keeps only candidates of the given exchange class and
     picks the one with the maximum smaller label, as tiebreak_closest
@@ -226,12 +261,11 @@ def tiebreak_prefer(kind: str):
         raise GraphError(f"unknown exchange class {kind!r}")
 
     def rule(ctx: TieContext) -> Exchange:
-        keep = _class_test(ctx.graph, ctx.embedding, ctx.labeling, kind)
-        kept = [x for x in ctx.candidates if keep(x)]
-        if not kept:
-            raise CertificationError(
-                f"no {kind} exchange in tie set {[x.pair() for x in ctx.candidates]}")
-        return kept[-1]
+        index, table = _classifier(ctx.graph, ctx.embedding, ctx.labeling, kind)
+        cands = ctx.candidates
+        larger = cands[-1].larger if cands else 0
+        i, _ = _prefer(index, table, kind, larger, [x.smaller for x in cands])
+        return cands[i]
 
     rule.kind = kind
     return rule
@@ -269,11 +303,7 @@ class Listing:
             if i < len(self.steps):
                 ex, cls = self.steps[i]
                 line = f"- {ex.removed} + {ex.added}"
-                if cls is not None:
-                    flags = [k for k in ("pivot", "face", "face_inner")
-                             if getattr(cls, k)]
-                    line += " [" + ",".join(flags) + "]"
-                yield line
+                yield line if cls is None else line + _FLAGS[cls]
 
 
 def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
@@ -293,6 +323,10 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     so a step pays for the labels below k on its paths only.  Partners
     of f are read from it while f < k; a level f >= k rebuilds it with
     k = 2f, so it is built O(log m) times.
+
+    A rule with a ``kind`` attribute (the built-in ones) is not called:
+    the walk picks the last partner of that class itself, on labels.
+    Any other rule gets a :class:`TieContext` per step.
     """
     if labeling.m != g.m:
         raise GraphError("labeling size does not match the graph")
@@ -313,6 +347,8 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     def path(l):
         return _path_labels(rooted, *ends[l])
 
+    kind = getattr(tiebreak, "kind", None)
+    table = None        # built at the first tie: a tree has none
     yield mask, None
     while True:
         for f in range(1, g.m + 1):
@@ -327,18 +363,30 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
             return
         fbit = bit[f]
         f_in = mask & fbit
-        cands = tuple(Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f)
-                      for e in partners)
-        chosen = tiebreak(TieContext(g, labeling, embedding, mask, cands))
-        if chosen not in cands:
-            raise GraphError("tie-breaking rule left the tie set")
+        if kind is None:
+            cands = tuple(Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f)
+                          for e in partners)
+            chosen = tiebreak(TieContext(g, labeling, embedding, mask, cands))
+            if chosen not in cands:
+                raise GraphError("tie-breaking rule left the tie set")
+            cls = classify_exchange(embedding, labeling, chosen) if classify else None
+        else:
+            if table is None:
+                index, table = _classifier(g, embedding, labeling, kind)
+            if kind == "any" and not classify:
+                i, c = len(partners) - 1, None
+            else:
+                i, c = _prefer(index, table, kind, f, partners)
+            e = partners[i]
+            chosen = Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f)
+            cls = _CLASSES[c] if classify else None
         r, a = chosen.removed, chosen.added
         mask ^= bit[r] ^ bit[a]
         _exchange_tree(rooted, r, ends[a], a)
         # the tree enters the second half of its level-f block, and
         # every lower level starts a new block
         h = (h | fbit) & -fbit
-        yield mask, (chosen, classify_exchange(embedding, labeling, chosen) if classify else None)
+        yield mask, (chosen, cls)
 
 
 def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
@@ -381,7 +429,7 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
             raise CertificationError("listing is not genlex")
         if not truncated:
             want = expected_count if expected_count is not None \
-                else counting.count_matrix_tree(g)
+                else _count_trees(g, embedding)
             if len(trees) != want:
                 raise CertificationError(
                     f"generated {len(trees)} trees, independent count says {want}")
@@ -392,6 +440,13 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
     return Listing(g, labeling, embedding,
                    tuple(SpanningTree(m, x) for x in trees),
                    tuple(steps), truncated, complete)
+
+
+def _count_trees(g: MultiGraph, emb: EmbeddedGraph | None) -> int:
+    """The independent tree count a certification compares against: an
+    embedded graph is outerplane, so it reduces series-parallel in O(m)
+    steps; a bare graph gets the O(n^3) determinant."""
+    return counting.count_matrix_tree(g) if emb is None else counting.count_series_parallel(g)
 
 
 def verify_genlex(listing: Listing) -> bool:
@@ -487,7 +542,7 @@ def verify_gray(listing: Listing, required_class: str = "any",
     expected = expected_count
     if not listing.truncated:
         if expected is None:
-            expected = counting.count_matrix_tree(listing.graph)
+            expected = _count_trees(listing.graph, listing.embedding)
         if len(masks) != expected:
             bad.append(f"listing has {len(masks)} trees, count says {expected}")
     for i in range(1, len(masks)):

@@ -61,6 +61,23 @@ class TestLabel:
         rc, _ = run(["label", str(p)])
         assert rc == 2
 
+    @pytest.mark.parametrize("root", ["5", "99"])
+    def test_per_block_rejects_root(self, fan_file, capsys, root):
+        """Each block is rooted at its default leaf, so a --root, in
+        range or not, is refused rather than ignored."""
+        rc, out = run(["label", fan_file, "--per-block", "--root", root])
+        assert (rc, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--root" in err and "--per-block" in err
+
+    def test_root_without_per_block_pinned(self, fan_file):
+        rc, out = run(["label", fan_file, "--root", "5"])
+        assert rc == 0
+        assert out.splitlines() == [
+            "root: dart (4,3) of edge 5"] + _edge_lines("", [
+                (0, 1, 0, 5), (1, 2, 1, 6), (0, 2, 2, 4), (2, 3, 3, 7),
+                (0, 3, 4, 3), (3, 4, 5, 1), (0, 4, 6, 2)])
+
 
 BOWTIE_OUTER = "5 6\nouter: 4 3 2 1 0\n0 1\n1 2\n0 2\n2 3\n3 4\n2 4\n"
 BOWTIE_LOOPS = "5 8\n0 1\n1 2\n2 2\n0 2\n2 3\n3 4\n4 4\n2 4\n"

@@ -76,6 +76,15 @@ def visited_set_walk(g, lab, emb, initial, tiebreak, max_trees=None):
     return masks, steps
 
 
+def reference_class(emb, a, b):
+    """The class of edges a and b by their end vertices and the faces
+    both bound, as the class bits must give it."""
+    fb = emb.faces_of_edge(b)
+    common = [f for f in emb.faces_of_edge(a) if f in fb]
+    return ExchangeClass(emb.graph.shares_vertex(a, b), bool(common),
+                         any(f != emb.outer_face for f in common))
+
+
 def from_scratch_first_non_tree(g, lab, masks):
     """Reference for ``treegen._first_non_tree``: the union-find check
     of every listed tree from scratch, as ``verify_gray`` used to run."""
@@ -304,6 +313,41 @@ class TestTieRules:
         with pytest.raises(CertificationError):
             tiebreak_prefer("face_inner")(ctx)
 
+    def test_rule_outside_tie_set_rejected(self, fan):
+        """A rule without ``kind`` gets a TieContext and must answer
+        with one of its candidates."""
+        with pytest.raises(GraphError, match="^tie-breaking rule left the tie set$"):
+            greedy_listing(fan, tiebreak=lambda ctx: Exchange(removed=1, added=99))
+
+    @pytest.mark.parametrize("kind", ["pivot", "face_inner", "paf"])
+    def test_walk_prefer_empty_set_message(self, kind):
+        """Under shuffled labelings the preferred class can run out.  The
+        walk then raises the message ``rule(ctx)`` raises, after the same
+        trees: the rule as given picks on labels, the wrapper without
+        ``kind`` hands it a TieContext per step.  Ties of one candidate
+        and of several both occur."""
+        rng = random.Random(31)
+        sizes = set()
+        for emb in enumerate_outerplane(6):
+            g = emb.graph
+            lab = EdgeLabeling.shuffled(g.m, rng)
+            init = random_spanning_tree(g, lab, rng)
+            runs = []
+            for rule in (tiebreak_prefer(kind), lambda ctx, r=tiebreak_prefer(kind): r(ctx)):
+                trees = []
+                try:
+                    for mask, _ in greedy_walk(g, lab, emb, init, rule):
+                        trees.append(mask)
+                except CertificationError as exc:
+                    runs.append((trees, str(exc)))
+                else:
+                    runs.append((trees, None))
+            assert runs[0] == runs[1]
+            if runs[0][1] is not None:
+                assert runs[0][1].startswith(f"no {kind} exchange in tie set [(")
+                sizes.add(min(runs[0][1].count("("), 2))
+        assert sizes == {1, 2}
+
     def test_random_rule_stays_in_set(self, fan):
         lab = EdgeLabeling.identity(7)
         t = spanning_tree_from_labels(fan, lab, [1, 2, 5, 6])
@@ -331,6 +375,33 @@ class TestClassify:
         # (0,1) and (2,3) share only the outer face
         c = classify_exchange(diamond_emb, lab, Exchange(removed=1, added=4))
         assert not c.pivot and c.face and not c.face_inner
+
+    def test_class_bits_match_reference(self):
+        """Every ordered edge pair, an edge with itself included, of
+        every outerplane multigraph with m <= 8 and of a copy with two
+        loops added: ``class_index`` and ``classify_exchange`` (under a
+        shuffled labeling) give the class of the reference, and the
+        latter returns one of the eight interned classes."""
+        rng = random.Random(23)
+        interned = {id(c) for c in treegen._CLASSES}
+        seen, pairs = set(), 0
+        for emb in enumerate_outerplane(8):
+            g = emb.graph
+            looped = with_loop(with_loop(g, rng), rng)
+            for e in (emb, build_embedding(looped, emb.outer_order)):
+                lab = EdgeLabeling.shuffled(e.graph.m, rng)
+                for a in range(e.graph.m):
+                    for b in range(e.graph.m):
+                        want = reference_class(e, a, b)
+                        got = e.class_index(a, b)
+                        assert got == want.pivot | want.face << 1 | want.face_inner << 2
+                        cls = classify_exchange(
+                            e, lab, Exchange(removed=lab.label(a), added=lab.label(b)))
+                        assert cls == want and id(cls) in interned
+                        seen.add(got)
+                        pairs += 1
+        assert seen == {0, 1, 2, 3, 6, 7}       # face_inner implies face
+        assert pairs == 16068
 
 
 class TestClassTest:
@@ -467,32 +538,36 @@ class TestGreedyListing:
 
 
 class TestWalk:
-    @pytest.mark.parametrize("make", [
-        lambda seed: tiebreak_closest,
-        lambda seed: tiebreak_prefer("pof"),
-        lambda seed: tiebreak_random(random.Random(seed)),
-    ], ids=["closest", "prefer-pof", "random"])
-    def test_matches_visited_set_walk(self, make):
+    @pytest.mark.parametrize("make, bare", [
+        (lambda seed: tiebreak_closest, False),
+        (lambda seed: tiebreak_prefer("pof"), False),
+        (lambda seed: tiebreak_random(random.Random(seed)), False),
+        (lambda seed: tiebreak_prefer("pivot"), True),
+    ], ids=["closest", "prefer-pof", "random", "prefer-pivot-bare"])
+    def test_matches_visited_set_walk(self, make, bare):
         """Every outerplane multigraph with m <= 7, every root, two
         seeded initial trees: the block-mask walk lists the same trees
-        with the same steps as the walk that remembers its trees."""
+        with the same steps as the walk that remembers its trees.  The
+        ``bare`` case walks the triangulations, where pivot steps always
+        exist, with no embedding."""
         rng = random.Random(5)
         runs = 0
-        for emb in enumerate_outerplane(7):
+        for emb in enumerate_outerplane(7, triangulations_only=bare):
             g = emb.graph
             sd = split_dual(emb)
             for root in sd.leaves():
                 lab = dual_tree_labeling(orient_split_dual(sd, root))
+                given = None if bare else emb
                 for _ in range(2):
                     init = random_spanning_tree(g, lab, rng)
                     seed = rng.randrange(2 ** 32)
-                    masks, steps = visited_set_walk(g, lab, emb, init, make(seed))
-                    listing = greedy_listing(g, labeling=lab, embedding=emb,
+                    masks, steps = visited_set_walk(g, lab, given, init, make(seed))
+                    listing = greedy_listing(g, labeling=lab, embedding=given,
                                              initial=init, tiebreak=make(seed))
                     assert listing.masks() == masks
                     assert [ex for ex, _ in listing.steps] == steps
                     runs += 1
-        assert runs == 410
+        assert runs == (176 if bare else 410)
 
     @pytest.mark.parametrize("make", [
         lambda seed: tiebreak_closest,
@@ -613,6 +688,30 @@ class TestWalk:
                     assert sorted(_path_labels(tree, u, v)) == want
                     assert (part[u] == part[v]) == (want == [])
 
+    @pytest.mark.parametrize("rule", [tiebreak_closest, tiebreak_prefer("pof")],
+                             ids=["closest", "prefer-pof"])
+    def test_builtin_rules_build_one_exchange_per_step(self, rule, monkeypatch):
+        """A rule with ``kind`` is picked on labels: no TieContext and no
+        new ExchangeClass, and one Exchange per step, the one yielded."""
+        emb = extremal_family(5)
+        lab = dual_tree_labeling(orient_split_dual(split_dual(emb)))
+        want = list(greedy_walk(emb.graph, lab, emb, None, rule, classify=True))
+        made = []
+
+        def exchange(**kw):
+            made.append(Exchange(**kw))
+            return made[-1]
+
+        def refuse(*args):
+            raise AssertionError("built a per-step object")
+
+        monkeypatch.setattr(treegen, "Exchange", exchange)
+        monkeypatch.setattr(treegen, "TieContext", refuse)
+        monkeypatch.setattr(treegen, "ExchangeClass", refuse)
+        got = list(greedy_walk(emb.graph, lab, emb, None, rule, classify=True))
+        assert got == want and len(got) == 144       # t = f_12 on the 11-edge strip
+        assert [step[0] for _, step in got[1:]] == made
+
     def test_stream_is_the_listing(self, fan, fan_emb):
         listing = greedy_listing(fan, embedding=fan_emb)
         stream = list(greedy_walk(fan, listing.labeling, fan_emb, None,
@@ -645,6 +744,19 @@ class TestWalk:
         finally:
             tracemalloc.stop()
         assert late <= 1.5 * early, (early, late)
+
+    def test_face_kind_without_embedding_raises_at_first_tie(self, fan):
+        """A face-based rule on a bare graph raises at the first tie,
+        after the initial tree; a graph with one spanning tree has no
+        tie, so its walk ends without raising."""
+        lab = EdgeLabeling.identity(7)
+        walk = greedy_walk(fan, lab, None, None, tiebreak_prefer("pof"))
+        assert next(walk)[1] is None
+        with pytest.raises(GraphError, match="needs an embedding"):
+            next(walk)
+        path = MultiGraph(3, ((0, 1), (1, 1), (1, 2)))
+        walk = greedy_walk(path, EdgeLabeling.identity(3), None, None, tiebreak_prefer("pof"))
+        assert [mask for mask, _ in walk] == [0b101]
 
     def test_rejects_bad_input(self, fan):
         lab = EdgeLabeling.identity(7)
@@ -845,6 +957,27 @@ class TestVerifiers:
         for klass in ("pof", "pivot"):
             assert verify_gray(swap, klass).violations == (
                 "tree 1 is not a spanning tree", f"step 0 exchange (2, 4) is not {klass}")
+
+    def test_certification_counts_without_determinant(self, fan, fan_emb, monkeypatch):
+        """An embedded graph is outerplane, so ``greedy_listing`` and
+        ``verify_gray`` count its trees by series-parallel reduction;
+        a bare graph still gets the determinant."""
+        determinant = count_matrix_tree
+        calls = []
+
+        def refuse(g):
+            raise AssertionError("counted with the determinant")
+
+        monkeypatch.setattr(treegen.counting, "count_matrix_tree", refuse)
+        listing = greedy_listing(fan, embedding=fan_emb)
+        assert listing.complete and len(listing.trees) == 21
+        rep = verify_gray(listing, required_class="pof")
+        assert rep.ok and rep.expected == 21
+        monkeypatch.setattr(treegen.counting, "count_matrix_tree",
+                            lambda g: calls.append(g) or determinant(g))
+        bare = greedy_listing(fan)
+        assert bare.complete and verify_gray(bare).expected == 21
+        assert calls == [fan, fan]
 
     def test_gray_completeness(self, fan, fan_emb):
         part = greedy_listing(fan, embedding=fan_emb, max_trees=6)
