@@ -14,6 +14,7 @@ edge with the outer face.  All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .dualtree import weak_dual
@@ -33,10 +34,13 @@ def fib(k: int) -> int:
 
 def count_matrix_tree(g: MultiGraph) -> int:
     """Number of spanning trees as a Laplacian minor determinant,
-    fraction-free integer elimination (no floats)."""
+    fraction-free integer elimination (no floats).  A graph that cannot
+    be connected counts 0 before the (n-1)^2 matrix is allocated."""
     n = g.n
     if n == 1:
         return 1
+    if g.m < n - 1 or not g.is_connected():
+        return 0
     d = n - 1
     a = [[0] * d for _ in range(d)]
     for u, v in g.edges:
@@ -121,50 +125,82 @@ def count_series_parallel(g: MultiGraph) -> int:
     return trees
 
 
-def _compact_encode(n: int, edges) -> tuple:
-    """Key for memoization: edges sorted, vertices renamed by first
-    appearance (identical labeled graphs collide; cheap, not a full
-    isomorphism canonical form)."""
-    edges = sorted(tuple(sorted(e)) for e in edges)
-    name: dict[int, int] = {}
-    out = []
-    for u, v in edges:
-        for x in (u, v):
-            if x not in name:
-                name[x] = len(name)
-        out.append((name[u], name[v]))
-    return (n, tuple(sorted(out)))
+def _branch(n: int, bundles: tuple):
+    """One deletion-contraction step on a multigraph given as its bundles
+    of parallel edges.  Returns (value, None) at a base case, else
+    (None, (deleted, k, contracted)) with t = t(deleted) + k*t(contracted).
+    The bundle split off is the first, in sorted order, at the vertex
+    with the fewest distinct neighbours (lowest id first)."""
+    if n == 1:
+        return 1, None
+    if sum(k for _, k in bundles) < n - 1:
+        return 0, None
+    degree = [0] * n
+    for (a, b), _ in bundles:
+        degree[a] += 1
+        degree[b] += 1
+    v = degree.index(min(degree))
+    if degree[v] == 0:
+        return 0, None
+    i = next(i for i, ((a, b), _) in enumerate(bundles) if v in (a, b))
+    (a, b), k = bundles[i]
+    u = a if b == v else b
+    deleted = (n, bundles[:i] + bundles[i + 1:])
+    # merge v into u, then rename the last vertex v, so ids stay 0..n-2;
+    # bundles at neither vertex are shared with the parent state
+    last = n - 1
+    into = v if u == last else u
+    moved: Counter = Counter()
+    kept = []
+    for bundle in bundles:
+        (a, b), c = bundle
+        if a != v and a != last and b != v and b != last:
+            kept.append(bundle)
+            continue
+        a = into if a == v else (v if a == last else a)
+        b = into if b == v else (v if b == last else b)
+        if a != b:
+            moved[(a, b) if a < b else (b, a)] += c
+    merged = []
+    for bundle in kept:
+        if bundle[0] in moved:
+            moved[bundle[0]] += bundle[1]
+        else:
+            merged.append(bundle)
+    merged.extend(moved.items())
+    merged.sort()
+    return None, (deleted, k, (last, tuple(merged)))
 
 
 def count_del_contract(g: MultiGraph) -> int:
-    """Number of spanning trees by t(G) = t(G-e) + t(G/e), loops
-    dropped on sight, memoized per invocation."""
+    """Number of spanning trees by deletion-contraction over bundles:
+    t(G) = t(G - P) + |P| * t(G / P), where P is all parallel edges
+    between two vertices.  A state is (n, sorted ((u, v), k) bundles),
+    loops dropped, memoized per invocation, on an explicit post-order
+    stack.  Exponential; shares no code with the other counters."""
+    mult = Counter((u, v) if u < v else (v, u) for u, v in g.edges if u != v)
+    root = (g.n, tuple(sorted(mult.items())))
     memo: dict[tuple, int] = {}
-
-    def rec(n: int, edges: tuple) -> int:
-        edges = tuple(e for e in edges if e[0] != e[1])
-        if n == 1:
-            return 1
-        if len(edges) < n - 1:
-            return 0
-        key = _compact_encode(n, edges)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        u, v = edges[0]
-        if u > v:
-            u, v = v, u
-        rest = edges[1:]
-        merged = []
-        for a, b in rest:
-            a2 = u if a == v else (a - 1 if a > v else a)
-            b2 = u if b == v else (b - 1 if b > v else b)
-            merged.append((a2, b2))
-        val = rec(n, rest) + rec(n - 1, tuple(merged))
-        memo[key] = val
-        return val
-
-    return rec(g.n, tuple(g.edges))
+    stack: list[tuple] = [(root, None)]
+    while stack:
+        state, split = stack[-1]
+        if split is None:
+            if state in memo:
+                stack.pop()
+                continue
+            value, split = _branch(*state)
+            if split is None:
+                memo[state] = value
+                stack.pop()
+                continue
+            stack[-1] = (state, split)
+            stack.extend((kid, None) for kid in (split[0], split[2])
+                         if kid not in memo)
+            continue
+        deleted, k, contracted = split
+        memo[state] = memo[deleted] + k * memo[contracted]
+        stack.pop()
+    return memo[root]
 
 
 def count_bruteforce(g: MultiGraph) -> int:

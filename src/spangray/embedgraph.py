@@ -200,6 +200,8 @@ def parse_graph(text: str) -> ParsedGraph:
                 raise ParseError("expected integers in header 'n m'", lineno)
             if n < 0 or m < 0:
                 raise ParseError("n and m must be nonnegative", lineno)
+            if n < 1:
+                raise ParseError("a graph needs at least one vertex", lineno)
             graph_line = lineno
             continue
         if line == "directed":

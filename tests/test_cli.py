@@ -31,6 +31,18 @@ def fan_file(tmp_path):
     return str(p)
 
 
+@pytest.mark.parametrize("command", ["count", "flip", "label", "gen", "verify"])
+def test_header_without_vertices_rejected(tmp_path, capsys, command):
+    graph = tmp_path / "empty.txt"
+    graph.write_text("0 0\n")
+    # verify's listing is never read: the graph file fails first
+    listing = [str(graph)] if command == "verify" else []
+    rc, out = run([command, str(graph), *listing])
+    assert rc == 2 and out == ""
+    assert capsys.readouterr().err == \
+        "error: line 1: a graph needs at least one vertex\n"
+
+
 class TestLabel:
     def test_fan_output(self, fan_file):
         rc, out = run(["label", fan_file])

@@ -2,12 +2,15 @@
 
 import hashlib
 import random
+import sys
+import tracemalloc
 
 import pytest
 
 from conftest import (bundle_graph, complete_graph, cycle_graph,
                       diamond_graph, fan_graph, k33_graph, loopy_triangle,
                       random_outerplane_multigraph, triangle_with_parallel)
+from spangray import counting
 from spangray.counting import (check_fib_bound, check_fib_product,
                                count_bruteforce, count_del_contract,
                                count_matrix_tree, count_series_parallel,
@@ -88,6 +91,83 @@ class TestCounts:
         g = bundle_graph(21)
         with pytest.raises(GraphError):
             count_bruteforce(g)
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDelContract:
+    def test_matches_kirchhoff_on_random_multigraphs(self):
+        """Loops, parallels and disconnected graphs, n <= 7."""
+        rng = random.Random(41)
+        seen = {"loop": 0, "parallel": 0, "zero": 0, "nonzero": 0}
+        for _ in range(2000):
+            n = rng.randrange(1, 8)
+            edges = tuple((rng.randrange(n), rng.randrange(n))
+                          for _ in range(rng.randrange(12)))
+            g = MultiGraph(n, edges)
+            want = count_matrix_tree(g)
+            assert count_del_contract(g) == want, g
+            seen["loop"] += any(u == v for u, v in edges)
+            seen["parallel"] += len({tuple(sorted(e)) for e in edges}) < len(edges)
+            seen["zero" if want == 0 else "nonzero"] += 1
+        assert min(seen.values()) >= 200, seen
+
+    def test_matches_kirchhoff_on_sweep(self):
+        graphs = [emb.graph for emb in enumerate_outerplane(9)]
+        assert len(graphs) == 292
+        for g in graphs:
+            assert count_del_contract(g) == count_matrix_tree(g)
+
+    def test_calls_no_other_counter(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("deletion-contraction called another counter")
+
+        for name in ("count_matrix_tree", "count_series_parallel",
+                     "count_bruteforce"):
+            monkeypatch.setattr(counting, name, refuse)
+        assert count_del_contract(fan_graph()) == 21
+        assert count_del_contract(complete_graph(5)) == 125
+        strip = extremal_family(20, 1).graph
+        assert count_del_contract(strip) == fib(strip.m + 1)
+
+    def test_no_recursion(self):
+        strip = extremal_family(60).graph
+        assert strip.m == 121
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frame_depth() + 50)
+        try:
+            assert count_del_contract(strip) == fib(122)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_long_strip_is_fibonacci(self):
+        strip = extremal_family(500).graph
+        assert strip.m == 1001
+        assert count_del_contract(strip) == fib(1002)
+
+
+class TestDisconnectedIsCheap:
+    @pytest.mark.parametrize("edges", [((0, 1),), ((0, 0),) * 100_000],
+                             ids=["one-edge", "all-loops"])
+    def test_no_matrix_for_a_disconnected_graph(self, edges):
+        """100,000 vertices, too few edges or only loops: a determinant
+        would allocate 10^10 entries."""
+        g = MultiGraph(100_000, edges)
+        tracemalloc.start()
+        try:
+            counts = [count(g) for count in (count_matrix_tree,
+                                             count_del_contract,
+                                             count_series_parallel)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == [0, 0, 0]
+        assert peak < 32 * 2 ** 20
 
 
 class TestSeriesParallel:
