@@ -32,10 +32,17 @@ def fib(k: int) -> int:
     return _fib[k]
 
 
+def _need_vertex(g: MultiGraph) -> None:
+    """Every counter rejects a graph with no vertices the same way."""
+    if g.n < 1:
+        raise GraphError("a graph needs at least one vertex")
+
+
 def count_matrix_tree(g: MultiGraph) -> int:
     """Number of spanning trees as a Laplacian minor determinant,
     fraction-free integer elimination (no floats).  A graph that cannot
     be connected counts 0 before the (n-1)^2 matrix is allocated."""
+    _need_vertex(g)
     n = g.n
     if n == 1:
         return 1
@@ -82,6 +89,7 @@ def count_series_parallel(g: MultiGraph) -> int:
     Loops are skipped and a disconnected graph has 0 trees; a graph that
     does not reduce to one vertex (it has a K4 minor, so it is not
     outerplane) raises GraphError."""
+    _need_vertex(g)
     if not g.is_connected():
         return 0
     bundles: list[dict[int, tuple[int, int]] | None] = [{} for _ in range(g.n)]
@@ -177,7 +185,8 @@ def count_del_contract(g: MultiGraph) -> int:
     t(G) = t(G - P) + |P| * t(G / P), where P is all parallel edges
     between two vertices.  A state is (n, sorted ((u, v), k) bundles),
     loops dropped, memoized per invocation, on an explicit post-order
-    stack.  Exponential; shares no code with the other counters."""
+    stack.  Exponential; shares no counting code with the other counters."""
+    _need_vertex(g)
     mult = Counter((u, v) if u < v else (v, u) for u, v in g.edges if u != v)
     root = (g.n, tuple(sorted(mult.items())))
     memo: dict[tuple, int] = {}
@@ -205,6 +214,7 @@ def count_del_contract(g: MultiGraph) -> int:
 
 def count_bruteforce(g: MultiGraph) -> int:
     """Oracle: test every (n-1)-subset of edges.  Guarded to small m."""
+    _need_vertex(g)
     if g.m > 20:
         raise GraphError("brute-force counting guarded to m <= 20")
     if g.n == 1:

@@ -22,6 +22,7 @@ head is the other endpoint of the edge.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import EmbeddingError, GraphError, ParseError
@@ -173,13 +174,29 @@ class ParsedGraph:
     directed: bool
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _ints(tokens, message: str, lineno: int) -> list[int]:
+    """The tokens as integers, each written ``-?[0-9]+`` (``int`` alone
+    would also read ``1_0`` or non-ASCII digits) and short enough for
+    ``int`` to read."""
+    try:
+        if all(_INT.fullmatch(t) for t in tokens):
+            return [int(t) for t in tokens]
+    except ValueError:
+        pass
+    raise ParseError(message, lineno)
+
+
 def parse_graph(text: str) -> ParsedGraph:
     """Parse edge-list text.
 
     Format: first significant line ``n m``, then m lines ``u v`` with
     0-based endpoints.  Before the edge lines two optional header lines
     are recognised: ``directed`` and ``outer: v0 v1 ... v_{n-1}``.
-    ``#`` starts a comment; blank lines are ignored.
+    ``#`` starts a comment; blank lines are ignored.  Every error that
+    a line causes names that line.
     """
     graph_line = None
     outer = None
@@ -194,10 +211,7 @@ def parse_graph(text: str) -> ParsedGraph:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected header 'n m'", lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("expected integers in header 'n m'", lineno)
+            n, m = _ints(parts, "expected integers in header 'n m'", lineno)
             if n < 0 or m < 0:
                 raise ParseError("n and m must be nonnegative", lineno)
             if n < 1:
@@ -212,32 +226,27 @@ def parse_graph(text: str) -> ParsedGraph:
         if line.startswith("outer:"):
             if edges:
                 raise ParseError("'outer:' must precede the edge lines", lineno)
-            try:
-                outer = tuple(int(t) for t in line[len("outer:"):].split())
-            except ValueError:
-                raise ParseError("bad vertex in outer order", lineno)
+            if outer is not None:
+                raise ParseError("a second 'outer:' line", lineno)
+            outer = tuple(_ints(line[len("outer:"):].split(),
+                                "bad vertex in outer order", lineno))
+            if sorted(outer) != list(range(n)):
+                raise ParseError("outer order must list every vertex exactly once", lineno)
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected edge line 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("edge endpoints must be integers", lineno)
+        u, v = _ints(parts, "edge endpoints must be integers", lineno)
         if len(edges) >= m:
             raise ParseError("more edge lines than declared by header", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"edge {len(edges)} endpoint out of range: ({u}, {v})", lineno)
         edges.append((u, v))
     if graph_line is None:
         raise ParseError("empty input, expected header 'n m'")
     if len(edges) != m:
         raise ParseError(f"declared {m} edges but found {len(edges)}")
-    try:
-        g = MultiGraph(n, tuple(edges))
-    except GraphError as exc:
-        raise ParseError(str(exc))
-    if outer is not None and sorted(outer) != list(range(n)):
-        raise ParseError("outer order must list every vertex exactly once")
-    return ParsedGraph(g, outer, directed)
+    return ParsedGraph(MultiGraph(n, tuple(edges)), outer, directed)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ valid exchange; restrictions keep only exchanges of a given class.
 Arborescence flip graphs connect arborescences differing in two arcs
 (which then share their head).  Both are built by grouping the nodes
 by each mask with one bit cleared: a group holds nodes one swap apart.
-The Hamilton solver is a deterministic backtracker with a step budget,
-so "none" always means an exhaustive search and "unknown" means the
-budget ran out.
+The Hamilton solver runs seeded rotation-extension, then a deterministic
+backtracker, under one step budget, so "none" always means an
+exhaustive search and "unknown" means the budget ran out.
 """
 
 from __future__ import annotations
@@ -215,11 +215,14 @@ class HamiltonResult:
 def hamilton_path(fg: FlipGraph, cycle: bool = False,
                   forced_endpoints: tuple[int, int] | None = None,
                   budget: int = 2 * 10 ** 6) -> HamiltonResult:
-    """Deterministic backtracking search for a Hamilton path or cycle.
+    """Deterministic search for a Hamilton path or cycle: Posa's
+    rotation-extension heuristic for at most n^2 steps (and half the
+    budget), then exhaustive backtracking on what is left of the budget.
 
-    The budget counts node expansions, so identical inputs always give
-    identical outcomes.  A single-node flip graph counts as having a
-    trivial path and a trivial cycle.
+    The budget counts the steps of both, so identical inputs always give
+    identical outcomes; "none" comes only from the exhaustive search.  A
+    single-node flip graph counts as having a trivial path and a trivial
+    cycle.
     """
     n = fg.node_count
     if n == 0:
@@ -258,18 +261,13 @@ def hamilton_path(fg: FlipGraph, cycle: bool = False,
         n += 1
         start = virtual
 
-    # small graphs: exhaustive backtracking only ("none" needs it, and
-    # it gives up only once the whole budget is spent); large graphs:
-    # rotation-extension first, backtracking as fallback
-    if n <= 24:
-        status, order, steps = _backtrack_cycle(adj, n, start, budget)
-    else:
-        order, steps = _posa_cycle(adj, n, budget // 2)
-        if order is not None:
-            status = "found"
-        else:
-            status, order, extra = _backtrack_cycle(adj, n, start, budget - steps)
-            steps += extra
+    # rotation-extension first, for at most n^2 steps; only exhaustive
+    # backtracking, on the rest of the budget, may answer "none"
+    order, steps = _posa_cycle(adj, n, min(budget // 2, n * n))
+    status = "found"
+    if order is None:
+        status, order, extra = _backtrack_cycle(adj, n, start, budget - steps)
+        steps += extra
     if status != "found":
         return HamiltonResult(status, None, steps)
     for a, b in zip(order, order[1:] + (order[0],)):
@@ -318,8 +316,6 @@ def _posa_cycle(adj, n: int, budget: int):
     """Rotation-extension heuristic for a Hamilton cycle.  Choices come
     from a fixed linear congruential generator, so runs are repeatable.
     Returns (order, steps) with order None when the budget runs out."""
-    if budget <= 0:
-        return None, 0
     mask64 = (1 << 64) - 1
     state = 0x9E3779B97F4A7C15
 

@@ -43,6 +43,22 @@ def test_header_without_vertices_rejected(tmp_path, capsys, command):
         "error: line 1: a graph needs at least one vertex\n"
 
 
+@pytest.mark.parametrize("text, err", [
+    ("3 2\n0 1\n2 5\n", "line 3: edge 1 endpoint out of range: (2, 5)"),
+    ("3 1\n-1 0\n", "line 2: edge 0 endpoint out of range: (-1, 0)"),
+    ("3 1\nouter: 0 1\n0 1\n", "line 2: outer order must list every vertex exactly once"),
+    ("3 1\nouter: 0 1 2\nouter: 0 2 1\n0 1\n", "line 3: a second 'outer:' line"),
+    ("3 1\n0 \u0663\n", "line 2: edge endpoints must be integers"),
+    ("3 1\n0 1_0\n", "line 2: edge endpoints must be integers"),
+])
+def test_bad_graph_file_names_the_line(tmp_path, capsys, text, err):
+    graph = tmp_path / "bad.txt"
+    graph.write_text(text, encoding="utf-8")
+    rc, out = run(["label", str(graph)])
+    assert rc == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 class TestLabel:
     def test_fan_output(self, fan_file):
         rc, out = run(["label", fan_file])

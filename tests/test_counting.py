@@ -87,6 +87,12 @@ class TestCounts:
                                (3, 4), (4, 5), (3, 5)))
         assert count_matrix_tree(chain) == 9  # bridge contributes factor 1
 
+    @pytest.mark.parametrize("count", [count_matrix_tree, count_del_contract,
+                                       count_bruteforce, count_series_parallel])
+    def test_no_vertices_rejected(self, count):
+        with pytest.raises(GraphError, match="^a graph needs at least one vertex$"):
+            count(MultiGraph(0, ()))
+
     def test_bruteforce_guard(self):
         g = bundle_graph(21)
         with pytest.raises(GraphError):

@@ -109,6 +109,30 @@ class TestParseGraph:
         else:
             pytest.fail("expected ParseError")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("3 2\n0 1\n2 5\n", 3, "edge 1 endpoint out of range: (2, 5)"),
+        ("3 1\n# c\n-1 0\n", 3, "edge 0 endpoint out of range: (-1, 0)"),
+        ("3 1\nouter: 0 1\n0 1\n", 2, "outer order must list every vertex exactly once"),
+        ("3 1\nouter: 0 1 1\n0 1\n", 2, "outer order must list every vertex exactly once"),
+        ("3 1\nouter: 0 1 2\nouter: 0 2 1\n0 1\n", 3, "a second 'outer:' line"),
+        ("3 1\n0 \u0663\n", 2, "edge endpoints must be integers"),
+        ("3 1\n0 1_0\n", 2, "edge endpoints must be integers"),
+        ("3 1\n+0 1\n", 2, "edge endpoints must be integers"),
+        ("1_0 1\n0 1\n", 1, "expected integers in header 'n m'"),
+        ("\u0663 1\n0 1\n", 1, "expected integers in header 'n m'"),
+        ("3 1\nouter: 0 1 \u0662\n0 1\n", 2, "bad vertex in outer order"),
+        ("3 1\n0 1" + "0" * 5000 + "\n", 2, "edge endpoints must be integers"),
+    ])
+    def test_errors_name_their_line(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+    def test_signed_and_padded_integers(self):
+        p = parse_graph("03 2\nouter: 2 -0 1\n0 01\n1 2\n")
+        assert (p.graph.n, p.graph.edges, p.outer) == (3, ((0, 1), (1, 2)), (2, 0, 1))
+
 
 def crossing_pairs(g, pos):
     """Reference: every pair of edges that cross as chords between their

@@ -1,14 +1,17 @@
 """Flip graphs, Hamilton search, arborescences, small-graph sweeps."""
 
 import hashlib
+import io
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import (bundle_graph, complete_graph, cycle_graph,
                       diamond_embedding, diamond_graph, fan_embedding,
                       fan_graph, k33_graph)
+from spangray.cli import entry
 from spangray.counting import count_matrix_tree, enumerate_outerplane
 from spangray.embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph,
                                  blocks, build_embedding)
@@ -20,7 +23,9 @@ from spangray.flipgraph import (Arborescence, DiGraph, FlipGraph,
                                 enumerate_small_graphs,
                                 enumerate_spanning_trees,
                                 find_outerplane_order, hamilton_path,
-                                run_experiment, to_dot, to_text)
+                                run_experiment, to_dot, to_text,
+                                _backtrack_cycle, _posa_cycle,
+                                _validate_certificate)
 from spangray.treegen import (Exchange, ExchangeClass, RESTRICTIONS,
                               classify_exchange, greedy_listing)
 
@@ -152,6 +157,53 @@ def petersen_flip():
              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
              + [(i, 5 + i) for i in range(5)])
     return make_flip(10, edges)
+
+
+def fork_search(fg, cycle=False, forced_endpoints=None, budget=2 * 10 ** 6):
+    """Reference for ``hamilton_path``: the status of the search it
+    replaced.  That ran exhaustive backtracking alone on up to 24 search
+    nodes, and rotation-extension on half the budget first above that
+    (a path search adds a virtual node joined to every node, or to the
+    two forced endpoints, and looks for a cycle through it)."""
+    n = fg.node_count
+    if n == 1:
+        return "found"
+    if cycle and n == 2:
+        return "none"
+    adj = [sum(1 << j for j in nbrs) for nbrs in fg.adjacency]
+    start = 0
+    if not cycle:
+        ends = range(n) if forced_endpoints is None else forced_endpoints
+        for i in ends:
+            adj[i] |= 1 << n
+        adj.append(sum(1 << i for i in ends))
+        n, start = n + 1, n
+    steps = 0
+    if n > 24:
+        order, steps = _posa_cycle(adj, n, budget // 2)
+        if order is not None:
+            return "found"
+    return _backtrack_cycle(adj, n, start, budget - steps)[0]
+
+
+def sweep_flip_graphs(kind, max_n):
+    """The flip graphs that ``run_experiment(kind, max_n)`` searches, in
+    its order, each with the sweep's mode (cycle or path)."""
+    for n in range(2, max_n + 1):
+        if kind == "pivot":
+            for g in enumerate_small_graphs(n, "2-connected"):
+                yield build_flip_graph(g, "pivot"), True
+        elif kind == "paf":
+            for g in enumerate_small_graphs(n, "all"):
+                order = find_outerplane_order(g)
+                if order is not None:
+                    yield build_flip_graph(build_embedding(g, order), "paf"), True
+        else:
+            for d in enumerate_small_digraphs(n):
+                for root in range(n):
+                    fg = arborescence_flip_graph(d, root)
+                    if fg.node_count:
+                        yield fg, False
 
 
 def has_minor(g, h_edges, h_n):
@@ -355,6 +407,65 @@ class TestHamilton:
         assert hamilton_path(fg, cycle=False).status == "none"
 
 
+FAN_PIVOT = MultiGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)))
+
+
+class TestHamiltonMatchesForkSearch:
+    """Rotation-extension goes first at every size; every status must be
+    the one the size fork gave, which is exhaustive backtracking alone on
+    all but the largest graphs here, and every order found must be a
+    certificate."""
+
+    def check(self, fg, cycle=False, forced_endpoints=None):
+        r = hamilton_path(fg, cycle=cycle, forced_endpoints=forced_endpoints)
+        assert r.status == fork_search(fg, cycle, forced_endpoints)
+        if r.status == "found":
+            _validate_certificate(fg, r.order, cycle)
+            if forced_endpoints is not None:
+                assert {r.order[0], r.order[-1]} == set(forced_endpoints)
+        return r.status
+
+    @pytest.mark.parametrize("kind, max_n, count", [
+        ("pivot", 5, 15), ("paf", 5, 21), ("arborescence", 4, 400)])
+    def test_sweeps(self, kind, max_n, count):
+        statuses = [self.check(fg, cycle) for fg, cycle in sweep_flip_graphs(kind, max_n)]
+        assert len(statuses) == count and set(statuses) == {"found"}
+
+    @pytest.mark.parametrize("fg, has_path", [
+        (petersen_flip(), True),
+        (make_flip(8, [(i, j) for i in range(3) for j in range(3, 8)]), False),
+        (make_flip(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]), True),
+        (make_flip(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), False),
+    ], ids=["petersen", "k3,5", "cut-vertex", "disconnected"])
+    def test_no_hamilton_cycle(self, fg, has_path):
+        assert self.check(fg, cycle=True) == "none"
+        assert self.check(fg) == ("found" if has_path else "none")
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(11)
+        forced = Counter()
+        for _ in range(300):
+            # up to 10 nodes: the reference's forced-endpoint search on
+            # dense 12-node graphs takes seconds
+            n = rng.randrange(1, 11)
+            p = rng.random()
+            fg = make_flip(n, [e for e in itertools.combinations(range(n), 2)
+                               if rng.random() < p])
+            self.check(fg, cycle=True)
+            self.check(fg)
+            if n >= 2:
+                forced[self.check(fg, forced_endpoints=tuple(rng.sample(range(n), 2)))] += 1
+        assert forced["found"] >= 50 and forced["none"] >= 50
+
+    def test_fan_found_by_rotation_extension(self):
+        fg = build_flip_graph(FAN_PIVOT, "pivot")
+        assert fg.node_count == 21
+        r = hamilton_path(fg, cycle=True)
+        assert r.status == "found" and r.steps <= 21 ** 2
+        _validate_certificate(fg, r.order, cycle=True)
+        assert hamilton_path(fg, cycle=True, budget=10).status == "unknown"
+
+
 class TestArborescences:
     def bidirected(self, n):
         return DiGraph(n, tuple((a, b) for a in range(n)
@@ -474,6 +585,18 @@ class TestExperiments:
         rep = run_experiment("paf", 5)
         assert [r.line(False) for r in rep.records] == [
             f"graph={i} result=cyclic time=0" for i in range(21)]
+
+    @pytest.mark.parametrize("kind, max_n, digest", [
+        ("pivot", 5, "7e853bc7834c8ca9dc0347922ecf7150ff9464288a77f08c15e22bdfa8d6660e"),
+        ("arborescence", 4, "d02926d95afb25c05558ca4834ab81f4b1a7e71091e55dcbd046fd18af5dc453"),
+    ])
+    def test_cli_records_pinned(self, kind, max_n, digest):
+        """sha256 of ``spangray experiment --no-timings`` stdout, as
+        computed before rotation-extension ran first at every size."""
+        buf = io.StringIO()
+        assert entry(["experiment", "--kind", kind, "--max-n", str(max_n),
+                      "--no-timings"], out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
     def test_streaming_callback(self):
         got = []
