@@ -18,7 +18,7 @@ import sys
 from . import counting, flipgraph, treegen
 from .dualtree import (default_root_leaf, dual_tree_labeling,
                        orient_split_dual, split_dual)
-from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, ParsedGraph,
+from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, ParsedGraph, _ints,
                          blocks, build_embedding, parse_graph)
 from .errors import CertificationError, GraphError, ParseError
 
@@ -123,10 +123,8 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
     sd, osd, labeling = _labeling_for(emb, args.root)
     initial = None
     if args.initial is not None:
-        try:
-            labels = [int(t) for t in args.initial.split(",") if t.strip()]
-        except ValueError:
-            raise GraphError("--initial expects comma-separated labels")
+        labels = _ints([t.strip() for t in args.initial.split(",") if t.strip()],
+                       "--initial expects comma-separated labels", None)
         initial = treegen.spanning_tree_from_labels(g, labeling, labels)
     # the embedding makes g outerplane, so it reduces series-parallel
     expected = counting.count_series_parallel(g)
@@ -159,6 +157,7 @@ def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
     masks: list[int] = []
     steps: list[tuple[treegen.Exchange, None]] = []
     m = g.m
+    label = {str(l): l for l in range(1, m + 1)}   # each label as written by gen
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -169,12 +168,11 @@ def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
             parts = line.split()
             if len(parts) not in (4, 5) or parts[0] != "-" or parts[2] != "+":
                 raise ParseError(f"bad step line {line!r}", lineno)
-            try:
-                removed, added = int(parts[1]), int(parts[3])
-            except ValueError:
-                raise ParseError("step labels must be integers", lineno)
-            if not (1 <= removed <= m and 1 <= added <= m):
-                raise ParseError("step label out of range", lineno)
+            removed, added = label.get(parts[1]), label.get(parts[3])
+            if removed is None or added is None:
+                removed, added = _ints(parts[1:4:2], "step labels must be integers", lineno)
+                if not (1 <= removed <= m and 1 <= added <= m):
+                    raise ParseError("step label out of range", lineno)
             steps.append((treegen.Exchange(removed, added), None))
         else:
             if masks and len(steps) != len(masks):

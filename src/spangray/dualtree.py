@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _path_labels,
-                         _rooted_tree)
+from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _fundamental,
+                         _labels)
 from .errors import CertificationError, GraphError, NotTwoConnectedError
 
 
@@ -386,10 +386,9 @@ def alternative_pof_exchange(osd: OrientedSplitDual, labeling: EdgeLabeling,
         raise CertificationError("larger-label edge is the inward face edge")
 
     non_tree = e_id if f_id in tree else f_id
-    u, w = g.edges[non_tree]
     mask = sum(1 << (l - 1) for l in tree_labels)
-    path = _path_labels(_rooted_tree(g, labeling, mask), u, w)
-    cycle = {labeling.edge(l) for l in path} | {non_tree}
+    path = _fundamental(g, labeling, mask, g.m + 1)[labeling.label(non_tree)]
+    cycle = {labeling.edge(l) for l in _labels(path)} | {non_tree}
     if e_id not in cycle or f_id not in cycle:
         raise GraphError(f"exchange {exchange} is not valid for the tree")
 

@@ -511,105 +511,81 @@ def blocks(g: MultiGraph) -> list[Block]:
     return result
 
 
-def _rooted_tree(g: MultiGraph, labeling: EdgeLabeling, mask: int,
-                 k: int | None = None):
-    """The spanning tree whose labels are the set bits of ``mask``, with
-    its edges labelled ``k`` or more contracted (none if ``k`` is None),
-    rooted at vertex 0: as (part, parent, parent label) per-vertex
-    lists.  ``part[x]`` is the smallest vertex of x's contracted part,
-    which stands for the part; only those vertices have a parent, -1
-    elsewhere and at the root's part.  Paths between parts hold exactly
-    the labels below ``k`` of the paths in the whole tree.  ``mask``
-    must be a spanning tree; :func:`_exchange_tree` keeps the result up
-    to date across exchanges of labels below ``k``."""
+def _fundamental(g: MultiGraph, labeling: EdgeLabeling, mask: int, k: int) -> list[int]:
+    """The fundamental cuts and cycles of the spanning tree whose labels
+    are the set bits of ``mask``, restricted to the labels below ``k``,
+    as one bitmask per label (index 0 unused; bit l-1 holds label l).
+    For a tree label l < k, ``cut[l]`` holds the non-tree labels below k
+    whose tree path runs through l; for a non-tree label l < k, the tree
+    labels below k on its tree path (none for a loop).  Labels k and up
+    are in no mask and have 0, as if their tree edges were contracted.
+    ``mask`` must be a spanning tree.  Built in O(n + m) integer operations: a vertex's path bits from
+    vertex 0 give the cycles, a subtree's incident non-tree bits the
+    cuts.  :func:`_pivot` keeps it up to date across exchanges."""
     n = g.n
-    if k is None:
-        k = g.m + 1
     adj = [[] for _ in range(n)]
-    for l in range(1, g.m + 1):
-        if mask >> (l - 1) & 1:
-            u, v = g.edges[labeling.edge(l)]
-            adj[u].append((v, l))
-            adj[v].append((u, l))
-    part = [-1] * n
-    for s in range(n):
-        if part[s] < 0:
-            part[s] = s
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y, l in adj[x]:
-                    if l >= k and part[y] < 0:
-                        part[y] = s
-                        stack.append(y)
-    parent_v = [-1] * n
-    parent_l = [0] * n
-    up = [-1] * n
-    stack = [0]
-    while stack:
-        x = stack.pop()
+    at = [0] * n            # non-tree labels below k at each vertex; a loop cancels
+    chords = []
+    for (u, v), l in zip(g.edges, labeling.label_of):
+        b = 1 << l - 1
+        if mask & b:
+            t = l if l < k else 0       # label 0: contracted
+            adj[u].append((v, t))
+            adj[v].append((u, t))
+        elif l < k:
+            at[u] ^= b
+            at[v] ^= b
+            chords.append((l, u, v))
+    cut = [0] * (g.m + 1)
+    root = [0] * n          # tree labels below k on the path from vertex 0
+    up, up_label = [-1] * n, [0] * n
+    order = [0]
+    for x in order:
         for y, l in adj[x]:
             if y != up[x]:
-                up[y] = x
-                if l < k:
-                    parent_v[part[y]] = part[x]
-                    parent_l[part[y]] = l
-                stack.append(y)
-    return part, parent_v, parent_l
+                up[y], up_label[y] = x, l
+                root[y] = root[x] | (1 << l - 1 if l else 0)
+                order.append(y)
+    for x in reversed(order):
+        if x:
+            at[up[x]] ^= at[x]
+            if up_label[x]:
+                cut[up_label[x]] = at[x]
+    for l, u, v in chords:
+        cut[l] = root[u] ^ root[v]
+    return cut
 
 
-def _exchange_tree(tree, r: int, added: tuple[int, int], a: int) -> None:
-    """Update a tree from :func:`_rooted_tree` in place for the exchange
-    that drops the tree edge labelled ``r`` and adds the edge ``added``
-    (its endpoints) labelled ``a``, both below the tree's ``k``.  The
-    parts of the ends of ``added`` climb in turns until one crosses
-    ``r``: that end lies on the side cut off from the root, and the
-    parent links on its way up to ``r`` are reversed, so the side hangs
-    from the other end.  O(length of the cycle that ``added`` closes),
-    whatever the size of the side."""
-    part, parent_v, parent_l = tree
-    inner, outer = part[added[0]], part[added[1]]
-    x, y = inner, outer
-    for _ in parent_v:
-        if parent_l[x] == r:
-            break
-        if parent_l[y] == r:
-            inner, outer = outer, inner
-            break
-        if parent_v[x] >= 0:
-            x = parent_v[x]
-        if parent_v[y] >= 0:
-            y = parent_v[y]
-    else:
-        raise GraphError(f"label {a} does not close a cycle through label {r}")
-    x, up, label = inner, outer, a
-    while True:
-        nxt, nxt_label = parent_v[x], parent_l[x]
-        parent_v[x], parent_l[x] = up, label
-        if nxt_label == r:
-            return
-        x, up, label = nxt, x, nxt_label
+def _pivot(cut: list[int], r: int, a: int) -> None:
+    """Update ``cut`` from :func:`_fundamental` in place for the exchange
+    that drops the tree label ``r`` and adds the non-tree label ``a``,
+    both below its k, with r on a's cycle: the pivot of the fundamental
+    matrix at (r, a).  Each other tree label on a's cycle XORs in r's
+    cut and r (which drops a and adds r), each other non-tree label in
+    r's cut XORs in a's cycle and a (which drops r and adds a), and a
+    and r trade their masks.  O(|cycle of a| + |cut of r|) XORs."""
+    br, ba = 1 << r - 1, 1 << a - 1
+    cr, ca = cut[r], cut[a]
+    row, col = cr ^ br, ca ^ ba
+    x = ca ^ br
+    while x:
+        low = x & -x
+        cut[low.bit_length()] ^= row
+        x ^= low
+    x = cr ^ ba
+    while x:
+        low = x & -x
+        cut[low.bit_length()] ^= col
+        x ^= low
+    cut[a], cut[r] = row ^ ba, col ^ br
 
 
-def _path_labels(tree, u: int, v: int) -> list[int]:
-    """Labels on the u..v path of a tree from :func:`_rooted_tree`, in
-    O(path length): the parts of u and v climb in turns until one
-    reaches a part the other has passed."""
-    part, parent_v, parent_l = tree
-    u, v = part[u], part[v]
-    seen_u, seen_v = {u: 0}, {v: 0}     # part -> labels climbed to it
-    up_u, up_v = [], []
-    for _ in parent_v:
-        if u in seen_v:
-            return up_u + up_v[:seen_v[u]]
-        if v in seen_u:
-            return up_u[:seen_u[v]] + up_v
-        if parent_v[u] >= 0:
-            up_u.append(parent_l[u])
-            u = parent_v[u]
-            seen_u[u] = len(up_u)
-        if parent_v[v] >= 0:
-            up_v.append(parent_l[v])
-            v = parent_v[v]
-            seen_v[v] = len(up_v)
-    raise GraphError("the parent links do not form a tree")
+def _labels(x: int) -> list[int]:
+    """The labels whose bits are set in ``x`` (bit l-1 holds label l),
+    ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length())
+        x ^= low
+    return out

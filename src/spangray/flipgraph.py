@@ -384,11 +384,14 @@ def _ordered_candidates(adj, cur: int, visited: int, n: int):
 
 def _prunable(adj, visited: int, cur: int, start: int, n: int, full: int) -> bool:
     """Sound cut-offs only: the remaining route runs cur -> all free
-    nodes -> start, so every free node must be floodable from cur
-    through free nodes and must keep two usable links."""
+    nodes -> start, so start must keep a free neighbour, and every free
+    node must be floodable from cur through free nodes and must keep
+    two usable links."""
     free = full & ~visited
     if free == 0:
         return False
+    if not adj[start] & free:
+        return True
     comp = 0
     frontier = adj[cur] & free
     comp = frontier

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from . import counting
 from .dualtree import dual_tree_labeling, orient_split_dual, split_dual
-from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _exchange_tree,
-                         _path_labels, _rooted_tree)
+from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _fundamental, _labels,
+                         _pivot)
 from .errors import CertificationError, GraphError
 
 
@@ -138,25 +138,14 @@ def random_spanning_tree(g: MultiGraph, labeling: EdgeLabeling,
     return _kruskal(g, labeling, sorted(range(1, g.m + 1), key=lambda l: order[l - 1]))
 
 
-def _label_tables(g: MultiGraph, labeling: EdgeLabeling):
-    """Per label l (index 0 unused): the endpoints of its edge, and its mask bit."""
-    ends = [None] + [g.edges[labeling.edge(l)] for l in range(1, g.m + 1)]
-    bit = [0] + [1 << (l - 1) for l in range(1, g.m + 1)]
-    return ends, bit
-
-
-def _partners(bit, mask: int, path, f: int) -> list[int]:
-    """The labels e < f that exchange with f in the tree ``mask``,
-    ascending.  ``bit`` is the mask bit per label (:func:`_label_tables`)
-    and ``path(l)`` the labels on the tree path between the ends of l."""
-    if mask & bit[f]:
-        # removing f splits the tree; partners are the smaller non-tree
-        # labels whose tree path crosses the split, i.e. runs through f
-        # (a loop's path is empty)
-        return [e for e in range(1, f) if not mask & bit[e] and f in path(e)]
-    # adding f closes a cycle along the tree path between its endpoints;
-    # partners are the smaller path labels
-    return sorted(e for e in path(f) if e < f)
+def _widen(g: MultiGraph, labeling: EdgeLabeling, mask: int, f: int):
+    """``(k, cut)``: the tree state of :func:`greedy_walk` and
+    :func:`_first_non_tree` once they reach level f, the fundamental
+    cuts and cycles of ``mask`` (:func:`_fundamental`) below
+    k = min(2f, m + 1).  Doubling k keeps the number of builds per
+    walk O(log m) and the sets a step updates small."""
+    k = min(2 * f, g.m + 1)
+    return k, _fundamental(g, labeling, mask, k)
 
 
 def valid_exchanges(g: MultiGraph, labeling: EdgeLabeling,
@@ -165,17 +154,12 @@ def valid_exchanges(g: MultiGraph, labeling: EdgeLabeling,
     if tree.m != g.m:
         raise GraphError(f"tree has {tree.m} labels, the graph {g.m} edges")
     spanning_tree_from_labels(g, labeling, tree.labels())
-    ends, bit = _label_tables(g, labeling)
     mask = tree.mask
-    rooted = _rooted_tree(g, labeling, mask)
-    # each non-tree label's path once, as a set: every tree edge f
-    # tests the paths of all smaller non-tree labels
-    paths = [None] + [None if mask & bit[l] else frozenset(_path_labels(rooted, *ends[l]))
-                      for l in range(1, g.m + 1)]
+    cut = _fundamental(g, labeling, mask, g.m + 1)
     out = []
     for f in range(1, g.m + 1):
         f_in = mask >> (f - 1) & 1
-        for e in _partners(bit, mask, paths.__getitem__, f):
+        for e in _labels(cut[f] & (1 << f - 1) - 1):
             out.append(Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f))
     return tuple(out)
 
@@ -213,16 +197,20 @@ def _class_test(g: MultiGraph, emb: EmbeddedGraph | None,
     return lambda ex: table[index(ex.removed, ex.added)]
 
 
-def _prefer(index, table, kind: str, f: int, partners) -> tuple[int, int]:
-    """The position in ``partners``, ascending smaller labels that each
-    exchange with the larger label f, of the last one whose exchange is
-    of class ``kind``, and that exchange's class index.  ``index`` and
+def _prefer(index, table, kind: str, f: int, partners: int) -> tuple[int, int]:
+    """The largest label in ``partners``, a bitmask of smaller labels
+    that each exchange with the larger label f, whose exchange is of
+    class ``kind``, and that exchange's class index.  ``index`` and
     ``table`` come from :func:`_classifier`."""
-    for i in range(len(partners) - 1, -1, -1):
-        c = index(partners[i], f)
+    x = partners
+    while x:
+        e = x.bit_length()
+        c = index(e, f)
         if table[c]:
-            return i, c
-    raise CertificationError(f"no {kind} exchange in tie set {[(e, f) for e in partners]}")
+            return e, c
+        x ^= 1 << e - 1
+    raise CertificationError(
+        f"no {kind} exchange in tie set {[(e, f) for e in _labels(partners)]}")
 
 
 @dataclass(frozen=True)
@@ -264,8 +252,11 @@ def tiebreak_prefer(kind: str):
         index, table = _classifier(ctx.graph, ctx.embedding, ctx.labeling, kind)
         cands = ctx.candidates
         larger = cands[-1].larger if cands else 0
-        i, _ = _prefer(index, table, kind, larger, [x.smaller for x in cands])
-        return cands[i]
+        partners = 0
+        for x in cands:
+            partners |= 1 << x.smaller - 1
+        e, _ = _prefer(index, table, kind, larger, partners)
+        return next(x for x in reversed(cands) if x.smaller == e)
 
     rule.kind = kind
     return rule
@@ -316,13 +307,17 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
 
     Bit f-1 of the block mask ``h`` is set while the tree lies in the
     second half of its level-f block, the run of trees sharing its labels
-    above f.  The walk skips those levels; at the others every partner
-    of f reaches an unlisted tree, so all of them form the tie set.
-    The walk keeps the tree rooted, with its edges labelled k or more
-    contracted, and updates it per exchange by :func:`_exchange_tree`,
-    so a step pays for the labels below k on its paths only.  Partners
-    of f are read from it while f < k; a level f >= k rebuilds it with
-    k = 2f, so it is built O(log m) times.
+    above f.  The walk jumps over those levels by bit arithmetic; at the
+    others every partner of f reaches an unlisted tree, so all of them
+    form the tie set.  The tree state is one bitmask per label below a
+    threshold k (:func:`_fundamental`): a tree label's fundamental cut,
+    the non-tree labels whose tree path runs through it, and a non-tree
+    label's fundamental cycle, the tree labels on its path.  The
+    partners of f are then ``cut[f]`` below f, one AND.  An exchange
+    updates the state in place by :func:`_pivot`, a pivot of the
+    fundamental matrix in O(|cycle| + |cut|) XORs, so a step pays for
+    labels below k only.  A level f >= k rebuilds it with k = 2f
+    (:func:`_widen`), so it is built O(log m) times.
 
     A rule with a ``kind`` attribute (the built-in ones) is not called:
     the walk picks the last partner of that class itself, on labels.
@@ -339,33 +334,29 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     else:
         initial = spanning_tree_from_labels(g, labeling, initial)
 
-    ends, bit = _label_tables(g, labeling)
     mask, h = initial.mask, 0
-    k = min(2, g.m + 1)
-    rooted = _rooted_tree(g, labeling, mask, k)
-
-    def path(l):
-        return _path_labels(rooted, *ends[l])
-
+    k, cut = _widen(g, labeling, mask, 1)
+    full = (1 << g.m) - 1
     kind = getattr(tiebreak, "kind", None)
     table = None        # built at the first tie: a tree has none
     yield mask, None
     while True:
-        for f in range(1, g.m + 1):
-            if not h & bit[f]:
-                if f >= k:
-                    k = min(2 * f, g.m + 1)
-                    rooted = _rooted_tree(g, labeling, mask, k)
-                partners = _partners(bit, mask, path, f)
-                if partners:
-                    break
+        free = full & ~h
+        while free:
+            fbit = free & -free
+            f = fbit.bit_length()
+            if f >= k:
+                k, cut = _widen(g, labeling, mask, f)
+            partners = cut[f] & (fbit - 1)
+            if partners:
+                break
+            free ^= fbit
         else:
             return
-        fbit = bit[f]
         f_in = mask & fbit
         if kind is None:
             cands = tuple(Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f)
-                          for e in partners)
+                          for e in _labels(partners))
             chosen = tiebreak(TieContext(g, labeling, embedding, mask, cands))
             if chosen not in cands:
                 raise GraphError("tie-breaking rule left the tie set")
@@ -374,15 +365,14 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
             if table is None:
                 index, table = _classifier(g, embedding, labeling, kind)
             if kind == "any" and not classify:
-                i, c = len(partners) - 1, None
+                e, c = partners.bit_length(), None
             else:
-                i, c = _prefer(index, table, kind, f, partners)
-            e = partners[i]
+                e, c = _prefer(index, table, kind, f, partners)
             chosen = Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f)
             cls = _CLASSES[c] if classify else None
         r, a = chosen.removed, chosen.added
-        mask ^= bit[r] ^ bit[a]
-        _exchange_tree(rooted, r, ends[a], a)
+        mask ^= 1 << r - 1 ^ 1 << a - 1
+        _pivot(cut, r, a)
         # the tree enters the second half of its level-f block, and
         # every lower level starts a new block
         h = (h | fbit) & -fbit
@@ -492,13 +482,13 @@ class GrayReport:
 def _first_non_tree(g: MultiGraph, labeling: EdgeLabeling, masks) -> int | None:
     """Index of the first mask whose bits below m are not a spanning
     tree, or None.  A mask one swap away from the tree before it (label
-    r out, a in, both at most m) is a tree iff r lies on the tree path
-    of a: a path test on the previous tree, kept rooted and contracted
-    above k as :func:`greedy_walk` keeps it, with k raised to 2 max(r, a)
-    when a swap reaches it.  Any other mask gets the full union-find
-    test and a rebuild at k = 2."""
+    r out, a in, both at most m) is a tree iff r lies on the fundamental
+    cycle of a: one AND, ``cut[a] & bit r``, on the cut/cycle masks of
+    the previous tree below k, kept as :func:`greedy_walk` keeps them
+    (:func:`_pivot` per swap, :func:`_widen` once a swap reaches k).
+    Any other mask gets the full union-find test and a rebuild at
+    k = 2."""
     m = g.m
-    ends, _ = _label_tables(g, labeling)
     prev = 0            # no label leaves 0, so the first mask gets the full test
     for i, x in enumerate(masks):
         d = x ^ prev
@@ -506,16 +496,14 @@ def _first_non_tree(g: MultiGraph, labeling: EdgeLabeling, masks) -> int | None:
         top = max(r, a)
         if r and a and d == 1 << r - 1 | 1 << a - 1 and top <= m:
             if top >= k:
-                k = min(2 * top, m + 1)
-                tree = _rooted_tree(g, labeling, prev, k)
-            if r not in _path_labels(tree, *ends[a]):
+                k, cut = _widen(g, labeling, prev, top)
+            if not cut[a] >> r - 1 & 1:
                 return i
-            _exchange_tree(tree, r, ends[a], a)
+            _pivot(cut, r, a)
         else:
             if not g.is_spanning_tree([labeling.edge(p + 1) for p in range(m) if x >> p & 1]):
                 return i
-            k = min(2, m + 1)
-            tree = _rooted_tree(g, labeling, x, k)
+            k, cut = _widen(g, labeling, x, 1)
         prev = x
     return None
 

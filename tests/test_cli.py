@@ -293,6 +293,16 @@ class TestGen:
         rc, _ = run(["gen", fan_file, "--initial", "1,2,3,4"])
         assert rc == 2
 
+    @pytest.mark.parametrize("labels", ["1,2,4,\u0666", "1,\uff12,4,6", "+1,2,4,6",
+                                        "1,2,4,6_0"])
+    def test_initial_labels_are_ascii_integers(self, fan_file, labels, capsys):
+        """``--initial 1,2,4,6`` is a tree; the same labels with a
+        non-ASCII digit, a sign or an underscore, which ``int`` reads,
+        exit 2."""
+        rc, out = run(["gen", fan_file, "--initial", labels])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == "error: --initial expects comma-separated labels\n"
+
     def test_missing_file(self):
         rc, _ = run(["gen", "/nonexistent/graph.txt"])
         assert rc == 2
@@ -372,6 +382,22 @@ class TestVerify:
             for mask in (0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(5))):
                 listing = parse_listing(_chi_line(mask, m) + "\n", g, lab, None, False)
                 assert listing.masks() == [mask]
+
+    @pytest.mark.parametrize("digit", ["\u0661", "\uff11", "\U0001d7cf"])
+    def test_step_label_with_non_ascii_digit_exits_2(self, fan_file, tmp_path, digit,
+                                                     capsys):
+        """A step line whose label 1 is written with another script's
+        digit one, which ``int`` reads as 1, exits 2 naming its line."""
+        _, listing = run(["gen", fan_file])
+        lines = listing.splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if line.startswith("- 1 + "))
+        lines[lineno - 1] = "- " + digit + lines[lineno - 1][3:]
+        lp = tmp_path / "l.txt"
+        lp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["verify", fan_file, str(lp)]) == (2, "")
+        assert capsys.readouterr().err == \
+            f"error: line {lineno}: step labels must be integers\n"
 
     @pytest.mark.parametrize("bad", ["1_0", "+10", "10+", "1 0"])
     def test_tree_line_with_stray_characters(self, bad):

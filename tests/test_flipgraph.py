@@ -24,7 +24,7 @@ from spangray.flipgraph import (Arborescence, DiGraph, FlipGraph,
                                 enumerate_spanning_trees,
                                 find_outerplane_order, hamilton_path,
                                 run_experiment, to_dot, to_text,
-                                _backtrack_cycle, _posa_cycle,
+                                _backtrack_cycle, _posa_cycle, _prunable,
                                 _validate_certificate)
 from spangray.treegen import (Exchange, ExchangeClass, RESTRICTIONS,
                               classify_exchange, greedy_listing)
@@ -379,6 +379,22 @@ class TestHamilton:
         r = hamilton_path(make_flip(4, [(0, 1), (1, 2), (2, 3)]),
                           forced_endpoints=(0, 1))
         assert r.status == "none"
+
+    def test_prune_when_start_has_no_free_neighbour(self):
+        """Path 4 -> 0 -> 1 in K4 plus a node 4 joined to 0 and 1: the
+        free nodes 2 and 3 are reachable from 1 and keep two links each,
+        but the cycle cannot close at 4, whose neighbours are used."""
+        adj = [0b11110, 0b11101, 0b01011, 0b00111, 0b00011]
+        assert _prunable(adj, 0b10011, 1, 4, 5, 0b11111)
+        assert not _prunable(adj, 0b10001, 0, 4, 5, 0b11111)
+
+    def test_same_side_ends_of_bipartite_graph(self):
+        """K_{6,6} has no Hamilton path with both ends on one side.  The
+        exhaustive search says so after 99,363 steps; without the check
+        that the cycle can still close at its start, it took 323,343."""
+        edges = [(i, j) for i in range(6) for j in range(6, 12)]
+        r = hamilton_path(make_flip(12, edges), forced_endpoints=(0, 1))
+        assert (r.status, r.steps) == ("none", 99363)
 
     def test_trivial_sizes(self):
         one = make_flip(1, [])

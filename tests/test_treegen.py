@@ -13,13 +13,13 @@ from spangray.counting import (count_matrix_tree, enumerate_outerplane,
                                extremal_family)
 from spangray.dualtree import (default_root_leaf, dual_tree_labeling,
                                orient_split_dual, split_dual)
-from spangray.embedgraph import (EdgeLabeling, MultiGraph, _path_labels,
-                                 _rooted_tree, build_embedding)
+from spangray.embedgraph import (EdgeLabeling, MultiGraph, _fundamental,
+                                 build_embedding)
 from spangray.errors import CertificationError, GraphError
 from spangray.flipgraph import Arborescence, enumerate_spanning_trees
 from spangray.treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
                               SpanningTree, TieContext, _class_test,
-                              _label_tables, _partners, classify_exchange,
+                              classify_exchange,
                               greedy_listing,
                               greedy_walk, kruskal_tree, random_spanning_tree,
                               spanning_tree_from_labels, tiebreak_closest,
@@ -44,20 +44,80 @@ def genlex_brute(masks, m):
     return True
 
 
+def rooted(g, lab, mask):
+    """The tree ``mask`` searched from vertex 0: per vertex its parent
+    (-1 at the root), the label of the edge to it and its depth."""
+    adj = [[] for _ in range(g.n)]
+    for l in range(1, g.m + 1):
+        if mask >> (l - 1) & 1:
+            u, v = g.edges[lab.edge(l)]
+            adj[u].append((v, l))
+            adj[v].append((u, l))
+    up, up_label, depth = [-1] * g.n, [0] * g.n, [0] * g.n
+    todo = [0]
+    while todo:
+        x = todo.pop()
+        for y, l in adj[x]:
+            if y != up[x]:
+                up[y], up_label[y], depth[y] = x, l, depth[x] + 1
+                todo.append(y)
+    return up, up_label, depth
+
+
+def tree_paths(g, lab, mask):
+    """``path(l)``: the labels on the tree path between the ends of
+    label l, by climbing the tree ``mask`` searched from vertex 0."""
+    up, up_label, depth = rooted(g, lab, mask)
+
+    def path(l):
+        u, v = g.edges[lab.edge(l)]
+        labels = []
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            labels.append(up_label[u])
+            u = up[u]
+        return labels
+
+    return path
+
+
+def reference_cut(g, lab, mask, k):
+    """``_fundamental`` by path searches: per non-tree label below k the
+    tree labels below k on its path, per tree label below k the non-tree
+    labels below k whose path runs through it, 0 elsewhere."""
+    path = tree_paths(g, lab, mask)
+    cut = [0] * (g.m + 1)
+    for l in range(1, k):
+        if not mask >> (l - 1) & 1:
+            for t in path(l):
+                if t < k:
+                    cut[l] |= 1 << t - 1
+                    cut[t] |= 1 << l - 1
+    return cut
+
+
+def _partners(bit, mask, path, f):
+    """The labels e < f that exchange with f in the tree ``mask``,
+    ascending, from the tree paths: a tree label's partners are the
+    smaller non-tree labels whose path runs through it (a loop's path
+    is empty), a non-tree label's the smaller labels on its path."""
+    if mask & bit[f]:
+        return [e for e in range(1, f) if not mask & bit[e] and f in path(e)]
+    return sorted(e for e in path(f) if e < f)
+
+
 def visited_set_walk(g, lab, emb, initial, tiebreak, max_trees=None):
     """Reference greedy walk that remembers every tree it listed: each
     step takes the smallest larger label f with a partner e whose
     exchange reaches an unlisted tree, and breaks the tie among those.
-    It rebuilds the whole rooted tree for every tree."""
-    ends, bit = _label_tables(g, lab)
+    It searches the whole tree again for every tree."""
+    bit = [0] + [1 << (l - 1) for l in range(1, g.m + 1)]
     mask = initial.mask
     visited, masks, steps = {mask}, [mask], []
 
-    def path(l):
-        return _path_labels(tree, *ends[l])
-
     while len(masks) != max_trees:
-        tree = _rooted_tree(g, lab, mask)
+        path = tree_paths(g, lab, mask)
         for f in range(1, g.m + 1):
             f_in = mask & bit[f]
             cands = tuple(Exchange(removed=f, added=e) if f_in
@@ -98,7 +158,7 @@ def off_path_swaps(g, lab, mask):
     """Every (r, a) with a a non-tree label and r a tree label off the
     tree path of a, split by whether r lies above the lowest common
     ancestor of a's ends in the tree rooted at vertex 0."""
-    _, up, up_label = _rooted_tree(g, lab, mask)
+    up, up_label, _ = rooted(g, lab, mask)
 
     def climb(x):
         labels = set()
@@ -575,18 +635,17 @@ class TestWalk:
         lambda seed: tiebreak_random(random.Random(seed)),
     ], ids=["closest", "prefer-pof", "random"])
     def test_tree_state_matches_rebuild(self, make, monkeypatch):
-        """The walk builds its rooted, contracted tree O(log m) times and
-        updates it per exchange; after every step it equals the tree
-        rebuilt from the mask with the same k (a rooted tree's part,
-        parent and label arrays are unique).  Every outerplane
+        """The walk builds its cut/cycle masks O(log m) times and pivots
+        them per exchange; after every step they equal the masks of the
+        tree found by path searches with the same k.  Every outerplane
         multigraph with m <= 7, every root, two seeded initial trees."""
         held = []
 
         def build(*args):
-            held.append((args[3], _rooted_tree(*args)))
+            held.append((args[3], _fundamental(*args)))
             return held[-1][1]
 
-        monkeypatch.setattr(treegen, "_rooted_tree", build)
+        monkeypatch.setattr(treegen, "_fundamental", build)
         rng = random.Random(9)
         trees = 0
         for emb in enumerate_outerplane(7):
@@ -599,8 +658,8 @@ class TestWalk:
                     held.clear()
                     for mask, _ in greedy_walk(g, lab, emb, init,
                                                make(rng.randrange(2 ** 32))):
-                        k, tree = held[-1]
-                        assert tree == _rooted_tree(g, lab, mask, k)
+                        k, cut = held[-1]
+                        assert cut == reference_cut(g, lab, mask, k)
                         trees += 1
                     assert len(held) <= 1 + g.m.bit_length()
         assert trees == 5148         # the trees of 410 complete walks
@@ -612,13 +671,14 @@ class TestWalk:
     ], ids=["closest", "prefer-pof", "random"])
     def test_larger_graphs_match_reference(self, make, monkeypatch):
         """Seeded 2-connected outerplane multigraphs up to n = 60, whose
-        walks widen the contracted tree several times: the first 300
+        walks widen their cut/cycle masks several times: the first 300
         trees and steps equal those of the reference walk, and after
-        every step the tree equals a rebuild with the same k."""
+        every step the masks equal those found by path searches with the
+        same k."""
         held = []
 
         def build(*args):
-            held.append((args[3], _rooted_tree(*args)))
+            held.append((args[3], _fundamental(*args)))
             return held[-1][1]
 
         rng = random.Random(13)
@@ -632,61 +692,58 @@ class TestWalk:
             masks, steps = visited_set_walk(g, lab, emb, init, make(seed), max_trees=300)
             held.clear()
             with monkeypatch.context() as mp:
-                mp.setattr(treegen, "_rooted_tree", build)
+                mp.setattr(treegen, "_fundamental", build)
                 walk = []
                 for mask, step in itertools.islice(
                         greedy_walk(g, lab, emb, init, make(seed)), 300):
-                    k, tree = held[-1]
-                    assert tree == _rooted_tree(g, lab, mask, k)
+                    k, cut = held[-1]
+                    assert cut == reference_cut(g, lab, mask, k)
                     walk.append((mask, step))
             assert [mask for mask, _ in walk] == masks
             assert [step[0] for _, step in walk[1:]] == steps
             assert 3 <= len(held) <= 1 + g.m.bit_length()
 
+    def test_tree_state_stays_small_at_scale(self, monkeypatch):
+        """On the m = 3001 strip, a 1000-tree walk and the verify of its
+        listing reach low levels only, so every cut/cycle build keeps its
+        threshold k small: neither ever builds the whole fundamental
+        matrix, whose masks would be m bits wide."""
+        emb = extremal_family(1500, 0)
+        g = emb.graph
+        lab = dual_tree_labeling(orient_split_dual(split_dual(emb)))
+        ks = []
+
+        def build(*args):
+            ks.append(args[3])
+            return _fundamental(*args)
+
+        monkeypatch.setattr(treegen, "_fundamental", build)
+        listing = greedy_listing(g, labeling=lab, embedding=emb, max_trees=1000)
+        walk_builds = len(ks)
+        assert g.m == 3001 and len(listing.trees) == 1000
+        assert verify_gray(listing, "pof").ok
+        assert 0 < walk_builds < len(ks)
+        assert max(ks) < 64
+
     def test_contracted_paths_keep_the_low_labels(self):
-        """Contracting the tree edges labelled k or more leaves, between
-        the parts of any two vertices, exactly the labels below k of
-        their tree path (found here by a search of the whole tree), and
-        names each part by its smallest vertex."""
+        """For every threshold k, each non-tree label below k holds
+        exactly the labels below k of its tree path (found here by a
+        search of the whole tree), each tree label below k the non-tree
+        labels below k whose path runs through it, and every label from
+        k up holds nothing, as if its tree edge were contracted.  A
+        loop's cycle is empty.  Shuffled labelings, loops added."""
         rng = random.Random(17)
-        for n in (2, 5, 12, 30):
-            g = random_outerplane_multigraph(n, rng)
-            perm = list(range(1, g.m + 1))
-            rng.shuffle(perm)
-            lab = EdgeLabeling(tuple(perm))
+        for n in (1, 2, 5, 12, 30):
+            g = with_loop(random_outerplane_multigraph(n, rng), rng) if n > 1 \
+                else MultiGraph(1, ((0, 0),))
+            lab = EdgeLabeling.shuffled(g.m, rng)
             mask = random_spanning_tree(g, lab, rng).mask
-            adj = [[] for _ in range(n)]
-            for l in range(1, g.m + 1):
-                if mask >> (l - 1) & 1:
-                    u, v = g.edges[lab.edge(l)]
-                    adj[u].append((v, l))
-                    adj[v].append((u, l))
-
-            def tree_path(u, v):
-                back = {u: None}
-                todo = [u]
-                while todo:
-                    x = todo.pop()
-                    for y, l in adj[x]:
-                        if y not in back:
-                            back[y] = (x, l)
-                            todo.append(y)
-                labels = []
-                while back[v] is not None:
-                    v, l = back[v]
-                    labels.append(l)
-                return labels
-
-            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(40)]
             for k in range(1, g.m + 2):
-                tree = _rooted_tree(g, lab, mask, k)
-                part = tree[0]
-                for x in range(n):
-                    assert part[part[x]] == part[x] <= x
-                for u, v in pairs:
-                    want = sorted(l for l in tree_path(u, v) if l < k)
-                    assert sorted(_path_labels(tree, u, v)) == want
-                    assert (part[u] == part[v]) == (want == [])
+                cut = _fundamental(g, lab, mask, k)
+                assert cut == reference_cut(g, lab, mask, k)
+                assert not any(cut[k:])
+            for e in g.loop_edges():
+                assert cut[lab.label(e)] == 0
 
     @pytest.mark.parametrize("rule", [tiebreak_closest, tiebreak_prefer("pof")],
                              ids=["closest", "prefer-pof"])
@@ -853,7 +910,7 @@ class TestVerifiers:
 
         def build(*args):
             built.append(args[3])
-            return _rooted_tree(*args)
+            return _fundamental(*args)
 
         names, most = set(), 0
         for listing in listings:
@@ -863,7 +920,7 @@ class TestVerifiers:
                 k = "any" if plain else klass
                 built.clear()
                 with monkeypatch.context() as mp:
-                    mp.setattr(treegen, "_rooted_tree", build)
+                    mp.setattr(treegen, "_fundamental", build)
                     rep = verify_gray(fake, k)
                 with monkeypatch.context() as mp:
                     mp.setattr(treegen, "_first_non_tree", from_scratch_first_non_tree)
