@@ -134,7 +134,7 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
         check=True, classify=True, expected_count=expected)
     for line in listing.render_lines():
         print(line, file=out)
-    classes = [c for _, c in listing.steps]
+    classes = {c for _, c in listing.steps}
     flags = {
         "all-pivot": all(c.pivot for c in classes),
         "all-face": all(c.face for c in classes),
@@ -149,21 +149,21 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
-                  embedding: EmbeddedGraph | None,
-                  assume_complete: bool) -> treegen.Listing:
-    """Read back the cmd_gen format: chi lines alternating with
-    "- <removed> + <added> [classes]" step lines; "#" lines ignored."""
+def _read_listing(text: str, g: MultiGraph) -> tuple[list[int], list[tuple[int, int]]]:
+    """The tree masks and the ``(removed, added)`` step label pairs of a
+    listing in the cmd_gen format: chi lines alternating with
+    "- <removed> + <added> [classes]" step lines; blank and "#" lines
+    ignored.  A line's first character tells which it is."""
     masks: list[int] = []
-    steps: list[tuple[treegen.Exchange, None]] = []
+    pairs: list[tuple[int, int]] = []
     m = g.m
     label = {str(l): l for l in range(1, m + 1)}   # each label as written by gen
+    tree_next = True    # a tree line comes next: first, and after each step
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("-"):
-            if not masks or len(steps) != len(masks) - 1:
+        first = line[:1]
+        if first == "-":
+            if tree_next:
                 raise ParseError("step line without a preceding tree", lineno)
             parts = line.split()
             if len(parts) not in (4, 5) or parts[0] != "-" or parts[2] != "+":
@@ -173,21 +173,32 @@ def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
                 removed, added = _ints(parts[1:4:2], "step labels must be integers", lineno)
                 if not (1 <= removed <= m and 1 <= added <= m):
                     raise ParseError("step label out of range", lineno)
-            steps.append((treegen.Exchange(removed, added), None))
-        else:
-            if masks and len(steps) != len(masks):
+            pairs.append((removed, added))
+            tree_next = True
+        elif first and first != "#":
+            if not tree_next:
                 raise ParseError("tree line without a step line", lineno)
             if len(line) != m or line.strip("01"):
                 raise ParseError(f"expected {m} bits, got {line!r}", lineno)
             # the check above keeps out the "_" and sign int() would take;
             # bit 0 is leftmost
             masks.append(int(line[::-1], 2))
+            tree_next = False
     if not masks:
         raise ParseError("listing contains no trees")
-    if len(steps) != len(masks) - 1:
+    if tree_next:
         raise ParseError("trailing step line without a following tree")
-    trees = tuple(treegen.SpanningTree(m, x) for x in masks)
-    return treegen.Listing(g, labeling, embedding, trees, tuple(steps),
+    return masks, pairs
+
+
+def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
+                  embedding: EmbeddedGraph | None,
+                  assume_complete: bool) -> treegen.Listing:
+    """The listing :func:`_read_listing` reads, as a :class:`treegen.Listing`."""
+    masks, pairs = _read_listing(text, g)
+    return treegen.Listing(g, labeling, embedding,
+                           tuple(treegen.SpanningTree(g.m, x) for x in masks),
+                           tuple((treegen.Exchange(r, a), None) for r, a in pairs),
                            truncated=not assume_complete,
                            complete=assume_complete or None)
 
@@ -197,14 +208,14 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     g = parsed.graph
     emb = _embed(g, parsed.outer)
     sd, osd, labeling = _labeling_for(emb, args.root)
-    listing = parse_listing(_read(args.listing), g, labeling, emb,
-                            args.expect_complete)
-    genlex_ok = treegen.verify_genlex(listing)
+    masks, pairs = _read_listing(_read(args.listing), g)
+    genlex_ok = treegen.verify_genlex_masks(masks, g.m)
     print(f"genlex: {'ok' if genlex_ok else 'FAIL'}", file=out)
     # the embedding makes g outerplane, so it reduces series-parallel
     expected = counting.count_series_parallel(g) if args.expect_complete else None
-    rep = treegen.verify_gray(listing, required_class=args.klass,
-                              expected_count=expected)
+    rep = treegen.verify_gray_masks(g, labeling, emb, masks, pairs,
+                                    truncated=not args.expect_complete,
+                                    required_class=args.klass, expected_count=expected)
     if rep.ok:
         print(f"exchanges: ok class={args.klass} trees={rep.count}"
               + (f" expected={rep.expected}" if rep.expected is not None else ""),

@@ -236,7 +236,15 @@ def parse_graph(text: str) -> ParsedGraph:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected edge line 'u v', got {line!r}", lineno)
-        u, v = _ints(parts, "edge endpoints must be integers", lineno)
+        u, v = parts
+        try:
+            # ASCII digits are what _ints reads, without its regex; a sign,
+            # anything else and a token too long for int go through _ints
+            if not (u.isascii() and u.isdigit() and v.isascii() and v.isdigit()):
+                raise ValueError
+            u, v = int(u), int(v)
+        except ValueError:
+            u, v = _ints(parts, "edge endpoints must be integers", lineno)
         if len(edges) >= m:
             raise ParseError("more edge lines than declared by header", lineno)
         if not (0 <= u < n and 0 <= v < n):

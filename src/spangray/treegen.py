@@ -510,14 +510,28 @@ def _first_non_tree(g: MultiGraph, labeling: EdgeLabeling, masks) -> int | None:
 
 def verify_gray(listing: Listing, required_class: str = "any",
                 expected_count: int | None = None) -> GrayReport:
-    """Re-validate a listing: every tree a spanning tree, no repeats,
-    completeness against an independent count, one exchange per
-    consecutive pair, and the requested class for every step."""
-    keep = _class_test(listing.graph, listing.embedding, listing.labeling, required_class)
-    m = listing.graph.m
+    """:func:`verify_gray_masks` on the listing's masks and the label
+    pairs its steps record."""
+    return verify_gray_masks(listing.graph, listing.labeling, listing.embedding,
+                             listing.masks(),
+                             [(ex.removed, ex.added) for ex, _ in listing.steps],
+                             listing.truncated, required_class, expected_count)
+
+
+def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
+                      embedding: EmbeddedGraph | None, masks, pairs,
+                      truncated: bool, required_class: str = "any",
+                      expected_count: int | None = None) -> GrayReport:
+    """Re-validate a listing given as its tree masks and the
+    ``(removed, added)`` label pair each step records: every tree a
+    spanning tree, no repeats, completeness against an independent
+    count unless ``truncated``, one exchange per consecutive pair, the
+    pair it records, and the requested class for every step."""
+    index, table = _classifier(g, embedding, labeling, required_class)
+    check_class = required_class != "any"
+    m = g.m
     bad = []
-    masks = listing.masks()
-    first_bad = _first_non_tree(listing.graph, listing.labeling, masks)
+    first_bad = _first_non_tree(g, labeling, masks)
     if first_bad is not None:
         bad.append(f"tree {first_bad} is not a spanning tree")
     if len(set(masks)) != len(masks):
@@ -528,24 +542,27 @@ def verify_gray(listing: Listing, required_class: str = "any",
                 break
             seen[x] = i
     expected = expected_count
-    if not listing.truncated:
+    if not truncated:
         if expected is None:
-            expected = _count_trees(listing.graph, listing.embedding)
+            expected = _count_trees(g, embedding)
         if len(masks) != expected:
             bad.append(f"listing has {len(masks)} trees, count says {expected}")
-    for i in range(1, len(masks)):
-        diff = masks[i] ^ masks[i - 1]
-        out_bits = diff & masks[i - 1]
-        in_bits = diff & masks[i]
-        if bin(out_bits).count("1") != 1 or bin(in_bits).count("1") != 1:
+    recorded = len(pairs)
+    rest = iter(masks)
+    prev = next(rest, 0)
+    for i, x in enumerate(rest, start=1):
+        d = x ^ prev
+        out_bit, in_bit = d & prev, d & x
+        prev = x
+        if not out_bit or out_bit & out_bit - 1 or not in_bit or in_bit & in_bit - 1:
             bad.append(f"trees {i - 1},{i} do not differ in one exchange")
             continue
-        ex = Exchange(removed=out_bits.bit_length(), added=in_bits.bit_length())
-        if i - 1 < len(listing.steps):
-            rec = listing.steps[i - 1][0]
-            if rec != ex:
-                bad.append(f"step {i - 1} records {rec.pair()}, trees differ by {ex.pair()}")
+        r, a = out_bit.bit_length(), in_bit.bit_length()
+        if i <= recorded and pairs[i - 1] != (r, a):
+            bad.append(f"step {i - 1} records {tuple(sorted(pairs[i - 1]))}, "
+                       f"trees differ by {tuple(sorted((r, a)))}")
         # a label above m names no edge, so the exchange is of no class
-        if required_class != "any" and (ex.larger > m or not keep(ex)):
-            bad.append(f"step {i - 1} exchange {ex.pair()} is not {required_class}")
+        if check_class and (r > m or a > m or not table[index(r, a)]):
+            bad.append(f"step {i - 1} exchange {tuple(sorted((r, a)))} "
+                       f"is not {required_class}")
     return GrayReport(not bad, tuple(bad), len(masks), expected)

@@ -2,10 +2,11 @@
 
 import io
 import random
+import re
 
 import pytest
 
-from spangray import cli, counting, flipgraph
+from spangray import cli, counting, flipgraph, treegen
 from spangray.cli import entry, parse_listing
 from spangray.embedgraph import EdgeLabeling, MultiGraph
 from spangray.errors import ParseError
@@ -50,6 +51,8 @@ def test_header_without_vertices_rejected(tmp_path, capsys, command):
     ("3 1\nouter: 0 1 2\nouter: 0 2 1\n0 1\n", "line 3: a second 'outer:' line"),
     ("3 1\n0 \u0663\n", "line 2: edge endpoints must be integers"),
     ("3 1\n0 1_0\n", "line 2: edge endpoints must be integers"),
+    # past int's 4,300-digit limit for reading a string
+    ("3 1\n0 " + "1" * 5000 + "\n", "line 2: edge endpoints must be integers"),
 ])
 def test_bad_graph_file_names_the_line(tmp_path, capsys, text, err):
     graph = tmp_path / "bad.txt"
@@ -406,6 +409,87 @@ class TestVerify:
         with pytest.raises(ParseError) as exc:
             parse_listing(text, g, EdgeLabeling.identity(3), None, False)
         assert exc.value.line == 3
+
+    def test_seeded_listing_mutations(self, fan_file, tmp_path, capsys):
+        """Seeded mutations of the fan's listing file: cut lines, stray
+        characters, 5,000-digit labels, labels 0 and m + 1, duplicated
+        or swapped lines, blank and "#" lines.  verify exits 0, 1 or 2
+        with no traceback, and exit 2 names a line, unless the fault is
+        where the listing ends."""
+        _, listing = run(["gen", fan_file, "--tiebreak", "prefer-pof"])
+        base = listing.splitlines()
+        steps = [i for i, line in enumerate(base) if line.startswith("-")]
+        rng = random.Random(5)
+        stray = "01-+#_ x\t\u0663"
+        ends = {"error: listing contains no trees\n",
+                "error: trailing step line without a following tree\n"}
+
+        def label(text):
+            parts = base[i].split()
+            parts[rng.choice((1, 3))] = text
+            return " ".join(parts)
+
+        lp = tmp_path / "l.txt"
+        codes = []
+        for _ in range(300):
+            lines = list(base)
+            for _ in range(rng.randrange(1, 3)):
+                i = rng.randrange(len(lines))
+                kind = rng.randrange(7)
+                if kind == 0:
+                    del lines[i]
+                elif kind == 1:
+                    lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+                elif kind == 2:
+                    j = rng.randrange(len(lines[i]) + 1)
+                    lines[i] = lines[i][:j] + rng.choice(stray) + lines[i][j:]
+                elif kind == 3:
+                    i = rng.choice(steps)
+                    lines[i] = label(rng.choice(("9" * 5000, "0", "8")))
+                elif kind == 4:
+                    lines.insert(i, lines[i])
+                elif kind == 5:
+                    j = rng.randrange(len(lines))
+                    lines[i], lines[j] = lines[j], lines[i]
+                else:
+                    lines.insert(i, rng.choice(("", "   ", "#", "# note")))
+            lp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            rc, _ = run(["verify", fan_file, str(lp), "--class", "pof",
+                         "--expect-complete"])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if rc == 2:
+                assert re.fullmatch(r"error: line \d+: .+\n", err) or err in ends, err
+            else:
+                assert rc in (0, 1) and err == ""
+            codes.append(rc)
+        assert set(codes) == {0, 1, 2}
+
+    def test_verify_makes_no_tree_or_exchange_objects(self, fan_file, tmp_path,
+                                                      monkeypatch):
+        """verify reads the listing as masks and label pairs: it builds
+        no SpanningTree and no Exchange, where parse_listing builds one
+        per tree and one per step."""
+        _, listing = run(["gen", fan_file, "--tiebreak", "prefer-pof"])
+        lp = tmp_path / "l.txt"
+        lp.write_text(listing)
+        made = []
+
+        def counted(cls):
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    made.append(cls.__name__)
+                    super().__init__(*args, **kwargs)
+            return Counted
+
+        monkeypatch.setattr(treegen, "SpanningTree", counted(treegen.SpanningTree))
+        monkeypatch.setattr(treegen, "Exchange", counted(treegen.Exchange))
+        assert run(["verify", fan_file, str(lp), "--class", "pof", "--expect-complete"]) \
+            == (0, "genlex: ok\nexchanges: ok class=pof trees=21 expected=21\n")
+        assert made == []
+        g = MultiGraph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (3, 4), (0, 4)))
+        parse_listing(listing, g, EdgeLabeling.identity(7), None, True)
+        assert made.count("SpanningTree") == 21 and made.count("Exchange") == 20
 
     def test_parser_built_once(self, fan_file, tmp_path, monkeypatch, capsys):
         """gen, a usage error, gen again and verify in one process print

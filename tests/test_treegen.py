@@ -1,5 +1,6 @@
 """Greedy generation, tie rules, genlex verification, exchange classes."""
 
+import io
 import itertools
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from conftest import (bundle_graph, cycle_graph, k33_graph, loopy_triangle,
                       random_outerplane_multigraph, wheel_graph)
 from spangray import treegen
+from spangray.cli import entry
 from spangray.counting import (count_matrix_tree, enumerate_outerplane,
                                extremal_family)
 from spangray.dualtree import (default_root_leaf, dual_tree_labeling,
@@ -26,6 +28,17 @@ from spangray.treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
                               tiebreak_prefer, tiebreak_random,
                               valid_exchanges, verify_genlex,
                               verify_genlex_masks, verify_gray)
+
+
+# a phrase of each violation verify_gray reports
+VIOLATIONS = ("is not a spanning tree", "repeats tree", "count says",
+              "do not differ", "records", "exchange (")
+
+
+def run_cli(argv):
+    """``spangray`` with argv, as (exit code, stdout)."""
+    buf = io.StringIO()
+    return entry(argv, out=buf), buf.getvalue()
 
 
 def genlex_brute(masks, m):
@@ -988,6 +1001,70 @@ class TestVerifiers:
             assert {"above_lca", "aside", "repeat", "two_swap", "loop_swap"} <= names
             _, most = self._against_reference([walk], "pof", monkeypatch, rng)
             assert most >= 3
+
+    def test_cli_matches_library_on_sweep(self, tmp_path, capsys):
+        """Every outerplane multigraph with m <= 7, rooted at each outer
+        edge: a seeded greedy listing, a seeded exchange walk and their
+        corruptions, written with render_lines.  ``spangray verify``
+        prints the genlex line of verify_genlex and exactly the FAIL
+        lines of verify_gray, in order, with the same exit code.
+
+        The corruptions that set bit m are left out: a chi line has no
+        column for it.  A corruption that adds or drops a tree keeps
+        one step line between each two trees, as gen writes them: its
+        steps are cut, or padded with its last step."""
+        rng = random.Random(29)
+        classes = itertools.cycle(("any", "pof", "pivot", "face"))
+        lp = tmp_path / "listing.txt"
+        names, verdicts, kinds = set(), set(), set()
+        for gi, emb in enumerate(enumerate_outerplane(7)):
+            g = emb.graph
+            gp = tmp_path / f"g{gi}.txt"
+            gp.write_text(f"{g.n} {g.m}\nouter: {' '.join(map(str, emb.outer_order))}\n"
+                          + "".join(f"{u} {v}\n" for u, v in g.edges))
+            sd = split_dual(emb)
+            for root_edge in sorted({e for e, _ in sd.leaf_darts}):
+                lab = dual_tree_labeling(orient_split_dual(sd, sd.leaf_for_edge(root_edge)))
+                init = random_spanning_tree(g, lab, rng)
+                masks, exs = exchange_walk(g, lab, init.mask, 12, rng)
+                for listing in (
+                        greedy_listing(g, labeling=lab, embedding=emb, initial=init,
+                                       tiebreak=rng.choice([tiebreak_closest,
+                                                            tiebreak_prefer("pof")])),
+                        Listing(g, lab, emb, tuple(SpanningTree(g.m, x) for x in masks),
+                                tuple((ex, None) for ex in exs), True, None)):
+                    for name, fake in corrupted_listings(listing, rng):
+                        if name.startswith("high_bit"):
+                            continue
+                        n = len(fake.trees) - 1
+                        fake = Listing(g, lab, emb, fake.trees,
+                                       (fake.steps + fake.steps[-1:] * n)[:n],
+                                       fake.truncated, None)
+                        klass = next(classes)
+                        genlex = verify_genlex(fake)
+                        rep = verify_gray(fake, klass)
+                        want = f"genlex: {'ok' if genlex else 'FAIL'}\n"
+                        if rep.ok:
+                            want += (f"exchanges: ok class={klass} trees={rep.count}"
+                                     + ("" if rep.expected is None
+                                        else f" expected={rep.expected}") + "\n")
+                        else:
+                            want += "".join(f"exchanges: FAIL {v}\n" for v in rep.violations)
+                        lp.write_text("".join(line + "\n" for line in fake.render_lines()))
+                        argv = ["verify", str(gp), str(lp), "--root", str(root_edge),
+                                "--class", klass]
+                        if not fake.truncated:
+                            argv.append("--expect-complete")
+                        assert run_cli(argv) == (0 if genlex and rep.ok else 1, want), \
+                            (name, argv)
+                        assert capsys.readouterr().err == ""
+                        names.add(name)
+                        verdicts.add((genlex, rep.ok))
+                        kinds.update(k for v in rep.violations for k in VIOLATIONS if k in v)
+        assert kinds == set(VIOLATIONS)
+        assert names == {"valid", "first_not_tree", "above_lca", "aside", "repeat",
+                         "two_swap"}
+        assert verdicts == {(True, True), (True, False), (False, False)}
 
     def test_gray_needs_embedding_for_classes(self):
         """A face-class check without an embedding raises even when no
