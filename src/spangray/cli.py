@@ -134,7 +134,8 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
         check=True, classify=True, expected_count=expected)
     for line in listing.render_lines():
         print(line, file=out)
-    classes = {c for _, c in listing.steps}
+    # the classes are interned: tell them apart by identity, not by hash
+    classes = {id(c): c for _, c in listing.steps}.values()
     flags = {
         "all-pivot": all(c.pivot for c in classes),
         "all-face": all(c.face for c in classes),
@@ -159,6 +160,7 @@ def _read_listing(text: str, g: MultiGraph) -> tuple[list[int], list[tuple[int, 
     m = g.m
     label = {str(l): l for l in range(1, m + 1)}   # each label as written by gen
     tree_next = True    # a tree line comes next: first, and after each step
+    lineno = step_line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         first = line[:1]
@@ -175,6 +177,7 @@ def _read_listing(text: str, g: MultiGraph) -> tuple[list[int], list[tuple[int, 
                     raise ParseError("step label out of range", lineno)
             pairs.append((removed, added))
             tree_next = True
+            step_line = lineno
         elif first and first != "#":
             if not tree_next:
                 raise ParseError("tree line without a step line", lineno)
@@ -185,9 +188,9 @@ def _read_listing(text: str, g: MultiGraph) -> tuple[list[int], list[tuple[int, 
             masks.append(int(line[::-1], 2))
             tree_next = False
     if not masks:
-        raise ParseError("listing contains no trees")
+        raise ParseError("listing contains no trees", lineno)
     if tree_next:
-        raise ParseError("trailing step line without a following tree")
+        raise ParseError("trailing step line without a following tree", step_line)
     return masks, pairs
 
 

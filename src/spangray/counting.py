@@ -328,20 +328,27 @@ def extremal_family(k: int, digon_ends: int = 0) -> EmbeddedGraph:
     return build_embedding(g, tuple(range(rim + 1)))
 
 
-def _dihedral_min(n: int, bound: tuple, chords: tuple) -> tuple:
-    """Canonical encoding of a polygon configuration: the least over the
-    2n hull symmetries p -> s*(p - r).  A reflection (s = -1) maps side
-    i, from position i to i + 1, onto side r - i - 1."""
+def _is_canonical(n: int, bound: tuple, chords: tuple) -> bool:
+    """Whether a polygon configuration is the least of its images under
+    the 2n hull symmetries p -> s*(p - r), by boundary multiplicities
+    first, then sorted chords.  It stops at the first smaller image and
+    maps the chords only when the boundary ties.  A reflection (s = -1)
+    maps side i, from position i to i + 1, onto side r - i - 1."""
 
-    def image(s: int, r: int) -> tuple:
-        b = tuple(bound[(r + s * i - (s < 0)) % n] for i in range(n))
+    def chords_image(s: int, r: int) -> list:
         ch = []
         for (i, j), c in chords:
             p, q = s * (i - r) % n, s * (j - r) % n
             ch.append(((min(p, q), max(p, q)), c))
-        return (b, tuple(sorted(ch)))
+        return sorted(ch)
 
-    return min(image(s, r) for s in (1, -1) for r in range(n))
+    own = sorted(chords)
+    for s in (1, -1):
+        for r in range(n):
+            b = tuple(bound[(r + s * i - (s < 0)) % n] for i in range(n))
+            if b < bound or b == bound and chords_image(s, r) < own:
+                return False
+    return True
 
 
 def _chord_sets(n: int):
@@ -399,8 +406,7 @@ def enumerate_outerplane(max_m: int, triangulations_only: bool = False,
                 for b_mult in sorted(_compositions_upto(n, max_b, boundary_budget),
                                      key=sum):
                     chords = tuple(zip(chord_set, c_mult))
-                    if _dihedral_min(n, b_mult, chords) != (b_mult, tuple(
-                            sorted((tuple(d), c) for d, c in chords))):
+                    if not _is_canonical(n, b_mult, chords):
                         continue
                     edges = []
                     for i in range(n):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _check_crossings,
                          blocks, build_embedding)
 from .errors import CertificationError, EmbeddingError, GraphError
-from .treegen import Exchange, SpanningTree, _chi_line, _class_test
+from .treegen import SpanningTree, _chi_line, _class_rows
 
 
 def enumerate_spanning_trees(g: MultiGraph) -> tuple[SpanningTree, ...]:
@@ -159,28 +159,31 @@ class FlipGraph:
         return len(self.edge_labels)
 
 
-def _flip_graph(nodes, restriction: str, keep) -> FlipGraph:
+def _flip_graph(nodes, restriction: str, rows) -> FlipGraph:
     """Flip graph on ``nodes``, distinct objects with a ``mask``.  Two
     masks are one swap apart exactly when clearing one set bit of each
     leaves the same core, so the nodes are grouped by each of their
-    cores and every pair in a group is one swap; it is an edge when
-    ``keep`` accepts the Exchange.  That is one dict insert per set bit
-    of each node and one step per swap, not a scan of all pairs.  Edges
-    are listed by (i, j), i < j, so every adjacency comes out ascending."""
+    cores, each member with its label outside the core.  Every pair in a
+    group is one swap, and an edge when the class table ``rows``
+    (:func:`treegen._class_rows`; None keeps every swap) has the bit of
+    one label in the other's row.  That is one dict insert per set bit
+    of each node and one bit test per swap, not a scan of all pairs.
+    Edges are listed by (i, j), i < j, so every adjacency comes out
+    ascending."""
     groups = defaultdict(list)
     for i, t in enumerate(nodes):
-        x = t.mask
+        mask = x = t.mask
         while x:
             b = x & -x
-            groups[t.mask ^ b].append(i)
+            groups[mask ^ b].append((i, b.bit_length()))
             x ^= b
     labels = []
-    for core, group in groups.items():
-        for i, j in itertools.combinations(group, 2):
-            ex = Exchange(removed=(nodes[i].mask ^ core).bit_length(),
-                          added=(nodes[j].mask ^ core).bit_length())
-            if keep(ex):
-                labels.append((i, j, ex.pair()))
+    for group in groups.values():
+        for k, (i, r) in enumerate(group):
+            row = -1 if rows is None else rows[r]
+            for j, a in group[k + 1:]:
+                if row >> a & 1:
+                    labels.append((i, j, (r, a) if r < a else (a, r)))
     labels.sort()
     adjacency = [[] for _ in nodes]
     for i, j, _ in labels:
@@ -193,16 +196,16 @@ def build_flip_graph(g, restriction: str = "any") -> FlipGraph:
     """Flip graph of all spanning trees under the identity labeling.
     Face-based restrictions need an EmbeddedGraph."""
     emb, graph = (g, g.graph) if isinstance(g, EmbeddedGraph) else (None, g)
-    keep = _class_test(graph, emb, EdgeLabeling.identity(graph.m), restriction)
-    return _flip_graph(enumerate_spanning_trees(graph), restriction, keep)
+    trees = enumerate_spanning_trees(graph)     # its m <= 24 guard bounds the table
+    rows = _class_rows(graph, emb, EdgeLabeling.identity(graph.m), restriction)
+    return _flip_graph(trees, restriction, rows)
 
 
 def arborescence_flip_graph(d: DiGraph, root: int) -> FlipGraph:
     """Nodes are the arborescences from the root; edges swap two arcs.
     The two arcs share their head: every non-root vertex has exactly one
     in-arc, so the arc that enters must replace the one that leaves."""
-    return _flip_graph(enumerate_arborescences(d, root), "arc-exchange",
-                       lambda ex: True)
+    return _flip_graph(enumerate_arborescences(d, root), "arc-exchange", None)
 
 
 @dataclass(frozen=True)

@@ -188,13 +188,17 @@ def _classifier(g: MultiGraph, emb: EmbeddedGraph | None,
     return lambda a, b: int(g.shares_vertex(edge[a - 1], edge[b - 1])), _IN_CLASS[kind]
 
 
-def _class_test(g: MultiGraph, emb: EmbeddedGraph | None,
-                labeling: EdgeLabeling, kind: str):
-    """The predicate "this Exchange is of class ``kind``"."""
+def _class_rows(g: MultiGraph, emb: EmbeddedGraph | None,
+                labeling: EdgeLabeling, kind: str) -> list[int] | None:
+    """The class table of ``kind``: None for "any", else a list whose
+    row r has bit a set iff the exchange of labels r and a (r != a) is
+    of that kind.  It costs m^2 :func:`_classifier` index calls, so it
+    suits the flip-graph builder, which tests many pairs on a small m."""
     index, table = _classifier(g, emb, labeling, kind)
     if kind == "any":
-        return lambda ex: True
-    return lambda ex: table[index(ex.removed, ex.added)]
+        return None
+    labels = range(1, g.m + 1)
+    return [0] + [sum(1 << a for a in labels if table[index(r, a)]) for r in labels]
 
 
 def _prefer(index, table, kind: str, f: int, partners: int) -> tuple[int, int]:

@@ -410,19 +410,33 @@ class TestVerify:
             parse_listing(text, g, EdgeLabeling.identity(3), None, False)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "listing contains no trees"),
+        ("# note\n\n", 2, "listing contains no trees"),
+        ("110\n- 1 + 3\n", 2, "trailing step line without a following tree"),
+        ("110\n- 1 + 3 [pivot]\n\n# end\n", 2,
+         "trailing step line without a following tree"),
+    ])
+    def test_listing_end_names_a_line(self, text, line, message):
+        """No tree at all names the last line read (line 1 for an empty
+        file); a step line with no tree after it names that step line."""
+        g = MultiGraph(3, ((0, 1), (1, 2), (0, 2)))
+        with pytest.raises(ParseError) as exc:
+            parse_listing(text, g, EdgeLabeling.identity(3), None, False)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
     def test_seeded_listing_mutations(self, fan_file, tmp_path, capsys):
         """Seeded mutations of the fan's listing file: cut lines, stray
         characters, 5,000-digit labels, labels 0 and m + 1, duplicated
         or swapped lines, blank and "#" lines.  verify exits 0, 1 or 2
-        with no traceback, and exit 2 names a line, unless the fault is
-        where the listing ends."""
+        with no traceback, and exit 2 names a line, also when the fault
+        is where the listing ends."""
         _, listing = run(["gen", fan_file, "--tiebreak", "prefer-pof"])
         base = listing.splitlines()
         steps = [i for i, line in enumerate(base) if line.startswith("-")]
         rng = random.Random(5)
         stray = "01-+#_ x\t\u0663"
-        ends = {"error: listing contains no trees\n",
-                "error: trailing step line without a following tree\n"}
 
         def label(text):
             parts = base[i].split()
@@ -459,7 +473,7 @@ class TestVerify:
             err = capsys.readouterr().err
             assert "Traceback" not in err
             if rc == 2:
-                assert re.fullmatch(r"error: line \d+: .+\n", err) or err in ends, err
+                assert re.fullmatch(r"error: line \d+: .+\n", err), err
             else:
                 assert rc in (0, 1) and err == ""
             codes.append(rc)

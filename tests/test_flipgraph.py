@@ -11,6 +11,7 @@ import pytest
 from conftest import (bundle_graph, complete_graph, cycle_graph,
                       diamond_embedding, diamond_graph, fan_embedding,
                       fan_graph, k33_graph)
+from spangray import flipgraph, treegen
 from spangray.cli import entry
 from spangray.counting import count_matrix_tree, enumerate_outerplane
 from spangray.embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph,
@@ -296,6 +297,23 @@ class TestBuildFlipGraph:
     def test_unknown_restriction(self, diamond):
         with pytest.raises(GraphError):
             build_flip_graph(diamond, "bogus")
+
+    def test_builds_no_exchange_objects(self, fan_emb, monkeypatch):
+        """The builder tests each swap on ints: a pof flip graph and an
+        arborescence flip graph construct no Exchange."""
+        made = []
+
+        class Counted(treegen.Exchange):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(treegen, "Exchange", Counted)
+        monkeypatch.setattr(flipgraph, "Exchange", Counted, raising=False)
+        assert build_flip_graph(fan_emb, "pof").edge_count > 0
+        d = DiGraph(3, ((0, 1), (0, 2), (1, 2), (2, 1)))
+        assert arborescence_flip_graph(d, 0).edge_count > 0
+        assert made == []
 
     def test_listing_is_flip_path(self, fan, fan_emb):
         fg = build_flip_graph(fan_emb, "pivot")

@@ -20,7 +20,7 @@ from spangray.embedgraph import (EdgeLabeling, MultiGraph, _fundamental,
 from spangray.errors import CertificationError, GraphError
 from spangray.flipgraph import Arborescence, enumerate_spanning_trees
 from spangray.treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
-                              SpanningTree, TieContext, _class_test,
+                              SpanningTree, TieContext, _class_rows,
                               classify_exchange,
                               greedy_listing,
                               greedy_walk, kruskal_tree, random_spanning_tree,
@@ -481,33 +481,37 @@ class TestClassTest:
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_agrees_with_classify(self, shuffle):
         """Every exchange of every tree of every outerplane multigraph
-        with m <= 7: each kind's predicate, and the bare-graph pivot
-        and any predicates, agree with ``classify_exchange``."""
+        with m <= 7, both ways round: each kind's class table, and the
+        bare-graph pivot table, agree with ``classify_exchange``; the
+        table of "any" is None."""
         rng = random.Random(13)
         checked = 0
         for emb in enumerate_outerplane(7):
             g = emb.graph
             lab = EdgeLabeling.shuffled(g.m, rng) if shuffle else EdgeLabeling.identity(g.m)
-            tests = {k: _class_test(g, emb, lab, k) for k in RESTRICTIONS}
-            bare = {k: _class_test(g, None, lab, k) for k in ("any", "pivot")}
+            assert _class_rows(g, emb, lab, "any") is None
+            assert _class_rows(g, None, lab, "any") is None
+            tables = [(k, _class_rows(g, emb, lab, k)) for k in RESTRICTIONS if k != "any"]
+            tables.append(("pivot", _class_rows(g, None, lab, "pivot")))
             for t in enumerate_spanning_trees(g):
                 mask = sum(1 << (lab.label(l - 1) - 1) for l in t.labels())
                 for ex in valid_exchanges(g, lab, SpanningTree(g.m, mask)):
                     cls = classify_exchange(emb, lab, ex)
-                    for k in RESTRICTIONS:
-                        assert tests[k](ex) == cls.matches(k), (g.edges, ex, k)
-                    for k, test in bare.items():
-                        assert test(ex) == cls.matches(k), (g.edges, ex, k)
+                    r, a = ex.removed, ex.added
+                    for k, rows in tables:
+                        want = cls.matches(k)
+                        assert (rows[r] >> a & 1, rows[a] >> r & 1) == (want, want), \
+                            (g.edges, ex, k)
                     checked += 1
         assert checked > 1000
 
     def test_errors(self, fan, fan_emb):
         lab = EdgeLabeling.identity(7)
         with pytest.raises(GraphError, match="unknown"):
-            _class_test(fan, fan_emb, lab, "bogus")
+            _class_rows(fan, fan_emb, lab, "bogus")
         for k in ("face", "face_inner", "paf", "pof"):
             with pytest.raises(GraphError, match="embedding"):
-                _class_test(fan, None, lab, k)
+                _class_rows(fan, None, lab, k)
 
 
 class TestGreedyListing:
