@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 from . import counting, flipgraph, treegen
@@ -114,6 +115,11 @@ def _tiebreak_rule(name: str):
     return treegen.tiebreak_prefer(kind)
 
 
+# lines per write of a gen listing: few writes, and the text of a few
+# thousand lines in memory at a time, never the text of the whole listing
+_WRITE_CHUNK = 4096
+
+
 def cmd_gen(args: argparse.Namespace, out) -> int:
     parsed = _undirected(args)
     g = parsed.graph
@@ -132,8 +138,9 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
         g, labeling=labeling, embedding=emb, initial=initial,
         tiebreak=_tiebreak_rule(args.tiebreak), max_trees=args.max_trees,
         check=True, classify=True, expected_count=expected)
-    for line in listing.render_lines():
-        print(line, file=out)
+    lines = listing.render_lines()
+    while chunk := list(itertools.islice(lines, _WRITE_CHUNK)):
+        out.write("\n".join(chunk) + "\n")
     # the classes are interned: tell them apart by identity, not by hash
     classes = {id(c): c for _, c in listing.steps}.values()
     flags = {
@@ -146,7 +153,7 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
     parts = [f"# trees={len(listing.trees)}", f"expected={expected}",
              f"complete={complete}", "genlex=yes"]
     parts += [f"{k}={'yes' if v else 'no'}" for k, v in flags.items()]
-    print(" ".join(parts), file=out)
+    out.write(" ".join(parts) + "\n")
     return 0
 
 

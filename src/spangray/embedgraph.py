@@ -22,6 +22,7 @@ head is the other endpoint of the edge.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -317,14 +318,34 @@ class EmbeddedGraph:
     def faces_of_edge(self, e: int) -> tuple[int, ...]:
         return self._edge_faces[e]
 
+    @functools.cached_property
+    def _edge_index(self):
+        """:meth:`label_class_index` over the edge ids themselves, built
+        at the first :meth:`class_index` call, so that an embedding that
+        is only walked, verified or flip-graphed (each gathers its own
+        bits by label) carries no second copy of the bits."""
+        return self.label_class_index(range(self.graph.m))
+
     def class_index(self, a: int, b: int) -> int:
         """The exchange class of edges a and b as 0..7: bit 0 set iff
         they share an end vertex (pivot), bit 1 iff they bound a common
         face (face), bit 2 iff a common face is inner (face_inner).  A
         loop bounds no face."""
-        common = self._class_bits[a] & self._class_bits[b]
-        return (bool(common & self._vertex_bits) | (common > self._vertex_bits) << 1
-                | bool(common & self._inner_face_bits) << 2)
+        return self._edge_index(a + 1, b + 1)
+
+    def label_class_index(self, edge_of):
+        """``index(a, b)``, one call: :meth:`class_index` of the edges
+        ``edge_of[a - 1]`` and ``edge_of[b - 1]``, read from class bits
+        gathered once, so a caller that numbers its edges by label (as
+        :attr:`EdgeLabeling.edge_of` does) classifies labels directly."""
+        bits = [0] + [self._class_bits[e] for e in edge_of]
+        vertex, inner = self._vertex_bits, self._inner_face_bits
+
+        def index(a: int, b: int) -> int:
+            common = bits[a] & bits[b]
+            return bool(common & vertex) | (common > vertex) << 1 | bool(common & inner) << 2
+
+        return index
 
     def is_outer_edge(self, e: int) -> bool:
         return self.outer_face in self._edge_faces[e]

@@ -92,12 +92,17 @@ class ExchangeClass:
         return kind == "any" or bool(getattr(self, kind))
 
 
+def _flag_text(c: ExchangeClass) -> str:
+    """The flags a listing prints after a step of class ``c``."""
+    return " [" + ",".join(k for k in ("pivot", "face", "face_inner") if getattr(c, k)) + "]"
+
+
 # the eight classes by EmbeddedGraph.class_index, interned; per kind, which
-# of them are of that kind; and the flag text a listing prints for each
+# of them are of that kind; and the flag text of each, keyed by identity so
+# that rendering hashes no dataclass
 _CLASSES = tuple(ExchangeClass(bool(i & 1), bool(i & 2), bool(i & 4)) for i in range(8))
 _IN_CLASS = {k: tuple(c.matches(k) for c in _CLASSES) for k in RESTRICTIONS}
-_FLAGS = {c: " [" + ",".join(k for k in ("pivot", "face", "face_inner") if getattr(c, k)) + "]"
-          for c in _CLASSES}
+_FLAGS = {id(c): _flag_text(c) for c in _CLASSES}
 
 
 def spanning_tree_from_labels(g: MultiGraph, labeling: EdgeLabeling, labels) -> SpanningTree:
@@ -140,7 +145,7 @@ def random_spanning_tree(g: MultiGraph, labeling: EdgeLabeling,
 
 def _widen(g: MultiGraph, labeling: EdgeLabeling, mask: int, f: int):
     """``(k, cut)``: the tree state of :func:`greedy_walk` and
-    :func:`_first_non_tree` once they reach level f, the fundamental
+    :func:`verify_gray_masks` once they reach level f, the fundamental
     cuts and cycles of ``mask`` (:func:`_fundamental`) below
     k = min(2f, m + 1).  Doubling k keeps the number of builds per
     walk O(log m) and the sets a step updates small."""
@@ -173,16 +178,16 @@ def classify_exchange(emb: EmbeddedGraph, labeling: EdgeLabeling,
 def _classifier(g: MultiGraph, emb: EmbeddedGraph | None,
                 labeling: EdgeLabeling, kind: str):
     """``(index, table)``: ``index(a, b)`` is the class index of the
-    exchange of labels a and b, and ``table[i]`` tells whether class i
-    is of the given kind.  Pivot reads the graph only, and without an
-    embedding ``index`` gives the pivot bit alone; the face-based
-    classes need the embedding."""
+    exchange of labels a and b, one call on class bits gathered here by
+    label (:meth:`EmbeddedGraph.label_class_index`), and ``table[i]``
+    tells whether class i is of the given kind.  Pivot reads the graph
+    only, and without an embedding ``index`` gives the pivot bit alone;
+    the face-based classes need the embedding."""
     if kind not in RESTRICTIONS:
         raise GraphError(f"unknown exchange class {kind!r}")
     edge = labeling.edge_of
     if emb is not None:
-        index = emb.class_index
-        return lambda a, b: index(edge[a - 1], edge[b - 1]), _IN_CLASS[kind]
+        return emb.label_class_index(edge), _IN_CLASS[kind]
     if kind not in ("any", "pivot"):
         raise GraphError(f"exchange class {kind!r} needs an embedding")
     return lambda a, b: int(g.shares_vertex(edge[a - 1], edge[b - 1])), _IN_CLASS[kind]
@@ -293,12 +298,18 @@ class Listing:
         return [t.mask for t in self.trees]
 
     def render_lines(self):
-        for i, t in enumerate(self.trees):
-            yield t.chi()
-            if i < len(self.steps):
-                ex, cls = self.steps[i]
-                line = f"- {ex.removed} + {ex.added}"
-                yield line if cls is None else line + _FLAGS[cls]
+        """The listing's lines: each tree's chi line, then the step
+        after it, if any, with its class flags when classified.  A class
+        that is not one of the interned ones (a copied listing's, or one
+        built by hand) gets its flags by value."""
+        chi, flags = _chi_line, _FLAGS
+        trees = self.trees
+        for t, (ex, cls) in zip(trees, self.steps):
+            yield chi(t.mask, t.m)
+            line = f"- {ex.removed} + {ex.added}"
+            yield line if cls is None else line + (flags.get(id(cls)) or _flag_text(cls))
+        for t in trees[len(self.steps):]:
+            yield chi(t.mask, t.m)
 
 
 def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
@@ -324,8 +335,10 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     (:func:`_widen`), so it is built O(log m) times.
 
     A rule with a ``kind`` attribute (the built-in ones) is not called:
-    the walk picks the last partner of that class itself, on labels.
-    Any other rule gets a :class:`TieContext` per step.
+    the walk picks the last partner of that class itself, on labels, and
+    yields one shared step per directed (removed, added) pair, built the
+    first time the walk takes that exchange; compare steps by value, not
+    by identity.  Any other rule gets a :class:`TieContext` per step.
     """
     if labeling.m != g.m:
         raise GraphError("labeling size does not match the graph")
@@ -343,6 +356,8 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     full = (1 << g.m) - 1
     kind = getattr(tiebreak, "kind", None)
     table = None        # built at the first tie: a tree has none
+    shared = {}         # r * (m + 1) + a -> the step that removes r and adds a
+    width = g.m + 1
     yield mask, None
     while True:
         free = full & ~h
@@ -364,7 +379,8 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
             chosen = tiebreak(TieContext(g, labeling, embedding, mask, cands))
             if chosen not in cands:
                 raise GraphError("tie-breaking rule left the tie set")
-            cls = classify_exchange(embedding, labeling, chosen) if classify else None
+            r, a = chosen.removed, chosen.added
+            step = chosen, classify_exchange(embedding, labeling, chosen) if classify else None
         else:
             if table is None:
                 index, table = _classifier(g, embedding, labeling, kind)
@@ -372,15 +388,16 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
                 e, c = partners.bit_length(), None
             else:
                 e, c = _prefer(index, table, kind, f, partners)
-            chosen = Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f)
-            cls = _CLASSES[c] if classify else None
-        r, a = chosen.removed, chosen.added
+            r, a = (f, e) if f_in else (e, f)
+            step = shared.get(r * width + a)
+            if step is None:
+                step = shared[r * width + a] = Exchange(r, a), _CLASSES[c] if classify else None
         mask ^= 1 << r - 1 ^ 1 << a - 1
         _pivot(cut, r, a)
         # the tree enters the second half of its level-f block, and
         # every lower level starts a new block
         h = (h | fbit) & -fbit
-        yield mask, (chosen, cls)
+        yield mask, step
 
 
 def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
@@ -483,35 +500,6 @@ class GrayReport:
     expected: int | None
 
 
-def _first_non_tree(g: MultiGraph, labeling: EdgeLabeling, masks) -> int | None:
-    """Index of the first mask whose bits below m are not a spanning
-    tree, or None.  A mask one swap away from the tree before it (label
-    r out, a in, both at most m) is a tree iff r lies on the fundamental
-    cycle of a: one AND, ``cut[a] & bit r``, on the cut/cycle masks of
-    the previous tree below k, kept as :func:`greedy_walk` keeps them
-    (:func:`_pivot` per swap, :func:`_widen` once a swap reaches k).
-    Any other mask gets the full union-find test and a rebuild at
-    k = 2."""
-    m = g.m
-    prev = 0            # no label leaves 0, so the first mask gets the full test
-    for i, x in enumerate(masks):
-        d = x ^ prev
-        r, a = (d & prev).bit_length(), (d & x).bit_length()
-        top = max(r, a)
-        if r and a and d == 1 << r - 1 | 1 << a - 1 and top <= m:
-            if top >= k:
-                k, cut = _widen(g, labeling, prev, top)
-            if not cut[a] >> r - 1 & 1:
-                return i
-            _pivot(cut, r, a)
-        else:
-            if not g.is_spanning_tree([labeling.edge(p + 1) for p in range(m) if x >> p & 1]):
-                return i
-            k, cut = _widen(g, labeling, x, 1)
-        prev = x
-    return None
-
-
 def verify_gray(listing: Listing, required_class: str = "any",
                 expected_count: int | None = None) -> GrayReport:
     """:func:`verify_gray_masks` on the listing's masks and the label
@@ -530,14 +518,57 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
     ``(removed, added)`` label pair each step records: every tree a
     spanning tree, no repeats, completeness against an independent
     count unless ``truncated``, one exchange per consecutive pair, the
-    pair it records, and the requested class for every step."""
+    pair it records, and the requested class for every step.
+
+    One pass decodes each swap once.  Up to the first mask that is not
+    a tree, a mask one swap away from the tree before it (label r out,
+    a in, both at most m) is a tree iff r lies on the fundamental cycle
+    of a: one AND, ``cut[a] & bit r``, on the cut/cycle masks of the
+    previous tree below k, kept as :func:`greedy_walk` keeps them
+    (:func:`_pivot` per swap, :func:`_widen` once a swap reaches k).
+    Any other mask gets the full union-find test and a rebuild at k = 2."""
     index, table = _classifier(g, embedding, labeling, required_class)
     check_class = required_class != "any"
     m = g.m
+    non_tree = None
+    step_bad = []
+    recorded = len(pairs)
+    k, cut = 0, None
+    prev = 0            # no label leaves 0, so the first mask gets the full test
+    for i, x in enumerate(masks):
+        d = x ^ prev
+        out_bit, in_bit = d & prev, d & x
+        swap = out_bit and not out_bit & out_bit - 1 and in_bit and not in_bit & in_bit - 1
+        if swap:
+            r, a = out_bit.bit_length(), in_bit.bit_length()
+        if non_tree is None:
+            if swap and r <= m and a <= m:
+                if r >= k or a >= k:
+                    k, cut = _widen(g, labeling, prev, max(r, a))
+                if cut[a] >> r - 1 & 1:
+                    _pivot(cut, r, a)
+                else:
+                    non_tree = i
+            elif g.is_spanning_tree([labeling.edge(p + 1) for p in range(m) if x >> p & 1]):
+                k, cut = _widen(g, labeling, x, 1)
+            else:
+                non_tree = i
+        prev = x
+        if not i:
+            continue
+        if not swap:
+            step_bad.append(f"trees {i - 1},{i} do not differ in one exchange")
+            continue
+        if i <= recorded and pairs[i - 1] != (r, a):
+            step_bad.append(f"step {i - 1} records {tuple(sorted(pairs[i - 1]))}, "
+                            f"trees differ by {tuple(sorted((r, a)))}")
+        # a label above m names no edge, so the exchange is of no class
+        if check_class and (r > m or a > m or not table[index(r, a)]):
+            step_bad.append(f"step {i - 1} exchange {tuple(sorted((r, a)))} "
+                            f"is not {required_class}")
     bad = []
-    first_bad = _first_non_tree(g, labeling, masks)
-    if first_bad is not None:
-        bad.append(f"tree {first_bad} is not a spanning tree")
+    if non_tree is not None:
+        bad.append(f"tree {non_tree} is not a spanning tree")
     if len(set(masks)) != len(masks):
         seen = {}
         for i, x in enumerate(masks):
@@ -551,22 +582,5 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
             expected = _count_trees(g, embedding)
         if len(masks) != expected:
             bad.append(f"listing has {len(masks)} trees, count says {expected}")
-    recorded = len(pairs)
-    rest = iter(masks)
-    prev = next(rest, 0)
-    for i, x in enumerate(rest, start=1):
-        d = x ^ prev
-        out_bit, in_bit = d & prev, d & x
-        prev = x
-        if not out_bit or out_bit & out_bit - 1 or not in_bit or in_bit & in_bit - 1:
-            bad.append(f"trees {i - 1},{i} do not differ in one exchange")
-            continue
-        r, a = out_bit.bit_length(), in_bit.bit_length()
-        if i <= recorded and pairs[i - 1] != (r, a):
-            bad.append(f"step {i - 1} records {tuple(sorted(pairs[i - 1]))}, "
-                       f"trees differ by {tuple(sorted((r, a)))}")
-        # a label above m names no edge, so the exchange is of no class
-        if check_class and (r > m or a > m or not table[index(r, a)]):
-            bad.append(f"step {i - 1} exchange {tuple(sorted((r, a)))} "
-                       f"is not {required_class}")
+    bad += step_bad
     return GrayReport(not bad, tuple(bad), len(masks), expected)

@@ -311,6 +311,90 @@ class TestGen:
         assert rc == 2
 
 
+class _Writes(io.StringIO):
+    """A text stream that records how many lines each write carries."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return super().write(text)
+
+
+class TestGenWriter:
+    """``gen`` writes the listing's lines in chunks of at most
+    ``cli._WRITE_CHUNK``, and its output is exactly one line per
+    ``render_lines`` line, then the summary line."""
+
+    @staticmethod
+    def _gen(argv, out, monkeypatch):
+        """Run gen into ``out``; the Listing it rendered."""
+        made = []
+        build = treegen.greedy_listing
+
+        def record(*args, **kwargs):
+            made.append(build(*args, **kwargs))
+            return made[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(treegen, "greedy_listing", record)
+            assert entry(argv, out=out) == 0
+        assert len(made) == 1
+        return made[0]
+
+    @staticmethod
+    def _check(text, listing):
+        body = "".join(line + "\n" for line in listing.render_lines())
+        assert text.startswith(body)
+        summary = text[len(body):]
+        assert summary.startswith(f"# trees={len(listing.trees)} ") and summary.count("\n") == 1
+        assert summary.endswith("\n")
+
+    @pytest.fixture
+    def strip_file(self, tmp_path):
+        g = counting.extremal_family(11, 1).graph
+        assert g.m == 22
+        p = tmp_path / "strip.txt"
+        p.write_text(f"{g.n} {g.m}\nouter: {' '.join(map(str, range(g.n)))}\n"
+                     + "".join(f"{u} {v}\n" for u, v in g.edges))
+        return str(p)
+
+    def test_fan(self, fan_file, monkeypatch):
+        out = _Writes()
+        listing = self._gen(["gen", fan_file], out, monkeypatch)
+        self._check(out.getvalue(), listing)
+        assert out.lines == [41, 1]
+
+    def test_strip_in_chunks(self, strip_file, tmp_path, monkeypatch):
+        """The m=22 strip, 28,657 trees, takes many chunks, and its
+        output is the same in a string and in a file."""
+        out = _Writes()
+        listing = self._gen(["gen", strip_file, "--tiebreak", "prefer-pof"], out, monkeypatch)
+        assert len(listing.trees) == 28657
+        self._check(out.getvalue(), listing)
+        assert max(out.lines) == cli._WRITE_CHUNK
+        assert sum(out.lines) == 2 * 28657 and len(out.lines) > 2
+        path = tmp_path / "listing.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            again = self._gen(["gen", strip_file, "--tiebreak", "prefer-pof"], fh, monkeypatch)
+        assert again.masks() == listing.masks()
+        assert path.read_text(encoding="utf-8") == out.getvalue()
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_max_trees_at_the_chunk_size(self, strip_file, extra, monkeypatch):
+        """--max-trees of one chunk size, and one more: 2t - 1 listing
+        lines in full chunks and a rest, then the summary line."""
+        trees = cli._WRITE_CHUNK + extra
+        out = _Writes()
+        listing = self._gen(["gen", strip_file, "--max-trees", str(trees)], out, monkeypatch)
+        assert len(listing.trees) == trees
+        self._check(out.getvalue(), listing)
+        chunk = cli._WRITE_CHUNK
+        assert out.lines == ([chunk, chunk, 1, 1] if extra else [chunk, chunk - 1, 1])
+
+
 class TestVerify:
     def test_roundtrip(self, fan_file, tmp_path):
         _, listing = run(["gen", fan_file, "--tiebreak", "prefer-pof"])

@@ -1,7 +1,10 @@
 """Greedy generation, tie rules, genlex verification, exchange classes."""
 
+import copy
+import dataclasses
 import io
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -10,7 +13,7 @@ import pytest
 from conftest import (bundle_graph, cycle_graph, k33_graph, loopy_triangle,
                       random_outerplane_multigraph, wheel_graph)
 from spangray import treegen
-from spangray.cli import entry
+from spangray.cli import entry, parse_listing
 from spangray.counting import (count_matrix_tree, enumerate_outerplane,
                                extremal_family)
 from spangray.dualtree import (default_root_leaf, dual_tree_labeling,
@@ -158,13 +161,43 @@ def reference_class(emb, a, b):
                          any(f != emb.outer_face for f in common))
 
 
-def from_scratch_first_non_tree(g, lab, masks):
-    """Reference for ``treegen._first_non_tree``: the union-find check
-    of every listed tree from scratch, as ``verify_gray`` used to run."""
+def from_scratch_report(listing, klass):
+    """Reference for ``verify_gray``: the union-find check of every
+    listed tree from scratch, repeats by search, completeness by the
+    matrix-tree count, and each step decoded from its two masks, its
+    class read from the end vertices and faces (``reference_class``);
+    the violations in ``verify_gray``'s order."""
+    g, lab, emb, m = listing.graph, listing.labeling, listing.embedding, listing.graph.m
+    masks = listing.masks()
+    pairs = [(ex.removed, ex.added) for ex, _ in listing.steps]
+    bad = []
     for i, x in enumerate(masks):
-        if not g.is_spanning_tree([lab.edge(p + 1) for p in range(g.m) if x >> p & 1]):
-            return i
-    return None
+        if not g.is_spanning_tree([lab.edge(p + 1) for p in range(m) if x >> p & 1]):
+            bad.append(f"tree {i} is not a spanning tree")
+            break
+    for i, x in enumerate(masks):
+        if x in masks[:i]:
+            bad.append(f"tree {i} repeats tree {masks.index(x)}")
+            break
+    expected = None
+    if not listing.truncated:
+        expected = count_matrix_tree(g)
+        if len(masks) != expected:
+            bad.append(f"listing has {len(masks)} trees, count says {expected}")
+    for i in range(1, len(masks)):
+        out_bits, in_bits = masks[i - 1] & ~masks[i], masks[i] & ~masks[i - 1]
+        if bin(out_bits).count("1") != 1 or bin(in_bits).count("1") != 1:
+            bad.append(f"trees {i - 1},{i} do not differ in one exchange")
+            continue
+        r, a = out_bits.bit_length(), in_bits.bit_length()
+        swap = tuple(sorted((r, a)))
+        if i <= len(pairs) and pairs[i - 1] != (r, a):
+            bad.append(f"step {i - 1} records {tuple(sorted(pairs[i - 1]))}, "
+                       f"trees differ by {swap}")
+        if klass != "any" and (r > m or a > m or not reference_class(
+                emb, lab.edge(r), lab.edge(a)).matches(klass)):
+            bad.append(f"step {i - 1} exchange {swap} is not {klass}")
+    return treegen.GrayReport(not bad, tuple(bad), len(masks), expected)
 
 
 def off_path_swaps(g, lab, mask):
@@ -522,6 +555,43 @@ class TestGreedyListing:
         assert verify_genlex(listing)
         assert verify_gray(listing, required_class="paf").ok
 
+    def test_render_hashes_no_class(self, fan, fan_emb, monkeypatch):
+        """Rendering looks up flag text by identity: with
+        ``ExchangeClass.__hash__`` raising, a classified listing and a
+        listing read back by ``cli.parse_listing`` (steps with cls None)
+        render, and so do listings with fewer or more steps than trees
+        (a step line follows tree i iff step i exists) and listings whose
+        classes equal the interned ones but are other objects (a
+        deepcopy, a pickle round-trip, classes built by hand), as the
+        per-index rendering gives them."""
+        def refuse(self):
+            raise AssertionError("hashed an ExchangeClass")
+
+        listing = greedy_listing(fan, embedding=fan_emb, tiebreak=tiebreak_prefer("pof"))
+        text = "".join(line + "\n" for line in listing.render_lines())
+        read = parse_listing(text, fan, listing.labeling, fan_emb, True)
+        cut = Listing(fan, listing.labeling, fan_emb, listing.trees, listing.steps[:7],
+                      True, None)
+        padded = Listing(fan, listing.labeling, fan_emb, listing.trees[:5], listing.steps,
+                         True, None)
+        by_hand = tuple((ex, ExchangeClass(cls.pivot, cls.face, cls.face_inner))
+                        for ex, cls in listing.steps)
+        copies = (copy.deepcopy(listing), pickle.loads(pickle.dumps(listing)),
+                  dataclasses.replace(listing, steps=by_hand))
+        assert all(c.steps[0][1] is not listing.steps[0][1] for c in copies)
+        monkeypatch.setattr(ExchangeClass, "__hash__", refuse)
+        for shown in (listing, read, cut, padded, *copies):
+            want = []
+            for i, t in enumerate(shown.trees):
+                want.append(t.chi())
+                if i < len(shown.steps):
+                    ex, cls = shown.steps[i]
+                    want.append(f"- {ex.removed} + {ex.added}" + ("" if cls is None else " ["
+                                + ",".join(k for k in ("pivot", "face", "face_inner")
+                                           if getattr(cls, k)) + "]"))
+            assert list(shown.render_lines()) == want
+        assert [x.split(" [")[0] for x in listing.render_lines()] == list(read.render_lines())
+
     def test_fan_first_lines_frozen(self, fan, fan_emb):
         listing = greedy_listing(fan, embedding=fan_emb)
         lines = list(listing.render_lines())
@@ -764,27 +834,40 @@ class TestWalk:
 
     @pytest.mark.parametrize("rule", [tiebreak_closest, tiebreak_prefer("pof")],
                              ids=["closest", "prefer-pof"])
-    def test_builtin_rules_build_one_exchange_per_step(self, rule, monkeypatch):
-        """A rule with ``kind`` is picked on labels: no TieContext and no
-        new ExchangeClass, and one Exchange per step, the one yielded."""
+    def test_builtin_rules_share_one_exchange_per_pair(self, rule, monkeypatch):
+        """A rule with ``kind`` is picked on labels: no TieContext, no
+        new ExchangeClass, and at most one Exchange per directed
+        (removed, added) pair, shared by the steps that make it.  Every
+        step equals the one built afresh from the two trees it joins,
+        and the walk makes some exchange in both directions, which
+        stays two steps."""
         emb = extremal_family(5)
         lab = dual_tree_labeling(orient_split_dual(split_dual(emb)))
         want = list(greedy_walk(emb.graph, lab, emb, None, rule, classify=True))
         made = []
 
-        def exchange(**kw):
-            made.append(Exchange(**kw))
+        def exchange(*args, **kw):
+            made.append(Exchange(*args, **kw))
             return made[-1]
 
-        def refuse(*args):
+        def refuse(*args, **kw):
             raise AssertionError("built a per-step object")
 
-        monkeypatch.setattr(treegen, "Exchange", exchange)
-        monkeypatch.setattr(treegen, "TieContext", refuse)
-        monkeypatch.setattr(treegen, "ExchangeClass", refuse)
-        got = list(greedy_walk(emb.graph, lab, emb, None, rule, classify=True))
+        with monkeypatch.context() as mp:
+            mp.setattr(treegen, "Exchange", exchange)
+            mp.setattr(treegen, "TieContext", refuse)
+            mp.setattr(treegen, "ExchangeClass", refuse)
+            got = list(greedy_walk(emb.graph, lab, emb, None, rule, classify=True))
         assert got == want and len(got) == 144       # t = f_12 on the 11-edge strip
-        assert [step[0] for _, step in got[1:]] == made
+        steps = [step for _, step in got[1:]]
+        for (before, _), (after, step) in zip(got, got[1:]):
+            fresh = Exchange((before & ~after).bit_length(), (after & ~before).bit_length())
+            assert step == (fresh, classify_exchange(emb, lab, fresh))
+        pairs = {(ex.removed, ex.added) for ex, _ in steps}
+        assert len(made) == len(pairs) < len(steps)
+        assert {id(ex) for ex, _ in steps} == {id(ex) for ex in made}
+        assert len({id(step) for step in steps}) == len(pairs)
+        assert any((a, r) in pairs for r, a in pairs)
 
     def test_stream_is_the_listing(self, fan, fan_emb):
         listing = greedy_listing(fan, embedding=fan_emb)
@@ -919,10 +1002,9 @@ class TestVerifiers:
     @staticmethod
     def _against_reference(listings, klass, monkeypatch, rng):
         """verify_gray on each listing and its corruptions gives the
-        report it gives with the from-scratch tree check; a listing of
-        single swaps costs at most 1 + bit_length(m) tree builds.
-        Returns the corruption names met and the most builds one
-        listing took."""
+        report of the from-scratch verifier; a listing of single swaps
+        costs at most 1 + bit_length(m) tree builds.  Returns the
+        corruption names met and the most builds one listing took."""
         built = []
 
         def build(*args):
@@ -939,9 +1021,7 @@ class TestVerifiers:
                 with monkeypatch.context() as mp:
                     mp.setattr(treegen, "_fundamental", build)
                     rep = verify_gray(fake, k)
-                with monkeypatch.context() as mp:
-                    mp.setattr(treegen, "_first_non_tree", from_scratch_first_non_tree)
-                    assert rep == verify_gray(fake, k), name
+                assert rep == from_scratch_report(fake, k), name
                 if name in ("valid", "above_lca", "aside"):
                     assert len(built) <= 1 + m.bit_length(), (name, built)
                     most = max(most, len(built))
@@ -954,7 +1034,7 @@ class TestVerifiers:
         """Every outerplane multigraph with m <= 7 and every root: a
         seeded greedy listing, a seeded walk of valid exchanges that is
         not genlex, the listing of the graph with a loop added, and
-        their corruptions give the report of the from-scratch check."""
+        their corruptions give the report of the from-scratch verifier."""
         rng = random.Random(21)
         listings = []
         for emb in enumerate_outerplane(7):
@@ -984,7 +1064,7 @@ class TestVerifiers:
         """Seeded 2-connected outerplane multigraphs with n = 12 ... 60:
         300-tree greedy listings, 300-step exchange walks that widen the
         verifier's tree several times, the same with a loop added, and
-        their corruptions give the report of the from-scratch check."""
+        their corruptions give the report of the from-scratch verifier."""
         rng = random.Random(23)
         for n in (12, 25, 40, 60):
             g = random_outerplane_multigraph(n, rng)
