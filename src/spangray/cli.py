@@ -129,9 +129,8 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
     sd, osd, labeling = _labeling_for(emb, args.root)
     initial = None
     if args.initial is not None:
-        labels = _ints([t.strip() for t in args.initial.split(",") if t.strip()],
-                       "--initial expects comma-separated labels", None)
-        initial = treegen.spanning_tree_from_labels(g, labeling, labels)
+        initial = _ints([t.strip() for t in args.initial.split(",") if t.strip()],
+                        "--initial expects comma-separated labels", None)
     # the embedding makes g outerplane, so it reduces series-parallel
     expected = counting.count_series_parallel(g)
     listing = treegen.greedy_listing(
@@ -141,16 +140,17 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
     lines = listing.render_lines()
     while chunk := list(itertools.islice(lines, _WRITE_CHUNK)):
         out.write("\n".join(chunk) + "\n")
-    # the classes are interned: tell them apart by identity, not by hash
-    classes = {id(c): c for _, c in listing.steps}.values()
+    # the walk shares its steps: tell them apart by identity, not by hash
+    steps = {id(s): s for s in listing.steps}.values()
     flags = {
-        "all-pivot": all(c.pivot for c in classes),
-        "all-face": all(c.face for c in classes),
-        "all-paf": all(c.paf for c in classes),
-        "all-pof": all(c.pof for c in classes),
+        "all-pivot": all(c.pivot for _, c in steps),
+        "all-face": all(c.face for _, c in steps),
+        "all-paf": all(c.paf for _, c in steps),
+        "all-pof": all(c.pof for _, c in steps),
     }
-    complete = "yes" if len(listing.trees) == expected else "no"
-    parts = [f"# trees={len(listing.trees)}", f"expected={expected}",
+    trees = len(listing.tree_masks)
+    complete = "yes" if trees == expected else "no"
+    parts = [f"# trees={trees}", f"expected={expected}",
              f"complete={complete}", "genlex=yes"]
     parts += [f"{k}={'yes' if v else 'no'}" for k, v in flags.items()]
     out.write(" ".join(parts) + "\n")
@@ -206,8 +206,7 @@ def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
                   assume_complete: bool) -> treegen.Listing:
     """The listing :func:`_read_listing` reads, as a :class:`treegen.Listing`."""
     masks, pairs = _read_listing(text, g)
-    return treegen.Listing(g, labeling, embedding,
-                           tuple(treegen.SpanningTree(g.m, x) for x in masks),
+    return treegen.Listing(g, labeling, embedding, tuple(masks),
                            tuple((treegen.Exchange(r, a), None) for r, a in pairs),
                            truncated=not assume_complete,
                            complete=assume_complete or None)

@@ -196,14 +196,18 @@ def parse_graph(text: str) -> ParsedGraph:
     Format: first significant line ``n m``, then m lines ``u v`` with
     0-based endpoints.  Before the edge lines two optional header lines
     are recognised: ``directed`` and ``outer: v0 v1 ... v_{n-1}``.
-    ``#`` starts a comment; blank lines are ignored.  Every error that
-    a line causes names that line.
+    ``#`` starts a comment; blank lines are ignored.  Every error names
+    a line: the line that causes it, the header's for a wrong edge count
+    or for n > m + 1 (no such graph is connected), and the last line for
+    input with no header.  Nothing is sized by n before it is checked
+    against the edge lines.
     """
     graph_line = None
     outer = None
     directed = False
     edges: list[tuple[int, int]] = []
     n = m = 0
+    lineno = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -231,7 +235,7 @@ def parse_graph(text: str) -> ParsedGraph:
                 raise ParseError("a second 'outer:' line", lineno)
             outer = tuple(_ints(line[len("outer:"):].split(),
                                 "bad vertex in outer order", lineno))
-            if sorted(outer) != list(range(n)):
+            if len(outer) != n or sorted(outer) != list(range(n)):
                 raise ParseError("outer order must list every vertex exactly once", lineno)
             continue
         parts = line.split()
@@ -252,9 +256,14 @@ def parse_graph(text: str) -> ParsedGraph:
             raise ParseError(f"edge {len(edges)} endpoint out of range: ({u}, {v})", lineno)
         edges.append((u, v))
     if graph_line is None:
-        raise ParseError("empty input, expected header 'n m'")
+        # the last line read, line 1 for an empty file
+        raise ParseError("empty input, expected header 'n m'", lineno)
     if len(edges) != m:
-        raise ParseError(f"declared {m} edges but found {len(edges)}")
+        raise ParseError(f"declared {m} edges but found {len(edges)}", graph_line)
+    # before anything is sized by n: the header's n may be far beyond the file
+    if n > m + 1:
+        raise ParseError(f"{n} vertices need at least {n - 1} edges to be connected, "
+                         f"found {m}", graph_line)
     return ParsedGraph(MultiGraph(n, tuple(edges)), outer, directed)
 
 

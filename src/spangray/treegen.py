@@ -16,6 +16,7 @@ ties yields Gray codes restricted to those exchange classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -105,7 +106,8 @@ _IN_CLASS = {k: tuple(c.matches(k) for c in _CLASSES) for k in RESTRICTIONS}
 _FLAGS = {id(c): _flag_text(c) for c in _CLASSES}
 
 
-def spanning_tree_from_labels(g: MultiGraph, labeling: EdgeLabeling, labels) -> SpanningTree:
+def _tree_mask(g: MultiGraph, labeling: EdgeLabeling, labels) -> int:
+    """The mask of the labels, which must form a spanning tree of g."""
     labels = set(labels)
     if not all(1 <= l <= g.m for l in labels):
         raise GraphError("labels out of range")
@@ -115,23 +117,27 @@ def spanning_tree_from_labels(g: MultiGraph, labeling: EdgeLabeling, labels) -> 
     mask = 0
     for l in labels:
         mask |= 1 << (l - 1)
-    return SpanningTree(g.m, mask)
+    return mask
 
 
-def _kruskal(g: MultiGraph, labeling: EdgeLabeling, labels) -> SpanningTree:
-    """The spanning tree Kruskal's rule builds taking labels in the given order."""
+def spanning_tree_from_labels(g: MultiGraph, labeling: EdgeLabeling, labels) -> SpanningTree:
+    return SpanningTree(g.m, _tree_mask(g, labeling, labels))
+
+
+def _kruskal(g: MultiGraph, labeling: EdgeLabeling, labels) -> int:
+    """The mask of the tree Kruskal's rule builds taking labels in the given order."""
     ids = g.joining_edges(labeling.edge(l) for l in labels)
     if len(ids) != g.n - 1:
         raise GraphError("graph is not connected; it has no spanning tree")
     mask = 0
     for e in ids:
         mask |= 1 << (labeling.label(e) - 1)
-    return SpanningTree(g.m, mask)
+    return mask
 
 
 def kruskal_tree(g: MultiGraph, labeling: EdgeLabeling) -> SpanningTree:
     """The spanning tree greedily built from the smallest labels."""
-    return _kruskal(g, labeling, range(1, g.m + 1))
+    return SpanningTree(g.m, _kruskal(g, labeling, range(1, g.m + 1)))
 
 
 def random_spanning_tree(g: MultiGraph, labeling: EdgeLabeling,
@@ -140,7 +146,8 @@ def random_spanning_tree(g: MultiGraph, labeling: EdgeLabeling,
     rank order[l - 1] of one shuffle of 1..m."""
     order = list(range(1, g.m + 1))
     rng.shuffle(order)
-    return _kruskal(g, labeling, sorted(range(1, g.m + 1), key=lambda l: order[l - 1]))
+    return SpanningTree(g.m, _kruskal(g, labeling, sorted(range(1, g.m + 1),
+                                                          key=lambda l: order[l - 1])))
 
 
 def _widen(g: MultiGraph, labeling: EdgeLabeling, mask: int, f: int):
@@ -282,34 +289,56 @@ def tiebreak_random(rng: random.Random):
 
 @dataclass(frozen=True)
 class Listing:
+    """A listing of spanning trees: ``tree_masks`` holds the trees as
+    label bitmasks (bit l-1 for label l) and ``steps`` the
+    ``(Exchange, ExchangeClass | None)`` step into each tree after the
+    first; ``truncated`` tells whether ``max_trees`` cut the walk short
+    and ``complete`` whether it holds every tree (None if unknown).
+    ``trees``, the masks as :class:`SpanningTree` objects, is built at
+    its first read and kept."""
+
     graph: MultiGraph
     labeling: EdgeLabeling
     embedding: EmbeddedGraph | None
-    trees: tuple[SpanningTree, ...]
+    tree_masks: tuple[int, ...]
     steps: tuple[tuple[Exchange, ExchangeClass | None], ...]
     truncated: bool
     complete: bool | None
 
+    @functools.cached_property
+    def trees(self) -> tuple[SpanningTree, ...]:
+        m = self.graph.m
+        return tuple(SpanningTree(m, x) for x in self.tree_masks)
+
     @property
     def initial(self) -> SpanningTree:
-        return self.trees[0]
+        return SpanningTree(self.graph.m, self.tree_masks[0])
 
     def masks(self) -> list[int]:
-        return [t.mask for t in self.trees]
+        return list(self.tree_masks)
 
     def render_lines(self):
         """The listing's lines: each tree's chi line, then the step
-        after it, if any, with its class flags when classified.  A class
-        that is not one of the interned ones (a copied listing's, or one
-        built by hand) gets its flags by value."""
-        chi, flags = _chi_line, _FLAGS
-        trees = self.trees
-        for t, (ex, cls) in zip(trees, self.steps):
-            yield chi(t.mask, t.m)
-            line = f"- {ex.removed} + {ex.added}"
-            yield line if cls is None else line + (flags.get(id(cls)) or _flag_text(cls))
-        for t in trees[len(self.steps):]:
-            yield chi(t.mask, t.m)
+        after it, if any, with its class flags when classified.  A
+        step's line is formatted once per step object, so the walk's
+        shared steps cost one format each.  A class that is not one of
+        the interned ones (a copied listing's, or one built by hand)
+        gets its flags by value."""
+        chi, flags, m = _chi_line, _FLAGS, self.graph.m
+        masks = self.tree_masks
+        text = {}       # id(step) -> its line; self.steps keeps every step alive
+        for x, step in zip(masks, self.steps):
+            yield chi(x, m)
+            line = text.get(id(step))
+            if line is None:
+                ex, cls = step
+                line = f"- {ex.removed} + {ex.added}"
+                if cls is not None:
+                    line += flags.get(id(cls)) or _flag_text(cls)
+                text[id(step)] = line
+            yield line
+        for x in masks[len(self.steps):]:
+            yield chi(x, m)
 
 
 def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
@@ -345,13 +374,11 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     if classify and embedding is None:
         raise GraphError("classification needs an embedding")
     if initial is None:
-        initial = kruskal_tree(g, labeling)
-    elif isinstance(initial, SpanningTree):
-        spanning_tree_from_labels(g, labeling, initial.labels())
+        mask = _kruskal(g, labeling, range(1, g.m + 1))
     else:
-        initial = spanning_tree_from_labels(g, labeling, initial)
-
-    mask, h = initial.mask, 0
+        mask = _tree_mask(g, labeling, initial.labels() if isinstance(initial, SpanningTree)
+                          else initial)
+    h = 0
     k, cut = _widen(g, labeling, mask, 1)
     full = (1 << g.m) - 1
     kind = getattr(tiebreak, "kind", None)
@@ -402,12 +429,11 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
 
 def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
                    embedding: EmbeddedGraph | None = None,
-                   initial: SpanningTree | None = None,
-                   tiebreak=None, max_trees: int | None = None,
+                   initial=None, tiebreak=None, max_trees: int | None = None,
                    check: bool = True, classify: bool | None = None,
                    expected_count: int | None = None) -> Listing:
     """The trees and steps of :func:`greedy_walk`, to its end or to
-    ``max_trees`` trees.
+    ``max_trees`` trees; ``initial`` is as there.
 
     With check=True (and no truncation) the result is certified: the
     number of trees must match an independent count and the chi
@@ -448,9 +474,7 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
     elif not truncated and expected_count is not None:
         complete = len(trees) == expected_count
 
-    return Listing(g, labeling, embedding,
-                   tuple(SpanningTree(m, x) for x in trees),
-                   tuple(steps), truncated, complete)
+    return Listing(g, labeling, embedding, tuple(trees), tuple(steps), truncated, complete)
 
 
 def _count_trees(g: MultiGraph, emb: EmbeddedGraph | None) -> int:
@@ -467,7 +491,7 @@ def verify_genlex(listing: Listing) -> bool:
     and each constant block is genlex one coordinate shorter; see
     :func:`verify_genlex_masks`.
     """
-    return verify_genlex_masks(listing.masks(), listing.graph.m)
+    return verify_genlex_masks(listing.tree_masks, listing.graph.m)
 
 
 def verify_genlex_masks(masks, m: int) -> bool:
@@ -505,7 +529,7 @@ def verify_gray(listing: Listing, required_class: str = "any",
     """:func:`verify_gray_masks` on the listing's masks and the label
     pairs its steps record."""
     return verify_gray_masks(listing.graph, listing.labeling, listing.embedding,
-                             listing.masks(),
+                             listing.tree_masks,
                              [(ex.removed, ex.added) for ex, _ in listing.steps],
                              listing.truncated, required_class, expected_count)
 

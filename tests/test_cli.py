@@ -1,8 +1,13 @@
 """End-to-end command line behaviour: formats, exit codes, determinism."""
 
 import io
+import json
+import os
 import random
 import re
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
@@ -60,6 +65,55 @@ def test_bad_graph_file_names_the_line(tmp_path, capsys, text, err):
     rc, out = run(["label", str(graph)])
     assert rc == 2 and out == ""
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_seeded_graph_file_mutations():
+    """Seeded hostile graph files, and headers declaring 10^9 or 10^33
+    vertices, through label, gen, count and flip, in a child process
+    that caps its address space at 1 GiB (``tests/graph_mutants.py``).
+    Each run exits 0, 1 or 2 with no exception escaping; a file that
+    ``parse_graph`` refuses exits 2 naming the refused line, and any
+    other exit 2 is one error line.  No huge-n file allocates by n."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(here), "src"))
+    child = subprocess.run([sys.executable, os.path.join(here, "graph_mutants.py"), "7", "300"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    runs = json.loads(child.stdout)
+    assert len(runs) == 4 * (4 + 300)
+    for r in runs:
+        assert r["crash"] is None, (r["text"], r["command"], r["crash"])
+        assert r["rc"] in (0, 1, 2) and "Traceback" not in r["err"], r
+        if r["parse_line"] is not None:
+            assert r["rc"] == 2 and r["err"].startswith(f"error: line {r['parse_line']}: "), r
+        if r["rc"] == 2:
+            assert re.fullmatch(r"error: .+\n", r["err"]), r
+        elif r["rc"] == 0:
+            assert r["err"] == "", r
+    for r in runs[:16]:     # the huge-n headers come first
+        n = int(r["text"].split()[0])
+        # with the fan's outer line, that line is the first one at fault
+        want = ("error: line 2: outer order must list every vertex exactly once\n"
+                if "outer:" in r["text"] else
+                f"error: line 1: {n} vertices need at least {n - 1} edges to be connected, "
+                "found 7\n")
+        assert (r["rc"], r["err"]) == (2, want)
+    assert {r["rc"] for r in runs} >= {0, 2}
+
+
+def test_disconnected_header_refused(tmp_path, capsys):
+    """A header declaring more vertices than m + 1 names the header's
+    line (no graph with n > m + 1 is connected; count printed t=0
+    before), and so does a wrong edge count."""
+    graph = tmp_path / "g.txt"
+    for text, err in (("4 2\n0 1\n1 2\n",
+                       "line 1: 4 vertices need at least 3 edges to be connected, found 2"),
+                      ("# c\n3 3\n0 1\n1 2\n", "line 2: declared 3 edges but found 2"),
+                      ("\n# c\n", "line 2: empty input, expected header 'n m'")):
+        graph.write_text(text)
+        for command in ("count", "flip", "label", "gen"):
+            assert run([command, str(graph)]) == (2, "")
+            assert capsys.readouterr().err == f"error: {err}\n"
 
 
 class TestLabel:
@@ -382,6 +436,44 @@ class TestGenWriter:
         assert again.masks() == listing.masks()
         assert path.read_text(encoding="utf-8") == out.getvalue()
 
+    def test_gen_makes_no_tree_objects(self, fan_file, monkeypatch):
+        """gen walks, certifies and prints on masks: it builds no
+        SpanningTree, from the default initial tree or from --initial."""
+        made = []
+
+        class Counted(treegen.SpanningTree):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        plain = [run(["gen", fan_file, "--tiebreak", "prefer-pof", *extra])
+                 for extra in ([], ["--initial", "1,2,5,6"])]
+        monkeypatch.setattr(treegen, "SpanningTree", Counted)
+        for extra, want in zip(([], ["--initial", "1,2,5,6"]), plain):
+            assert run(["gen", fan_file, "--tiebreak", "prefer-pof", *extra]) == want
+        assert made == [] and want[0] == 0
+
+    def test_gen_memory_stays_small(self, strip_file):
+        """gen of the m=22 strip keeps its 28,657 trees as ints and
+        renders each shared step's line once: its tracemalloc peak stays
+        under 3 MiB (it was 4.4 MiB with a SpanningTree per tree).  The
+        output goes to a writer that keeps only the last write, so the
+        peak is gen's own."""
+        class Last:
+            def write(self, text):
+                self.text = text
+
+        out = Last()
+        entry(["gen", strip_file, "--tiebreak", "prefer-pof"], out=out)
+        tracemalloc.start()
+        try:
+            assert entry(["gen", strip_file, "--tiebreak", "prefer-pof"], out=out) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.text.startswith("# trees=28657 expected=28657 complete=yes ")
+        assert peak < 3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
     @pytest.mark.parametrize("extra", [0, 1])
     def test_max_trees_at_the_chunk_size(self, strip_file, extra, monkeypatch):
         """--max-trees of one chunk size, and one more: 2t - 1 listing
@@ -567,7 +659,7 @@ class TestVerify:
                                                       monkeypatch):
         """verify reads the listing as masks and label pairs: it builds
         no SpanningTree and no Exchange, where parse_listing builds one
-        per tree and one per step."""
+        Exchange per step and, keeping the masks, no SpanningTree."""
         _, listing = run(["gen", fan_file, "--tiebreak", "prefer-pof"])
         lp = tmp_path / "l.txt"
         lp.write_text(listing)
@@ -587,7 +679,7 @@ class TestVerify:
         assert made == []
         g = MultiGraph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (3, 4), (0, 4)))
         parse_listing(listing, g, EdgeLabeling.identity(7), None, True)
-        assert made.count("SpanningTree") == 21 and made.count("Exchange") == 20
+        assert made.count("SpanningTree") == 0 and made.count("Exchange") == 20
 
     def test_parser_built_once(self, fan_file, tmp_path, monkeypatch, capsys):
         """gen, a usage error, gen again and verify in one process print

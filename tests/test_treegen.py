@@ -260,8 +260,7 @@ def corrupted_listings(listing, rng):
     masks = listing.masks()
 
     def make(ms):
-        return Listing(g, lab, listing.embedding,
-                       tuple(SpanningTree(m, x) for x in ms), listing.steps,
+        return Listing(g, lab, listing.embedding, tuple(ms), listing.steps,
                        listing.truncated, None)
 
     yield "valid", listing
@@ -563,24 +562,30 @@ class TestGreedyListing:
         (a step line follows tree i iff step i exists) and listings whose
         classes equal the interned ones but are other objects (a
         deepcopy, a pickle round-trip, classes built by hand), as the
-        per-index rendering gives them."""
+        per-index rendering gives them.  A step's line is formatted once
+        per step object: the walk shares steps, and listings with a
+        fresh object per step (read back, built by hand) or with one
+        object for every step render the same way."""
         def refuse(self):
             raise AssertionError("hashed an ExchangeClass")
 
         listing = greedy_listing(fan, embedding=fan_emb, tiebreak=tiebreak_prefer("pof"))
         text = "".join(line + "\n" for line in listing.render_lines())
         read = parse_listing(text, fan, listing.labeling, fan_emb, True)
-        cut = Listing(fan, listing.labeling, fan_emb, listing.trees, listing.steps[:7],
+        cut = Listing(fan, listing.labeling, fan_emb, listing.tree_masks, listing.steps[:7],
                       True, None)
-        padded = Listing(fan, listing.labeling, fan_emb, listing.trees[:5], listing.steps,
-                         True, None)
+        padded = Listing(fan, listing.labeling, fan_emb, listing.tree_masks[:5],
+                         listing.steps, True, None)
+        assert len(set(map(id, listing.steps))) < len(listing.steps) == 20
+        same = Listing(fan, listing.labeling, fan_emb, listing.tree_masks,
+                       listing.steps[:1] * 20, True, None)
         by_hand = tuple((ex, ExchangeClass(cls.pivot, cls.face, cls.face_inner))
                         for ex, cls in listing.steps)
         copies = (copy.deepcopy(listing), pickle.loads(pickle.dumps(listing)),
                   dataclasses.replace(listing, steps=by_hand))
         assert all(c.steps[0][1] is not listing.steps[0][1] for c in copies)
         monkeypatch.setattr(ExchangeClass, "__hash__", refuse)
-        for shown in (listing, read, cut, padded, *copies):
+        for shown in (listing, read, cut, padded, same, *copies):
             want = []
             for i, t in enumerate(shown.trees):
                 want.append(t.chi())
@@ -591,6 +596,17 @@ class TestGreedyListing:
                                            if getattr(cls, k)) + "]"))
             assert list(shown.render_lines()) == want
         assert [x.split(" [")[0] for x in listing.render_lines()] == list(read.render_lines())
+
+    def test_trees_built_lazily_from_masks(self, fan, fan_emb):
+        """A listing keeps ints; ``trees`` is their SpanningTree tuple,
+        built at the first read and the same object after it."""
+        listing = greedy_listing(fan, embedding=fan_emb, tiebreak=tiebreak_prefer("pof"))
+        assert all(type(x) is int for x in listing.tree_masks)
+        assert "trees" not in vars(listing)
+        trees = listing.trees
+        assert trees == tuple(SpanningTree(7, x) for x in listing.tree_masks)
+        assert listing.trees is trees
+        assert listing.initial == trees[0] and listing.masks() == list(listing.tree_masks)
 
     def test_fan_first_lines_frozen(self, fan, fan_emb):
         listing = greedy_listing(fan, embedding=fan_emb)
@@ -972,9 +988,9 @@ class TestVerifiers:
 
     def test_gray_catches_repeat(self, fan, fan_emb):
         listing = greedy_listing(fan, embedding=fan_emb)
-        trees = listing.trees[:5] + (listing.trees[4],) + listing.trees[5:]
+        masks = listing.tree_masks
         fake = Listing(listing.graph, listing.labeling, listing.embedding,
-                       trees, listing.steps, True, None)
+                       masks[:5] + masks[4:5] + masks[5:], listing.steps, True, None)
         rep = verify_gray(fake)
         assert not rep.ok
 
@@ -984,19 +1000,18 @@ class TestVerifiers:
         g = cycle_graph(4)
         emb = build_embedding(g, (0, 1, 2, 3))
         lab = EdgeLabeling.identity(4)
-        trees = (SpanningTree(4, 0b1110), SpanningTree(4, 0b1011))
         steps = ((Exchange(removed=3, added=1), None),)
-        fake = Listing(g, lab, emb, trees, steps, True, None)
+        fake = Listing(g, lab, emb, (0b1110, 0b1011), steps, True, None)
         assert verify_gray(fake, required_class="face").ok
         rep = verify_gray(fake, required_class="pivot")
         assert not rep.ok and rep.violations
 
     def test_gray_catches_non_tree(self, fan, fan_emb):
         listing = greedy_listing(fan, embedding=fan_emb)
-        trees = list(listing.trees)
-        trees[2] = SpanningTree(7, 0b0000111)  # cycle 0-1-2 plus nothing
+        masks = list(listing.tree_masks)
+        masks[2] = 0b0000111  # cycle 0-1-2 plus nothing
         fake = Listing(listing.graph, listing.labeling, listing.embedding,
-                       tuple(trees), listing.steps, True, None)
+                       tuple(masks), listing.steps, True, None)
         assert not verify_gray(fake).ok
 
     @staticmethod
@@ -1047,7 +1062,7 @@ class TestVerifiers:
                 listings.append(greedy_listing(g, labeling=lab, embedding=emb,
                                                initial=init, tiebreak=rule))
                 masks, exs = exchange_walk(g, lab, init.mask, 20, rng)
-                listings.append(Listing(g, lab, emb, tuple(SpanningTree(g.m, x) for x in masks),
+                listings.append(Listing(g, lab, emb, tuple(masks),
                                         tuple((ex, None) for ex in exs), True, None))
             gl = with_loop(g, rng)
             labl = EdgeLabeling.shuffled(gl.m, rng)
@@ -1075,7 +1090,7 @@ class TestVerifiers:
             listing = greedy_listing(g, labeling=lab, embedding=emb, initial=init,
                                      max_trees=300)
             masks, exs = exchange_walk(g, lab, init.mask, 300, rng)
-            walk = Listing(g, lab, emb, tuple(SpanningTree(g.m, x) for x in masks),
+            walk = Listing(g, lab, emb, tuple(masks),
                            tuple((ex, None) for ex in exs), True, None)
             gl = with_loop(g, rng)
             labl = EdgeLabeling.shuffled(gl.m, rng)
@@ -1115,13 +1130,13 @@ class TestVerifiers:
                         greedy_listing(g, labeling=lab, embedding=emb, initial=init,
                                        tiebreak=rng.choice([tiebreak_closest,
                                                             tiebreak_prefer("pof")])),
-                        Listing(g, lab, emb, tuple(SpanningTree(g.m, x) for x in masks),
+                        Listing(g, lab, emb, tuple(masks),
                                 tuple((ex, None) for ex in exs), True, None)):
                     for name, fake in corrupted_listings(listing, rng):
                         if name.startswith("high_bit"):
                             continue
-                        n = len(fake.trees) - 1
-                        fake = Listing(g, lab, emb, fake.trees,
+                        n = len(fake.tree_masks) - 1
+                        fake = Listing(g, lab, emb, fake.tree_masks,
                                        (fake.steps + fake.steps[-1:] * n)[:n],
                                        fake.truncated, None)
                         klass = next(classes)
@@ -1156,7 +1171,7 @@ class TestVerifiers:
         graph only."""
         g = cycle_graph(3)
         lab = EdgeLabeling.identity(3)
-        one = Listing(g, lab, None, (SpanningTree(3, 0b011),), (), True, None)
+        one = Listing(g, lab, None, (0b011,), (), True, None)
         assert verify_gray(one).ok
         assert verify_gray(one, required_class="pivot").ok
         with pytest.raises(GraphError):
@@ -1169,8 +1184,7 @@ class TestVerifiers:
         g = cycle_graph(3)
         emb = build_embedding(g, (0, 1, 2))
         lab = EdgeLabeling.identity(3)
-        trees = (SpanningTree(3, 0b011), SpanningTree(3, 0b1001))
-        swap = Listing(g, lab, emb, trees, (), True, None)
+        swap = Listing(g, lab, emb, (0b011, 0b1001), (), True, None)
         assert verify_gray(swap).violations == ("tree 1 is not a spanning tree",)
         for klass in ("pof", "pivot"):
             assert verify_gray(swap, klass).violations == (
@@ -1200,6 +1214,6 @@ class TestVerifiers:
     def test_gray_completeness(self, fan, fan_emb):
         part = greedy_listing(fan, embedding=fan_emb, max_trees=6)
         forced = Listing(part.graph, part.labeling, part.embedding,
-                         part.trees, part.steps, False, None)
+                         part.tree_masks, part.steps, False, None)
         rep = verify_gray(forced)
         assert not rep.ok  # claims completeness but has 6 of 21
