@@ -21,43 +21,26 @@ from dataclasses import dataclass
 from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _check_crossings,
                          blocks, build_embedding)
 from .errors import CertificationError, EmbeddingError, GraphError
-from .treegen import SpanningTree, _chi_line, _class_rows
+from .treegen import SpanningTree, _chi_line, _class_rows, greedy_walk, tiebreak_closest
 
 
 def enumerate_spanning_trees(g: MultiGraph) -> tuple[SpanningTree, ...]:
-    """All spanning trees by recursive inclusion/exclusion over edge
-    ids, under the identity labeling (label = id + 1).  Deterministic
-    lexicographic order."""
+    """All spanning trees under the identity labeling (label = id + 1),
+    () for a disconnected graph.  They are the trees of the greedy walk,
+    which lists every spanning tree exactly once under any labeling
+    (Merino, Mütze and Williams), sorted by chi line, descending: the
+    order that takes each edge, by id, before leaving it out."""
     if g.m > 24:
         raise GraphError("guarded to m <= 24; use greedy_listing for larger graphs")
-    n, m = g.n, g.m
-    if n == 1:
-        return (SpanningTree(m, 0),)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    out = []
-
-    def rec(i: int, picked: int, mask: int):
-        if picked == n - 1:
-            out.append(SpanningTree(m, mask))
-            return
-        if m - i < n - 1 - picked:
-            return
-        u, v = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            rec(i + 1, picked + 1, mask | (1 << i))
-            parent[ru] = ru
-        rec(i + 1, picked, mask)
-
-    rec(0, 0, 0)
-    return tuple(out)
+    m = g.m
+    walk = greedy_walk(g, EdgeLabeling.identity(m), None, None, tiebreak_closest)
+    try:
+        masks = [next(walk)[0]]
+    except GraphError:      # Kruskal's start finds no spanning tree
+        return ()
+    masks += [x for x, _ in walk]
+    masks.sort(key=lambda x: _chi_line(x, m), reverse=True)
+    return tuple(SpanningTree(m, x) for x in masks)
 
 
 @dataclass(frozen=True)
@@ -117,9 +100,6 @@ def enumerate_arborescences(d: DiGraph, root: int) -> tuple[Arborescence, ...]:
             raise GraphError("too many in-arc combinations; reduce the digraph")
     out = []
     for combo in itertools.product(*choices):
-        head_of = {}
-        for i in combo:
-            head_of[d.arcs[i][1]] = i
         seen = {root}
         stack = [root]
         arcs_by_tail = {}
@@ -230,6 +210,12 @@ def hamilton_path(fg: FlipGraph, cycle: bool = False,
     n = fg.node_count
     if n == 0:
         raise GraphError("empty flip graph")
+    if cycle and forced_endpoints is not None:
+        raise GraphError("forced endpoints only apply to path search")
+    if forced_endpoints is not None:
+        a, b = forced_endpoints
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            raise GraphError("forced endpoints must be two distinct nodes")
     if n == 1:
         return HamiltonResult("found", (0,), 0)
     if cycle and n == 2:
@@ -239,12 +225,6 @@ def hamilton_path(fg: FlipGraph, cycle: bool = False,
     for i, nbrs in enumerate(fg.adjacency):
         for j in nbrs:
             adj[i] |= 1 << j
-    if cycle and forced_endpoints is not None:
-        raise GraphError("forced endpoints only apply to path search")
-    if forced_endpoints is not None:
-        a, b = forced_endpoints
-        if a == b or not (0 <= a < n and 0 <= b < n):
-            raise GraphError("forced endpoints must be two distinct nodes")
 
     if cycle:
         start = 0
@@ -290,7 +270,7 @@ def _backtrack_cycle(adj, n: int, start: int, budget: int):
     steps = 0
     path = [start]
     visited = 1 << start
-    iters = [iter(_ordered_candidates(adj, start, visited, n))]
+    iters = [iter(_ordered_candidates(adj, start, visited))]
     while iters:
         if steps >= budget:
             return "unknown", None, steps
@@ -308,10 +288,10 @@ def _backtrack_cycle(adj, n: int, start: int, budget: int):
                 return "found", tuple(path), steps
             visited ^= 1 << path.pop()
             continue
-        if _prunable(adj, visited, cur, start, n, full):
+        if _prunable(adj, visited, cur, start, full):
             visited ^= 1 << path.pop()
             continue
-        iters.append(iter(_ordered_candidates(adj, cur, visited, n)))
+        iters.append(iter(_ordered_candidates(adj, cur, visited)))
     return "none", None, steps
 
 
@@ -372,7 +352,7 @@ def _posa_cycle(adj, n: int, budget: int):
     return None, steps
 
 
-def _ordered_candidates(adj, cur: int, visited: int, n: int):
+def _ordered_candidates(adj, cur: int, visited: int):
     free = adj[cur] & ~visited
     cands = []
     x = free
@@ -385,7 +365,7 @@ def _ordered_candidates(adj, cur: int, visited: int, n: int):
     return [i for _, i in cands]
 
 
-def _prunable(adj, visited: int, cur: int, start: int, n: int, full: int) -> bool:
+def _prunable(adj, visited: int, cur: int, start: int, full: int) -> bool:
     """Sound cut-offs only: the remaining route runs cur -> all free
     nodes -> start, so start must keep a free neighbour, and every free
     node must be floodable from cur through free nodes and must keep
@@ -395,7 +375,6 @@ def _prunable(adj, visited: int, cur: int, start: int, n: int, full: int) -> boo
         return False
     if not adj[start] & free:
         return True
-    comp = 0
     frontier = adj[cur] & free
     comp = frontier
     while frontier:

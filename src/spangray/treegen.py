@@ -107,8 +107,14 @@ _FLAGS = {id(c): _flag_text(c) for c in _CLASSES}
 
 
 def _tree_mask(g: MultiGraph, labeling: EdgeLabeling, labels) -> int:
-    """The mask of the labels, which must form a spanning tree of g."""
-    labels = set(labels)
+    """The mask of the labels, which must form a spanning tree of g,
+    each label once."""
+    seen = set()
+    for l in labels:
+        if l in seen:
+            raise GraphError(f"label {l} is repeated")
+        seen.add(l)
+    labels = seen
     if not all(1 <= l <= g.m for l in labels):
         raise GraphError("labels out of range")
     ids = [labeling.edge(l) for l in labels]

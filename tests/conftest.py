@@ -3,6 +3,7 @@
 import pytest
 
 from spangray.embedgraph import MultiGraph, build_embedding
+from spangray.treegen import SpanningTree
 
 
 def fan_graph():
@@ -77,6 +78,42 @@ def random_outerplane_multigraph(n, rng):
     edges += rng.sample(edges, rng.randrange(min(len(edges), 8) + 1))
     rng.shuffle(edges)
     return MultiGraph(n, tuple(edges))
+
+
+def reference_spanning_trees(g):
+    """Every spanning tree under the identity labeling, by recursive
+    inclusion/exclusion over edge ids with its own union-find: each edge
+    is taken before it is left out.  It shares no code with the greedy
+    walk, so it is the oracle for the walk's completeness and for
+    ``flipgraph.enumerate_spanning_trees``."""
+    n, m = g.n, g.m
+    if n == 1:
+        return (SpanningTree(m, 0),)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    out = []
+
+    def rec(i, picked, mask):
+        if picked == n - 1:
+            out.append(SpanningTree(m, mask))
+            return
+        if m - i < n - 1 - picked:
+            return
+        u, v = g.edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            rec(i + 1, picked + 1, mask | (1 << i))
+            parent[ru] = ru
+        rec(i + 1, picked, mask)
+
+    rec(0, 0, 0)
+    return tuple(out)
 
 
 @pytest.fixture

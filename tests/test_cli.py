@@ -350,6 +350,13 @@ class TestGen:
         rc, _ = run(["gen", fan_file, "--initial", "1,2,3,4"])
         assert rc == 2
 
+    def test_repeated_initial_label(self, fan_file, capsys):
+        """``--initial 1,2,5,6`` is a tree; repeating a label exits 2
+        naming it."""
+        rc, out = run(["gen", fan_file, "--initial", "1,2,5,6,6"])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == "error: label 6 is repeated\n"
+
     @pytest.mark.parametrize("labels", ["1,2,4,\u0666", "1,\uff12,4,6", "+1,2,4,6",
                                         "1,2,4,6_0"])
     def test_initial_labels_are_ascii_integers(self, fan_file, labels, capsys):

@@ -10,10 +10,11 @@ import pytest
 
 from conftest import (bundle_graph, complete_graph, cycle_graph,
                       diamond_embedding, diamond_graph, fan_embedding,
-                      fan_graph, k33_graph)
+                      fan_graph, k33_graph, reference_spanning_trees)
 from spangray import flipgraph, treegen
 from spangray.cli import entry
-from spangray.counting import count_matrix_tree, enumerate_outerplane
+from spangray.counting import (count_matrix_tree, enumerate_outerplane,
+                               extremal_family)
 from spangray.embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph,
                                  blocks, build_embedding)
 from spangray.errors import CertificationError, GraphError
@@ -37,7 +38,7 @@ def pair_scan_flip_graph(g, restriction="any"):
     filter (pivot by a shared end when there is no embedding)."""
     emb, graph = (g, g.graph) if isinstance(g, EmbeddedGraph) else (None, g)
     identity = EdgeLabeling.identity(graph.m)
-    nodes = enumerate_spanning_trees(graph)
+    nodes = reference_spanning_trees(graph)
     adjacency = [[] for _ in nodes]
     labels = []
     for i, j in itertools.combinations(range(len(nodes)), 2):
@@ -263,6 +264,32 @@ class TestEnumerateTrees:
             assert t.mask not in seen
             seen.add(t.mask)
 
+    def test_equals_reference_on_sweep(self):
+        """The walk plus its sort gives the recursive reference's exact
+        tuple: every small simple graph with n <= 6, every outerplane
+        multigraph with m <= 9, 300 seeded multigraphs with loops,
+        parallel and disconnected cases, n = 1 with and without loops,
+        and every extremal strip with m <= 24."""
+        rng = random.Random(17)
+        graphs = [g for n in range(1, 7) for g in enumerate_small_graphs(n)]
+        graphs += [emb.graph for emb in enumerate_outerplane(9)]
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            graphs.append(MultiGraph(n, tuple((rng.randrange(n), rng.randrange(n))
+                                              for _ in range(rng.randint(0, 12)))))
+        graphs += [MultiGraph(1, ()), MultiGraph(1, ((0, 0), (0, 0)))]
+        for k in range(1, 24):
+            for ends in range(min(k, 2) + 1):
+                g = extremal_family(k, ends).graph
+                if g.m <= 24:
+                    graphs.append(g)
+        empty = 0
+        for g in graphs:
+            want = reference_spanning_trees(g)
+            assert enumerate_spanning_trees(g) == want, g.edges
+            empty += not want
+        assert empty > 100 and max(g.m for g in graphs) == 24
+
     def test_guard_suggests_generator(self):
         g = bundle_graph(25)
         with pytest.raises(GraphError, match="greedy_listing"):
@@ -298,9 +325,8 @@ class TestBuildFlipGraph:
         with pytest.raises(GraphError):
             build_flip_graph(diamond, "bogus")
 
-    def test_builds_no_exchange_objects(self, fan_emb, monkeypatch):
-        """The builder tests each swap on ints: a pof flip graph and an
-        arborescence flip graph construct no Exchange."""
+    @staticmethod
+    def _count_exchanges(monkeypatch):
         made = []
 
         class Counted(treegen.Exchange):
@@ -310,10 +336,28 @@ class TestBuildFlipGraph:
 
         monkeypatch.setattr(treegen, "Exchange", Counted)
         monkeypatch.setattr(flipgraph, "Exchange", Counted, raising=False)
+        return made
+
+    def test_builds_no_exchange_objects(self, fan_emb, monkeypatch):
+        """The builder tests each swap on ints: given its nodes, a pof
+        flip graph and an arborescence flip graph construct no
+        Exchange."""
+        nodes = enumerate_spanning_trees(fan_emb.graph)
+        made = self._count_exchanges(monkeypatch)
+        monkeypatch.setattr(flipgraph, "enumerate_spanning_trees", lambda g: nodes)
         assert build_flip_graph(fan_emb, "pof").edge_count > 0
         d = DiGraph(3, ((0, 1), (0, 2), (1, 2), (2, 1)))
         assert arborescence_flip_graph(d, 0).edge_count > 0
         assert made == []
+
+    def test_enumerator_shares_its_steps(self, monkeypatch):
+        """The walk behind the enumerator builds at most one Exchange
+        per directed label pair, not one per tree: at most 15 * 14 for
+        the 987 trees of the m=15 strip."""
+        g = extremal_family(7).graph
+        made = self._count_exchanges(monkeypatch)
+        assert (g.m, len(enumerate_spanning_trees(g))) == (15, 987)
+        assert 0 < len(made) <= 15 * 14
 
     def test_listing_is_flip_path(self, fan, fan_emb):
         fg = build_flip_graph(fan_emb, "pivot")
@@ -403,8 +447,8 @@ class TestHamilton:
         free nodes 2 and 3 are reachable from 1 and keep two links each,
         but the cycle cannot close at 4, whose neighbours are used."""
         adj = [0b11110, 0b11101, 0b01011, 0b00111, 0b00011]
-        assert _prunable(adj, 0b10011, 1, 4, 5, 0b11111)
-        assert not _prunable(adj, 0b10001, 0, 4, 5, 0b11111)
+        assert _prunable(adj, 0b10011, 1, 4, 0b11111)
+        assert not _prunable(adj, 0b10001, 0, 4, 0b11111)
 
     def test_same_side_ends_of_bipartite_graph(self):
         """K_{6,6} has no Hamilton path with both ends on one side.  The
@@ -421,6 +465,21 @@ class TestHamilton:
         two = make_flip(2, [(0, 1)])
         assert hamilton_path(two, cycle=True).status == "none"
         assert hamilton_path(two, cycle=False).status == "found"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bad_forced_endpoints_at_every_size(self, n):
+        """The argument checks come before the 1- and 2-node answers:
+        out-of-range or equal endpoints, and endpoints with a cycle,
+        raise at every node count."""
+        fg = make_flip(n, [(i, i + 1) for i in range(n - 1)])
+        for ends in ((5, 7), (0, 0), (0, n)):
+            with pytest.raises(GraphError, match="two distinct nodes"):
+                hamilton_path(fg, forced_endpoints=ends)
+        for ends in ((0, 0), (0, n - 1)):
+            with pytest.raises(GraphError, match="only apply to path search"):
+                hamilton_path(fg, cycle=True, forced_endpoints=ends)
+        if n > 1:
+            assert hamilton_path(fg, forced_endpoints=(0, n - 1)).status == "found"
 
     def test_budget_unknown(self):
         k5 = complete_graph(5)

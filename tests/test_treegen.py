@@ -11,7 +11,8 @@ import tracemalloc
 import pytest
 
 from conftest import (bundle_graph, cycle_graph, k33_graph, loopy_triangle,
-                      random_outerplane_multigraph, wheel_graph)
+                      random_outerplane_multigraph, reference_spanning_trees,
+                      wheel_graph)
 from spangray import treegen
 from spangray.cli import entry, parse_listing
 from spangray.counting import (count_matrix_tree, enumerate_outerplane,
@@ -21,7 +22,7 @@ from spangray.dualtree import (default_root_leaf, dual_tree_labeling,
 from spangray.embedgraph import (EdgeLabeling, MultiGraph, _fundamental,
                                  build_embedding)
 from spangray.errors import CertificationError, GraphError
-from spangray.flipgraph import Arborescence, enumerate_spanning_trees
+from spangray.flipgraph import Arborescence
 from spangray.treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
                               SpanningTree, TieContext, _class_rows,
                               classify_exchange,
@@ -318,6 +319,13 @@ class TestSpanningTree:
         with pytest.raises(GraphError):
             spanning_tree_from_labels(fan, lab, [1, 2, 4])
 
+    def test_from_labels_rejects_repeats(self, fan):
+        """A repeated label is an error, not the tree of the distinct
+        labels."""
+        lab = EdgeLabeling.identity(7)
+        with pytest.raises(GraphError, match="^label 6 is repeated$"):
+            spanning_tree_from_labels(fan, lab, [1, 2, 5, 6, 6])
+
     def test_kruskal(self, fan):
         lab = EdgeLabeling.identity(7)
         assert kruskal_tree(fan, lab).labels() == frozenset({1, 2, 4, 6})
@@ -367,7 +375,7 @@ class TestValidExchanges:
         for emb in enumerate_outerplane(7):
             g = emb.graph
             lab = EdgeLabeling.shuffled(g.m, rng) if shuffle else EdgeLabeling.identity(g.m)
-            for t in enumerate_spanning_trees(g):
+            for t in reference_spanning_trees(g):
                 tree = {lab.label(l - 1) for l in t.labels()}
                 want = sorted(
                     (Exchange(removed=e, added=f) for e in tree
@@ -525,7 +533,7 @@ class TestClassTest:
             assert _class_rows(g, None, lab, "any") is None
             tables = [(k, _class_rows(g, emb, lab, k)) for k in RESTRICTIONS if k != "any"]
             tables.append(("pivot", _class_rows(g, None, lab, "pivot")))
-            for t in enumerate_spanning_trees(g):
+            for t in reference_spanning_trees(g):
                 mask = sum(1 << (lab.label(l - 1) - 1) for l in t.labels())
                 for ex in valid_exchanges(g, lab, SpanningTree(g.m, mask)):
                     cls = classify_exchange(emb, lab, ex)
@@ -941,6 +949,8 @@ class TestWalk:
             with pytest.raises(GraphError):
                 next(greedy_walk(fan, labeling, None, initial, tiebreak_closest,
                                  classify))
+        with pytest.raises(GraphError, match="^label 6 is repeated$"):
+            next(greedy_walk(fan, lab, None, [6, 1, 6, 2, 5], tiebreak_closest))
 
 
 class TestVerifiers:
