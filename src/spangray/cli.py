@@ -32,6 +32,14 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GraphError(f"cannot write {path}: {exc.strerror}")
+
+
 def _undirected(args: argparse.Namespace) -> ParsedGraph:
     parsed = parse_graph(_read(args.path))
     if parsed.directed:
@@ -140,13 +148,12 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
     lines = listing.render_lines()
     while chunk := list(itertools.islice(lines, _WRITE_CHUNK)):
         out.write("\n".join(chunk) + "\n")
-    # the walk shares its steps: tell them apart by identity, not by hash
-    steps = {id(s): s for s in listing.steps}.values()
+    classes = {c for _, c in listing.steps}
     flags = {
-        "all-pivot": all(c.pivot for _, c in steps),
-        "all-face": all(c.face for _, c in steps),
-        "all-paf": all(c.paf for _, c in steps),
-        "all-pof": all(c.pof for _, c in steps),
+        "all-pivot": all(c.pivot for c in classes),
+        "all-face": all(c.face for c in classes),
+        "all-paf": all(c.paf for c in classes),
+        "all-pof": all(c.pof for c in classes),
     }
     trees = len(listing.tree_masks)
     complete = "yes" if trees == expected else "no"
@@ -261,8 +268,7 @@ def cmd_experiment(args: argparse.Namespace, out) -> int:
     tail = report.summary_line()
     emit(tail)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(args.out, "\n".join(lines) + "\n")
         print(tail, file=out)
     return 1 if report.discrepancies else 0
 
@@ -283,8 +289,7 @@ def cmd_flip(args: argparse.Namespace, out) -> int:
     if args.out is None:
         print(text, file=out)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
     return 0
 
 

@@ -523,6 +523,8 @@ def run_experiment(kind: str, max_n: int, budget: int = 2 * 10 ** 6,
     """
     if max_n < 2:
         raise GraphError(f"experiment needs max_n >= 2, got {max_n}")
+    if budget < 1:
+        raise GraphError(f"experiment needs budget >= 1, got {budget}")
     records = []
     discrepancies = []
 

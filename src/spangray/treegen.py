@@ -20,6 +20,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import counting
 from .dualtree import dual_tree_labeling, orient_split_dual, split_dual
@@ -48,8 +49,7 @@ def _chi_line(mask: int, m: int) -> str:
     return bin(mask | 1 << m)[3:][::-1]
 
 
-@dataclass(frozen=True)
-class Exchange:
+class Exchange(NamedTuple):
     """One exchange step: the label leaving the tree and the one entering."""
 
     removed: int
@@ -70,8 +70,7 @@ class Exchange:
 RESTRICTIONS = ("any", "pivot", "face", "face_inner", "paf", "pof")
 
 
-@dataclass(frozen=True)
-class ExchangeClass:
+class ExchangeClass(NamedTuple):
     """Classification flags of an exchange: common endpoint (pivot),
     common face with the outer face counted (face), common inner face."""
 
@@ -98,12 +97,10 @@ def _flag_text(c: ExchangeClass) -> str:
     return " [" + ",".join(k for k in ("pivot", "face", "face_inner") if getattr(c, k)) + "]"
 
 
-# the eight classes by EmbeddedGraph.class_index, interned; per kind, which
-# of them are of that kind; and the flag text of each, keyed by identity so
-# that rendering hashes no dataclass
+# the eight classes by EmbeddedGraph.class_index, and per kind, which of
+# them are of that kind
 _CLASSES = tuple(ExchangeClass(bool(i & 1), bool(i & 2), bool(i & 4)) for i in range(8))
 _IN_CLASS = {k: tuple(c.matches(k) for c in _CLASSES) for k in RESTRICTIONS}
-_FLAGS = {id(c): _flag_text(c) for c in _CLASSES}
 
 
 def _tree_mask(g: MultiGraph, labeling: EdgeLabeling, labels) -> int:
@@ -219,17 +216,16 @@ def _class_rows(g: MultiGraph, emb: EmbeddedGraph | None,
     return [0] + [sum(1 << a for a in labels if table[index(r, a)]) for r in labels]
 
 
-def _prefer(index, table, kind: str, f: int, partners: int) -> tuple[int, int]:
+def _prefer(index, table, kind: str, f: int, partners: int) -> int:
     """The largest label in ``partners``, a bitmask of smaller labels
     that each exchange with the larger label f, whose exchange is of
-    class ``kind``, and that exchange's class index.  ``index`` and
-    ``table`` come from :func:`_classifier`."""
+    class ``kind``.  ``index`` and ``table`` come from
+    :func:`_classifier`."""
     x = partners
     while x:
         e = x.bit_length()
-        c = index(e, f)
-        if table[c]:
-            return e, c
+        if table[index(e, f)]:
+            return e
         x ^= 1 << e - 1
     raise CertificationError(
         f"no {kind} exchange in tie set {[(e, f) for e in _labels(partners)]}")
@@ -277,7 +273,7 @@ def tiebreak_prefer(kind: str):
         partners = 0
         for x in cands:
             partners |= 1 << x.smaller - 1
-        e, _ = _prefer(index, table, kind, larger, partners)
+        e = _prefer(index, table, kind, larger, partners)
         return next(x for x in reversed(cands) if x.smaller == e)
 
     rule.kind = kind
@@ -326,22 +322,19 @@ class Listing:
     def render_lines(self):
         """The listing's lines: each tree's chi line, then the step
         after it, if any, with its class flags when classified.  A
-        step's line is formatted once per step object, so the walk's
-        shared steps cost one format each.  A class that is not one of
-        the interned ones (a copied listing's, or one built by hand)
-        gets its flags by value."""
-        chi, flags, m = _chi_line, _FLAGS, self.graph.m
+        step's line is formatted once per distinct step value."""
+        chi, m = _chi_line, self.graph.m
         masks = self.tree_masks
-        text = {}       # id(step) -> its line; self.steps keeps every step alive
+        text = {}       # step -> its line
         for x, step in zip(masks, self.steps):
             yield chi(x, m)
-            line = text.get(id(step))
+            line = text.get(step)
             if line is None:
                 ex, cls = step
                 line = f"- {ex.removed} + {ex.added}"
                 if cls is not None:
-                    line += flags.get(id(cls)) or _flag_text(cls)
-                text[id(step)] = line
+                    line += _flag_text(cls)
+                text[step] = line
             yield line
         for x in masks[len(self.steps):]:
             yield chi(x, m)
@@ -370,10 +363,10 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     (:func:`_widen`), so it is built O(log m) times.
 
     A rule with a ``kind`` attribute (the built-in ones) is not called:
-    the walk picks the last partner of that class itself, on labels, and
-    yields one shared step per directed (removed, added) pair, built the
-    first time the walk takes that exchange; compare steps by value, not
-    by identity.  Any other rule gets a :class:`TieContext` per step.
+    the walk picks the last partner of that class itself, on labels.
+    Any other rule gets a :class:`TieContext` per step.  Either way the
+    walk yields one shared step per directed (removed, added) pair,
+    built and classified the first time it takes that exchange.
     """
     if labeling.m != g.m:
         raise GraphError("labeling size does not match the graph")
@@ -388,7 +381,7 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     k, cut = _widen(g, labeling, mask, 1)
     full = (1 << g.m) - 1
     kind = getattr(tiebreak, "kind", None)
-    table = None        # built at the first tie: a tree has none
+    index = None        # built at the first tie: a tree has none
     shared = {}         # r * (m + 1) + a -> the step that removes r and adds a
     width = g.m + 1
     yield mask, None
@@ -406,25 +399,23 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
         else:
             return
         f_in = mask & fbit
+        if index is None:
+            index, table = _classifier(g, embedding, labeling, kind or "any")
         if kind is None:
-            cands = tuple(Exchange(removed=f, added=e) if f_in else Exchange(removed=e, added=f)
-                          for e in _labels(partners))
+            cands = tuple(Exchange(f, e) if f_in else Exchange(e, f) for e in _labels(partners))
             chosen = tiebreak(TieContext(g, labeling, embedding, mask, cands))
             if chosen not in cands:
                 raise GraphError("tie-breaking rule left the tie set")
-            r, a = chosen.removed, chosen.added
-            step = chosen, classify_exchange(embedding, labeling, chosen) if classify else None
+            e = min(chosen)     # chosen may be a plain (removed, added) tuple
+        elif kind == "any":
+            e = partners.bit_length()
         else:
-            if table is None:
-                index, table = _classifier(g, embedding, labeling, kind)
-            if kind == "any" and not classify:
-                e, c = partners.bit_length(), None
-            else:
-                e, c = _prefer(index, table, kind, f, partners)
-            r, a = (f, e) if f_in else (e, f)
-            step = shared.get(r * width + a)
-            if step is None:
-                step = shared[r * width + a] = Exchange(r, a), _CLASSES[c] if classify else None
+            e = _prefer(index, table, kind, f, partners)
+        r, a = (f, e) if f_in else (e, f)
+        step = shared.get(r * width + a)
+        if step is None:
+            step = shared[r * width + a] = (Exchange(r, a),
+                                            _CLASSES[index(r, a)] if classify else None)
         mask ^= 1 << r - 1 ^ 1 << a - 1
         _pivot(cut, r, a)
         # the tree enters the second half of its level-f block, and

@@ -674,9 +674,12 @@ class TestVerify:
 
         def counted(cls):
             class Counted(cls):
-                def __init__(self, *args, **kwargs):
+                def __new__(klass, *args, **kwargs):
                     made.append(cls.__name__)
-                    super().__init__(*args, **kwargs)
+                    # a tuple takes its fields in __new__, a dataclass in __init__
+                    if issubclass(cls, tuple):
+                        return super().__new__(klass, *args, **kwargs)
+                    return super().__new__(klass)
             return Counted
 
         monkeypatch.setattr(treegen, "SpanningTree", counted(treegen.SpanningTree))
@@ -774,6 +777,25 @@ class TestExperiment:
         assert rc == 2
         assert "# summary" not in out
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_rejected(self, budget, capsys):
+        """A budget under 1 would search nothing and report every graph
+        unknown; it is a usage error instead."""
+        rc, out = run(["experiment", "--kind", "pivot", "--max-n", "4",
+                       "--budget", budget])
+        assert rc == 2
+        assert "# summary" not in out
+        assert capsys.readouterr().err == f"error: experiment needs budget >= 1, got {budget}\n"
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        """An --out path that cannot be written is an error, exit 2."""
+        bad = str(tmp_path / "missing" / "x.txt")
+        rc, out = run(["experiment", "--kind", "pivot", "--max-n", "3",
+                       "--no-timings", "--out", bad])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == \
+            f"error: cannot write {bad}: No such file or directory\n"
+
     def test_arborescence_ids_carry_roots(self):
         rc, out = run(["experiment", "--kind", "arborescence", "--max-n", "3",
                        "--no-timings"])
@@ -797,6 +819,14 @@ class TestFlip:
         rc, out = run(["flip", fan_file, "--format", "dot", "--out", str(p)])
         assert rc == 0
         assert p.read_text().startswith("graph flip {")
+
+    def test_unwritable_out(self, tmp_path, fan_file, capsys):
+        """An --out path that cannot be written is an error, exit 2."""
+        bad = str(tmp_path / "missing" / "x.txt")
+        rc, out = run(["flip", fan_file, "--out", bad])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == \
+            f"error: cannot write {bad}: No such file or directory\n"
 
     def test_directed(self, tmp_path):
         p = tmp_path / "d.txt"

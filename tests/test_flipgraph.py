@@ -330,9 +330,9 @@ class TestBuildFlipGraph:
         made = []
 
         class Counted(treegen.Exchange):
-            def __init__(self, *args, **kwargs):
+            def __new__(cls, *args, **kwargs):
                 made.append(1)
-                super().__init__(*args, **kwargs)
+                return super().__new__(cls, *args, **kwargs)
 
         monkeypatch.setattr(treegen, "Exchange", Counted)
         monkeypatch.setattr(flipgraph, "Exchange", Counted, raising=False)

@@ -471,6 +471,39 @@ class TestTieRules:
             assert rule(ctx := TieContext(fan, lab, None, t.mask, cands)) in cands
 
 
+    def test_rule_may_answer_a_plain_tuple(self, fan, fan_emb):
+        """An Exchange equals the tuple of its labels, so a rule that
+        answers with a plain (removed, added) tuple stays in the tie set
+        and gives the listing of the rule that answers with the Exchange;
+        a tuple outside the set is refused."""
+        want = greedy_listing(fan, embedding=fan_emb, tiebreak=lambda ctx: ctx.candidates[-1])
+        got = greedy_listing(fan, embedding=fan_emb,
+                             tiebreak=lambda ctx: tuple(ctx.candidates[-1]))
+        assert got.tree_masks == want.tree_masks and got.steps == want.steps
+        assert type(got.steps[0][0]) is Exchange
+        with pytest.raises(GraphError, match="^tie-breaking rule left the tie set$"):
+            greedy_listing(fan, embedding=fan_emb, tiebreak=lambda ctx: (0, 0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_rule_shares_classified_steps(self, seed):
+        """A rule without ``kind`` gets the walk's one step path: every
+        step is ``(Exchange(r, a), classify_exchange(...))`` for the
+        labels r out and a in of its two trees, and the walk yields one
+        step object per directed pair."""
+        rng = random.Random(seed)
+        g = random_outerplane_multigraph(6, rng)
+        emb = build_embedding(g, tuple(range(6)))
+        listing = greedy_listing(g, embedding=emb, tiebreak=tiebreak_random(rng), classify=True)
+        lab = listing.labeling
+        by_pair = {}
+        for x, y, step in zip(listing.tree_masks, listing.tree_masks[1:], listing.steps):
+            r, a = (x & ~y).bit_length(), (y & ~x).bit_length()
+            assert step == (Exchange(r, a), classify_exchange(emb, lab, Exchange(r, a)))
+            by_pair.setdefault((r, a), set()).add(id(step))
+        assert all(len(ids) == 1 for ids in by_pair.values())
+        assert len(by_pair) < len(listing.steps)
+
+
 class TestClassify:
     def test_fan_cases(self, fan_emb):
         lab = EdgeLabeling.identity(7)
@@ -562,21 +595,17 @@ class TestGreedyListing:
         assert verify_genlex(listing)
         assert verify_gray(listing, required_class="paf").ok
 
-    def test_render_hashes_no_class(self, fan, fan_emb, monkeypatch):
-        """Rendering looks up flag text by identity: with
-        ``ExchangeClass.__hash__`` raising, a classified listing and a
-        listing read back by ``cli.parse_listing`` (steps with cls None)
-        render, and so do listings with fewer or more steps than trees
-        (a step line follows tree i iff step i exists) and listings whose
-        classes equal the interned ones but are other objects (a
-        deepcopy, a pickle round-trip, classes built by hand), as the
-        per-index rendering gives them.  A step's line is formatted once
-        per step object: the walk shares steps, and listings with a
-        fresh object per step (read back, built by hand) or with one
-        object for every step render the same way."""
-        def refuse(self):
-            raise AssertionError("hashed an ExchangeClass")
-
+    def test_render_lines_by_step_value(self, fan, fan_emb, monkeypatch):
+        """A classified listing and a listing read back by
+        ``cli.parse_listing`` (steps with cls None) render, and so do
+        listings with fewer or more steps than trees (a step line follows
+        tree i iff step i exists) and listings whose classes equal the
+        walk's but are other objects (a deepcopy, a pickle round-trip,
+        classes built by hand).  A step's line is formatted once per
+        distinct step value: ``_flag_text`` runs once per distinct
+        classified step rendered, whether the listing shares its step
+        objects (the walk), has a fresh object per step (copied, read
+        back, built by hand) or one object for every step."""
         listing = greedy_listing(fan, embedding=fan_emb, tiebreak=tiebreak_prefer("pof"))
         text = "".join(line + "\n" for line in listing.render_lines())
         read = parse_listing(text, fan, listing.labeling, fan_emb, True)
@@ -592,7 +621,9 @@ class TestGreedyListing:
         copies = (copy.deepcopy(listing), pickle.loads(pickle.dumps(listing)),
                   dataclasses.replace(listing, steps=by_hand))
         assert all(c.steps[0][1] is not listing.steps[0][1] for c in copies)
-        monkeypatch.setattr(ExchangeClass, "__hash__", refuse)
+        flagged = []
+        flag_text = treegen._flag_text
+        monkeypatch.setattr(treegen, "_flag_text", lambda c: flagged.append(c) or flag_text(c))
         for shown in (listing, read, cut, padded, same, *copies):
             want = []
             for i, t in enumerate(shown.trees):
@@ -602,7 +633,10 @@ class TestGreedyListing:
                     want.append(f"- {ex.removed} + {ex.added}" + ("" if cls is None else " ["
                                 + ",".join(k for k in ("pivot", "face", "face_inner")
                                            if getattr(cls, k)) + "]"))
+            flagged.clear()
             assert list(shown.render_lines()) == want
+            shown_steps = shown.steps[:len(shown.tree_masks)]
+            assert len(flagged) == len({s for s in shown_steps if s[1] is not None})
         assert [x.split(" [")[0] for x in listing.render_lines()] == list(read.render_lines())
 
     def test_trees_built_lazily_from_masks(self, fan, fan_emb):
