@@ -25,11 +25,22 @@ from .errors import CertificationError, GraphError, ParseError
 
 
 def _read(path: str) -> str:
+    """The file's UTF-8 text; a byte that is not UTF-8 is a ParseError
+    naming its line.  The graph and listing readers split lines with
+    ``splitlines``, which ends a line at CR LF and at a lone CR too, so
+    the text needs no newline translation."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, counted as the readers count
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"cannot read {path}: byte 0x{data[exc.start]:02x} "
+                         "is not UTF-8", line)
 
 
 def _write(path: str, text: str) -> None:
@@ -168,14 +179,61 @@ def _read_listing(text: str, g: MultiGraph) -> tuple[list[int], list[tuple[int, 
     """The tree masks and the ``(removed, added)`` step label pairs of a
     listing in the cmd_gen format: chi lines alternating with
     "- <removed> + <added> [classes]" step lines; blank and "#" lines
-    ignored.  A line's first character tells which it is."""
-    masks: list[int] = []
-    pairs: list[tuple[int, int]] = []
+    ignored.  A listing in gen's exact shape is decoded in bulk; any
+    other goes through the line reader, which names the line of every
+    error."""
+    lines = text.splitlines()
     m = g.m
     label = {str(l): l for l in range(1, m + 1)}   # each label as written by gen
+    return _read_bulk(lines, m, label) or _read_lines(lines, m, label)
+
+
+def _read_bulk(lines: list[str], m: int, label: dict[str, int]):
+    """The masks and pairs of ``lines`` if they have gen's exact shape,
+    else None.  The shape: tree and step lines alternate from the first
+    line to the last tree line, with only blank and "#" lines after it;
+    every tree line is m 0/1 characters; every step line reads by the
+    line reader's rules, with labels written as gen writes them.  On
+    such lines the line reader would return the same.  The tree lines
+    are checked and converted as one batch, and each distinct step line
+    is read once."""
+    end = len(lines)
+    while end and lines[end - 1].lstrip()[:1] in ("", "#"):
+        end -= 1
+    if end % 2 == 0:
+        return None
+    trees = lines[0:end:2]
+    # the last tree line is not blank, so this also needs m >= 1
+    if set(map(len, trees)) != {m}:
+        return None
+    joined = "".join(trees)
+    # deleting every 0 and 1 of the ASCII bytes must leave nothing
+    if not joined.isascii() or joined.encode("ascii").translate(None, b"01"):
+        return None
+    del joined      # freed before the masks are built
+    pair = {}
+    steps = lines[1:end:2]
+    for line in set(steps):
+        parts = line.split()
+        if len(parts) not in (4, 5) or parts[0] != "-" or parts[2] != "+":
+            return None
+        removed, added = label.get(parts[1]), label.get(parts[3])
+        if removed is None or added is None:
+            return None
+        pair[line] = (removed, added)
+    # bit 0 is leftmost
+    return [int(t[::-1], 2) for t in trees], list(map(pair.__getitem__, steps))
+
+
+def _read_lines(lines: list[str], m: int, label: dict[str, int]):
+    """The masks and pairs of ``lines``, one line at a time: a line's
+    first character tells which kind it is, and a ParseError names the
+    line of any fault."""
+    masks: list[int] = []
+    pairs: list[tuple[int, int]] = []
     tree_next = True    # a tree line comes next: first, and after each step
     lineno = step_line = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         first = line[:1]
         if first == "-":

@@ -1,6 +1,8 @@
 """End-to-end command line behaviour: formats, exit codes, determinism."""
 
+import collections
 import io
+import itertools
 import json
 import os
 import random
@@ -37,6 +39,17 @@ def fan_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def strip_file(tmp_path):
+    """The m=22 strip, 28,657 trees, as a graph file with its outer line."""
+    g = counting.extremal_family(11, 1).graph
+    assert g.m == 22
+    p = tmp_path / "strip.txt"
+    p.write_text(f"{g.n} {g.m}\nouter: {' '.join(map(str, range(g.n)))}\n"
+                 + "".join(f"{u} {v}\n" for u, v in g.edges))
+    return str(p)
+
+
 @pytest.mark.parametrize("command", ["count", "flip", "label", "gen", "verify"])
 def test_header_without_vertices_rejected(tmp_path, capsys, command):
     graph = tmp_path / "empty.txt"
@@ -65,6 +78,32 @@ def test_bad_graph_file_names_the_line(tmp_path, capsys, text, err):
     rc, out = run(["label", str(graph)])
     assert rc == 2 and out == ""
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("command", ["label", "gen", "verify", "count", "flip"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("where, bad", [(0, b"\xff"), (3, b"\xe2\x82"), (-1, b"\xc3")])
+def test_file_not_utf8_names_the_line(tmp_path, capsys, fan_file, command, newline,
+                                      where, bad):
+    """A byte that is not UTF-8 exits 2 naming the line it is on, with
+    LF, CR LF or CR line ends: in the graph file, or for verify in the
+    listing.  ``where`` is the line index; on the last line the bad
+    bytes end the file."""
+    if command == "verify":
+        text = run(["gen", fan_file])[1]
+        argv = ["verify", fan_file]
+    else:
+        text = FAN
+        argv = [command]
+    lines = [line.encode() for line in text.splitlines()]
+    i = where % len(lines)
+    lines[i] = lines[i] + bad if where == -1 else lines[i][:1] + bad + lines[i][1:]
+    data = newline.encode().join(lines) + (b"" if where == -1 else newline.encode())
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    assert run(argv + [str(path)]) == (2, "")
+    assert capsys.readouterr().err == \
+        f"error: line {i + 1}: cannot read {path}: byte 0x{bad[0]:02x} is not UTF-8\n"
 
 
 def test_seeded_graph_file_mutations():
@@ -413,15 +452,6 @@ class TestGenWriter:
         assert summary.startswith(f"# trees={len(listing.trees)} ") and summary.count("\n") == 1
         assert summary.endswith("\n")
 
-    @pytest.fixture
-    def strip_file(self, tmp_path):
-        g = counting.extremal_family(11, 1).graph
-        assert g.m == 22
-        p = tmp_path / "strip.txt"
-        p.write_text(f"{g.n} {g.m}\nouter: {' '.join(map(str, range(g.n)))}\n"
-                     + "".join(f"{u} {v}\n" for u, v in g.edges))
-        return str(p)
-
     def test_fan(self, fan_file, monkeypatch):
         out = _Writes()
         listing = self._gen(["gen", fan_file], out, monkeypatch)
@@ -691,6 +721,24 @@ class TestVerify:
         parse_listing(listing, g, EdgeLabeling.identity(7), None, True)
         assert made.count("SpanningTree") == 0 and made.count("Exchange") == 20
 
+    def test_verify_memory_stays_small(self, strip_file, tmp_path):
+        """verify of the m=22 strip's listing, 28,657 trees in 1.5 MiB of
+        text, decodes it in bulk: its tracemalloc peak stays under 12 MiB
+        (8.7 MiB with the line reader alone, 8.1 MiB in bulk)."""
+        lp = tmp_path / "listing.txt"
+        with open(lp, "w", encoding="utf-8") as fh:
+            assert entry(["gen", strip_file, "--tiebreak", "prefer-pof"], out=fh) == 0
+        argv = ["verify", strip_file, str(lp), "--class", "pof", "--expect-complete"]
+        want = (0, "genlex: ok\nexchanges: ok class=pof trees=28657 expected=28657\n")
+        assert run(argv) == want
+        tracemalloc.start()
+        try:
+            assert run(argv) == want
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
     def test_parser_built_once(self, fan_file, tmp_path, monkeypatch, capsys):
         """gen, a usage error, gen again and verify in one process print
         with the one cached parser what a parser built per call prints."""
@@ -714,6 +762,135 @@ class TestVerify:
         assert cached == fresh
         assert cached[1][0] == 2 and "invalid choice: 'nearest'" in cached[1][1]
         assert cached[3][0] == 0
+
+
+def _read_outcome(read, *args):
+    """What a listing reader returns, or the message and line of its ParseError."""
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _gen_text(emb, tiebreak) -> tuple[MultiGraph, str]:
+    """The graph and gen's listing text for an embedded graph."""
+    listing = treegen.greedy_listing(emb.graph, embedding=emb, tiebreak=tiebreak,
+                                     classify=True)
+    return emb.graph, "".join(line + "\n" for line in listing.render_lines()) \
+        + f"# trees={len(listing.tree_masks)} genlex=yes\n"
+
+
+class TestListingReader:
+    """``_read_listing`` decodes a listing in gen's exact shape in bulk
+    and gives any other to the line reader, ``_read_lines``.  On gen's
+    listings and on seeded mutants of them, it returns what the line
+    reader alone returns: the same masks and pairs, or a ParseError with
+    the same message and line."""
+
+    @staticmethod
+    def _read_both(g, text):
+        """The outcome, checked equal for both readers, and whether the
+        bulk decoder took the text."""
+        m = g.m
+        label = {str(l): l for l in range(1, m + 1)}
+        lines = text.splitlines()
+        whole = _read_outcome(cli._read_listing, text, g)
+        assert whole == _read_outcome(cli._read_lines, lines, m, label)
+        return whole, cli._read_bulk(lines, m, label) is not None
+
+    @staticmethod
+    def _strip(m):
+        """The extremal strip with m edges, m >= 2."""
+        return counting.extremal_family(m // 2, 1 - m % 2)
+
+    def test_gen_listings_read_in_bulk(self):
+        """The strips with m = 2 ... 22 and every outerplane multigraph
+        with m <= 7, under closest and prefer-pof: read in bulk, as the
+        masks gen listed."""
+        embs = [self._strip(m) for m in range(2, 23)]
+        embs += counting.enumerate_outerplane(7)
+        for emb in embs:
+            for tiebreak in (treegen.tiebreak_closest, treegen.tiebreak_prefer("pof")):
+                g, text = _gen_text(emb, tiebreak)
+                (masks, pairs), bulk = self._read_both(g, text)
+                assert bulk, text[:200]
+                assert len(masks) == counting.count_series_parallel(g) == len(pairs) + 1
+
+    def test_empty_graph_listing(self):
+        """With m = 0 the one tree line is blank: both readers find no tree."""
+        g = MultiGraph(1, ())
+        text = "".join(line + "\n" for line in treegen.greedy_listing(g).render_lines())
+        assert text == "\n"
+        assert self._read_both(g, text + "# trees=1\n") == \
+            (("line 2: listing contains no trees", 2), False)
+
+    def test_seeded_mutants_read_alike(self):
+        """About 2,000 seeded mutants of small gen listings, and a few of
+        the m=22 strip's: CR LF line ends, surrounding spaces, blank and
+        "#" lines, step labels 0, m + 1, 07, +1, -1 and 5,000 digits,
+        junk flag text, stray or replaced characters, and cut,
+        duplicated, swapped and deleted lines."""
+        rng = random.Random(19)
+        bases = [_gen_text(self._strip(m), tiebreak)
+                 for m in (2, 3, 7, 8)
+                 for tiebreak in (treegen.tiebreak_closest, treegen.tiebreak_prefer("pof"))]
+        bases += [_gen_text(emb, treegen.tiebreak_closest)
+                  for emb in itertools.islice(counting.enumerate_outerplane(7), 0, None, 10)]
+        stray = "01-+#_ x\t\u0661[]"
+
+        def mutant(g, text):
+            lines = text.splitlines()
+            for _ in range(rng.randrange(1, 3)):
+                steps = [i for i, line in enumerate(lines) if len(line.split()) >= 4]
+                i = rng.randrange(len(lines))
+                kind = rng.randrange(11)
+                if kind == 0:
+                    lines[i] = rng.choice((" ", "\t")) + lines[i]
+                elif kind == 1:
+                    lines[i] += rng.choice((" ", "  \t"))
+                elif kind == 2:
+                    lines.insert(i, rng.choice(("", "   ", "#", "# note")))
+                elif kind in (3, 4) and steps:
+                    k = rng.choice(steps)
+                    parts = lines[k].split()
+                    if kind == 3:
+                        j = rng.choice((1, 3))
+                        parts[j] = rng.choice(("0", str(g.m + 1), "0" + parts[j], "+1",
+                                               "-1", "9" * 5000, "\u0661"))
+                    else:
+                        parts[4:] = rng.choice(([], ["[junk]"], ["x", "y"], ["[pivot,face]"]))
+                    lines[k] = " ".join(parts)
+                elif kind == 5:
+                    lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+                elif kind == 6:
+                    lines.insert(i, lines[i])
+                elif kind == 7:
+                    j = rng.randrange(len(lines))
+                    lines[i], lines[j] = lines[j], lines[i]
+                elif kind == 8:
+                    del lines[i]
+                    if not lines:
+                        break
+                else:
+                    # kind 9 inserts a stray character, kind 10 puts one in place of another
+                    j = rng.randrange(len(lines[i]) + 1)
+                    rest = j + 1 if kind == 10 else j
+                    lines[i] = lines[i][:j] + rng.choice(stray) + lines[i][rest:]
+            newline = "\r\n" if rng.random() < 0.2 else "\n"
+            return "".join(line + newline for line in lines)
+
+        seen = collections.Counter()    # (read in bulk, read without error)
+        for n in range(2000):
+            g, text = bases[n % len(bases)]
+            outcome, bulk = self._read_both(g, mutant(g, text))
+            seen[bulk, isinstance(outcome[0], list)] += 1
+        g, text = _gen_text(self._strip(22), treegen.tiebreak_prefer("pof"))
+        for _ in range(8):
+            outcome, bulk = self._read_both(g, mutant(g, text))
+            seen[bulk, isinstance(outcome[0], list)] += 1
+        # a bulk read never fails; the line reader both read and refused
+        assert seen[True, False] == 0
+        assert min(seen[True, True], seen[False, True], seen[False, False]) > 100, seen
 
 
 class TestCount:
