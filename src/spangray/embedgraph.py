@@ -76,19 +76,8 @@ class MultiGraph:
         return sum(1 for u, w in self.edges if u != w and (u == v or w == v))
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        adj = self.adjacency()
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for _, w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return all(seen)
+        """True iff a spanning forest of the graph has n - 1 edges."""
+        return self.n == 0 or len(self.joining_edges(range(self.m))) == self.n - 1
 
     def shares_vertex(self, a: int, b: int) -> bool:
         """True iff edges a and b have a common endpoint (a pivot pair)."""

@@ -19,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _check_crossings,
-                         blocks, build_embedding)
+                         _labels, blocks, build_embedding)
 from .errors import CertificationError, EmbeddingError, GraphError
 from .treegen import SpanningTree, _chi_line, _class_rows, greedy_walk, tiebreak_closest
 
@@ -52,7 +52,7 @@ class Arborescence:
     mask: int
 
     def arcs(self) -> frozenset[int]:
-        return frozenset(i for i in range(self.m) if self.mask >> i & 1)
+        return frozenset(l - 1 for l in _labels(self.mask))
 
     def chi(self) -> str:
         return _chi_line(self.mask, self.m)
@@ -307,14 +307,6 @@ def _posa_cycle(adj, n: int, budget: int):
         state = (state * 6364136223846793005 + 1442695040888963407) & mask64
         return (state >> 33) % k
 
-    def bits_of(x: int):
-        out = []
-        while x:
-            b = x & -x
-            out.append(b.bit_length() - 1)
-            x ^= b
-        return out
-
     steps = 0
     start = 0
     path = [start]
@@ -326,8 +318,8 @@ def _posa_cycle(adj, n: int, budget: int):
         h = path[-1]
         ext = adj[h] & ~visited
         if ext:
-            cands = bits_of(ext)
-            v = cands[rnd(len(cands))]
+            cands = _labels(ext)
+            v = cands[rnd(len(cands))] - 1
             pos[v] = len(path)
             path.append(v)
             visited |= 1 << v
@@ -337,15 +329,14 @@ def _posa_cycle(adj, n: int, budget: int):
         rot = adj[h] & visited & ~(1 << h)
         if len(path) >= 2:
             rot &= ~(1 << path[-2])
-        cands = bits_of(rot)
+        cands = _labels(rot)
         if not cands:
             start = rnd(n)
             path = [start]
             visited = 1 << start
             pos[start] = 0
             continue
-        v = cands[rnd(len(cands))]
-        i = pos[v]
+        i = pos[cands[rnd(len(cands))] - 1]
         path[i + 1:] = path[:i:-1]
         for j in range(i + 1, len(path)):
             pos[path[j]] = j
@@ -353,15 +344,8 @@ def _posa_cycle(adj, n: int, budget: int):
 
 
 def _ordered_candidates(adj, cur: int, visited: int):
-    free = adj[cur] & ~visited
-    cands = []
-    x = free
-    while x:
-        b = x & -x
-        i = b.bit_length() - 1
-        cands.append((bin(adj[i] & ~visited).count("1"), i))
-        x ^= b
-    cands.sort()
+    cands = sorted((bin(adj[l - 1] & ~visited).count("1"), l - 1)
+                   for l in _labels(adj[cur] & ~visited))
     return [i for _, i in cands]
 
 
@@ -379,26 +363,18 @@ def _prunable(adj, visited: int, cur: int, start: int, full: int) -> bool:
     comp = frontier
     while frontier:
         nxt = 0
-        x = frontier
-        while x:
-            b = x & -x
-            i = b.bit_length() - 1
-            nxt |= adj[i] & free & ~comp
-            x ^= b
-        frontier = nxt & ~comp
-        comp |= nxt
+        for l in _labels(frontier):
+            nxt |= adj[l - 1]
+        frontier = nxt & free & ~comp
+        comp |= frontier
     if comp != free:
         return True
     allowed = free | (1 << cur) | (1 << start)
-    x = free
-    while x:
-        b = x & -x
-        i = b.bit_length() - 1
-        links = adj[i] & allowed
+    for l in _labels(free):
+        links = adj[l - 1] & allowed
         if links & (links - 1) == 0:
             # fewer than two links: the node cannot be passed through
             return True
-        x ^= b
     return False
 
 

@@ -38,7 +38,7 @@ class SpanningTree:
     mask: int
 
     def labels(self) -> frozenset[int]:
-        return frozenset(l for l in range(1, self.m + 1) if self.mask >> (l - 1) & 1)
+        return frozenset(_labels(self.mask))
 
     def chi(self) -> str:
         return _chi_line(self.mask, self.m)
@@ -312,13 +312,6 @@ class Listing:
         m = self.graph.m
         return tuple(SpanningTree(m, x) for x in self.tree_masks)
 
-    @property
-    def initial(self) -> SpanningTree:
-        return SpanningTree(self.graph.m, self.tree_masks[0])
-
-    def masks(self) -> list[int]:
-        return list(self.tree_masks)
-
     def render_lines(self):
         """The listing's lines: each tree's chi line, then the step
         after it, if any, with its class flags when classified.  A
@@ -547,7 +540,8 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
     of a: one AND, ``cut[a] & bit r``, on the cut/cycle masks of the
     previous tree below k, kept as :func:`greedy_walk` keeps them
     (:func:`_pivot` per swap, :func:`_widen` once a swap reaches k).
-    Any other mask gets the full union-find test and a rebuild at k = 2."""
+    Any other mask gets the full union-find test, which a bit at m or
+    above fails, and a rebuild at k = 2."""
     index, table = _classifier(g, embedding, labeling, required_class)
     check_class = required_class != "any"
     m = g.m
@@ -570,7 +564,7 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
                     _pivot(cut, r, a)
                 else:
                     non_tree = i
-            elif g.is_spanning_tree([labeling.edge(p + 1) for p in range(m) if x >> p & 1]):
+            elif not x >> m and g.is_spanning_tree([labeling.edge(l) for l in _labels(x)]):
                 k, cut = _widen(g, labeling, x, 1)
             else:
                 non_tree = i

@@ -119,7 +119,7 @@ def test_criterion_03_triangulation_sweep():
                                          initial=init, tiebreak=rule,
                                          check=False, classify=False,
                                          expected_count=expected)
-                masks = listing.masks()
+                masks = listing.tree_masks
                 assert len(masks) == expected
                 assert len(set(masks)) == expected
                 assert verify_genlex_masks(masks, g.m)
@@ -146,7 +146,7 @@ def test_criterion_04_outerplane_sweep():
                                          initial=init, tiebreak=rule,
                                          check=False, classify=False,
                                          expected_count=expected)
-                masks = listing.masks()
+                masks = listing.tree_masks
                 assert len(masks) == expected
                 assert len(set(masks)) == expected
                 assert verify_genlex_masks(masks, g.m)
@@ -174,7 +174,7 @@ def test_criterion_05_random_robustness():
             listing = greedy_listing(g, labeling=lab, initial=init,
                                      tiebreak=rule, check=False,
                                      classify=False, expected_count=expected)
-            masks = listing.masks()
+            masks = listing.tree_masks
             assert len(masks) == expected
             assert len(set(masks)) == expected
             assert verify_genlex_masks(masks, g.m)

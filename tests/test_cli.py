@@ -316,6 +316,29 @@ class TestSearchCap:
         assert "too large to search" in capsys.readouterr().err
 
 
+class TestDisconnected:
+    """A disconnected graph gets the same error with or without an
+    'outer:' line, at any size, from every command that embeds it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["label"], ["gen"], ["verify", "LISTING"], ["count", "--fib"],
+        ["flip", "--restriction", "pof"]])
+    @pytest.mark.parametrize("triangles", [2, 4])
+    @pytest.mark.parametrize("outer", [False, True])
+    def test_every_command_refuses(self, tmp_path, capsys, argv, triangles, outer):
+        n = 3 * triangles
+        p = tmp_path / "triangles.txt"
+        p.write_text(f"{n} {n}\n" + (f"outer: {' '.join(map(str, range(n)))}\n" if outer else "")
+                     + "".join(f"{v} {v + (1, 1, -2)[v % 3]}\n" for v in range(n)))
+        listing = tmp_path / "listing.txt"
+        listing.write_text("110" * triangles + "\n")
+        argv = [argv[0], str(p)] + [str(listing) if a == "LISTING" else a
+                                    for a in argv[1:]]
+        assert run(argv)[0] == 2
+        assert capsys.readouterr().err == (
+            "error: graph is disconnected; embed components separately\n")
+
+
 class TestGen:
     def test_fan_summary(self, fan_file):
         rc, out = run(["gen", fan_file])
@@ -470,7 +493,7 @@ class TestGenWriter:
         path = tmp_path / "listing.txt"
         with open(path, "w", encoding="utf-8") as fh:
             again = self._gen(["gen", strip_file, "--tiebreak", "prefer-pof"], fh, monkeypatch)
-        assert again.masks() == listing.masks()
+        assert again.tree_masks == listing.tree_masks
         assert path.read_text(encoding="utf-8") == out.getvalue()
 
     def test_gen_makes_no_tree_objects(self, fan_file, monkeypatch):
@@ -597,7 +620,7 @@ class TestVerify:
             lab = EdgeLabeling.identity(m)
             for mask in (0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(5))):
                 listing = parse_listing(_chi_line(mask, m) + "\n", g, lab, None, False)
-                assert listing.masks() == [mask]
+                assert listing.tree_masks == (mask,)
 
     @pytest.mark.parametrize("digit", ["\u0661", "\uff11", "\U0001d7cf"])
     def test_step_label_with_non_ascii_digit_exits_2(self, fan_file, tmp_path, digit,

@@ -36,6 +36,33 @@ class TestMultiGraph:
         assert not MultiGraph(3, ((0, 1),)).is_connected()
         assert MultiGraph(1, ()).is_connected()
 
+    def test_connectivity_matches_bfs(self):
+        """``is_connected`` against a breadth-first search from vertex 0
+        on n = 0, n = 1 and seeded multigraphs with loops, parallel edges
+        and isolated vertices."""
+        def bfs_connected(g):
+            seen, queue = {0}, [0]
+            for v in queue:
+                for u, w in g.edges:
+                    for a, b in ((u, w), (w, u)):
+                        if a == v and b not in seen:
+                            seen.add(b)
+                            queue.append(b)
+            return len(seen) == g.n
+
+        assert MultiGraph(0, ()).is_connected()
+        assert MultiGraph(1, ((0, 0), (0, 0))).is_connected()
+        rng = random.Random(21)
+        verdicts = []
+        for _ in range(400):
+            n = rng.randrange(1, 9)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+            edges += rng.sample(edges, min(2, len(edges)))      # parallel edges
+            g = MultiGraph(n, tuple(edges))
+            assert g.is_connected() == bfs_connected(g), g
+            verdicts.append(g.is_connected())
+        assert 50 <= sum(verdicts) <= 350
+
     def test_is_spanning_tree(self, fan):
         assert fan.is_spanning_tree((0, 1, 3, 5))
         assert not fan.is_spanning_tree((0, 1, 2, 3))  # cycle 0-1-2

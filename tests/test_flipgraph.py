@@ -366,7 +366,7 @@ class TestBuildFlipGraph:
         listing = greedy_listing(fan, embedding=fan_emb,
                                  tiebreak=tiebreak_prefer("pivot"))
         byset = {frozenset((i, j)) for i, j, _ in fg.edge_labels}
-        walk = [index[x] for x in listing.masks()]
+        walk = [index[x] for x in listing.tree_masks]
         assert len(set(walk)) == fg.node_count
         for a, b in zip(walk, walk[1:]):
             assert frozenset((a, b)) in byset
@@ -498,6 +498,34 @@ class TestHamilton:
     def test_disconnected_none(self):
         fg = make_flip(4, [(0, 1), (2, 3)])
         assert hamilton_path(fg, cycle=False).status == "none"
+
+    def test_results_pinned(self):
+        """sha256 of the repr of every HamiltonResult (status, order and
+        steps) over a fixed sweep, cycle and path each: the pivot flip
+        graphs of the 2-connected graphs with n <= 5 at budgets 10, 200
+        and the default; the pof flip graphs of the outerplane
+        multigraphs with m <= 7 at budgets 20, 60, 200 and the default,
+        where backtracking finds some orders that rotation-extension
+        missed; and the Petersen graph and two disjoint triangles, where
+        it must prune."""
+        results = []
+        for n in range(1, 6):
+            for g in enumerate_small_graphs(n, "2-connected"):
+                fg = build_flip_graph(g, "pivot")
+                for cycle in (True, False):
+                    for budget in (10, 200, 2 * 10 ** 6):
+                        results.append(hamilton_path(fg, cycle=cycle, budget=budget))
+        for emb in enumerate_outerplane(7):
+            fg = build_flip_graph(emb, "pof")
+            for cycle in (True, False):
+                for budget in (20, 60, 200, 2 * 10 ** 6):
+                    results.append(hamilton_path(fg, cycle=cycle, budget=budget))
+        for fg in (petersen_flip(),
+                   make_flip(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])):
+            results += [hamilton_path(fg, cycle=cycle) for cycle in (True, False)]
+        assert Counter(r.status for r in results) == {"found": 417, "unknown": 86, "none": 7}
+        assert sweep_digest(results) == (
+            "5aa74c82cb1128d3aac9b7ea2eb954f28c15f12f7d9cd7bdd51d71245fc750da")
 
 
 FAN_PIVOT = MultiGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)))

@@ -164,16 +164,17 @@ def reference_class(emb, a, b):
 
 def from_scratch_report(listing, klass):
     """Reference for ``verify_gray``: the union-find check of every
-    listed tree from scratch, repeats by search, completeness by the
-    matrix-tree count, and each step decoded from its two masks, its
-    class read from the end vertices and faces (``reference_class``);
-    the violations in ``verify_gray``'s order."""
+    listed tree from scratch (a bit at m or above is no tree), repeats
+    by search, completeness by the matrix-tree count, and each step
+    decoded from its two masks, its class read from the end vertices
+    and faces (``reference_class``); the violations in ``verify_gray``'s
+    order."""
     g, lab, emb, m = listing.graph, listing.labeling, listing.embedding, listing.graph.m
-    masks = listing.masks()
+    masks = list(listing.tree_masks)
     pairs = [(ex.removed, ex.added) for ex, _ in listing.steps]
     bad = []
     for i, x in enumerate(masks):
-        if not g.is_spanning_tree([lab.edge(p + 1) for p in range(m) if x >> p & 1]):
+        if x >> m or not g.is_spanning_tree([lab.edge(p + 1) for p in range(m) if x >> p & 1]):
             bad.append(f"tree {i} is not a spanning tree")
             break
     for i, x in enumerate(masks):
@@ -258,7 +259,7 @@ def corrupted_listings(listing, rng):
     tree, bits at or above m and loop labels (each alone and in a swap),
     and a two-swap step followed by valid swaps."""
     g, lab, m = listing.graph, listing.labeling, listing.graph.m
-    masks = listing.masks()
+    masks = list(listing.tree_masks)
 
     def make(ms):
         return Listing(g, lab, listing.embedding, tuple(ms), listing.steps,
@@ -648,7 +649,6 @@ class TestGreedyListing:
         trees = listing.trees
         assert trees == tuple(SpanningTree(7, x) for x in listing.tree_masks)
         assert listing.trees is trees
-        assert listing.initial == trees[0] and listing.masks() == list(listing.tree_masks)
 
     def test_fan_first_lines_frozen(self, fan, fan_emb):
         listing = greedy_listing(fan, embedding=fan_emb)
@@ -769,7 +769,7 @@ class TestWalk:
                     masks, steps = visited_set_walk(g, lab, given, init, make(seed))
                     listing = greedy_listing(g, labeling=lab, embedding=given,
                                              initial=init, tiebreak=make(seed))
-                    assert listing.masks() == masks
+                    assert list(listing.tree_masks) == masks
                     assert [ex for ex, _ in listing.steps] == steps
                     runs += 1
         assert runs == (176 if bare else 410)
@@ -931,7 +931,7 @@ class TestWalk:
         listing = greedy_listing(fan, embedding=fan_emb)
         stream = list(greedy_walk(fan, listing.labeling, fan_emb, None,
                                   tiebreak_closest, classify=True))
-        assert [x for x, _ in stream] == listing.masks()
+        assert [x for x, _ in stream] == list(listing.tree_masks)
         assert stream[0][1] is None
         assert tuple(step for _, step in stream[1:]) == listing.steps
 
@@ -989,8 +989,7 @@ class TestWalk:
 
 class TestVerifiers:
     def test_genlex_oracle_agreement_on_listings(self, fan, fan_emb):
-        listing = greedy_listing(fan, embedding=fan_emb)
-        masks = listing.masks()
+        masks = greedy_listing(fan, embedding=fan_emb).tree_masks
         assert verify_genlex_masks(masks, 7) == genlex_brute(masks, 7)
         assert genlex_brute(masks, 7)
 
@@ -1025,7 +1024,7 @@ class TestVerifiers:
         assert verdicts == ({True} if order == "sorted" else {True, False})
 
     def test_genlex_catches_swap(self, fan, fan_emb):
-        masks = greedy_listing(fan, embedding=fan_emb).masks()
+        masks = list(greedy_listing(fan, embedding=fan_emb).tree_masks)
         masks[3], masks[12] = masks[12], masks[3]
         assert not verify_genlex_masks(masks, 7)
         assert not genlex_brute(masks, 7)
@@ -1037,6 +1036,21 @@ class TestVerifiers:
                        masks[:5] + masks[4:5] + masks[5:], listing.steps, True, None)
         rep = verify_gray(fake)
         assert not rep.ok
+
+    def test_gray_refuses_bits_above_m(self):
+        """A mask with a bit at m or above is no m-bit tree, though its
+        bits below m are one: here every mask of the fan's complete pof
+        listing carries bit m, so every step is still a valid swap and
+        only the full tree test of the first mask can refuse it."""
+        emb = extremal_family(3, 0)
+        listing = greedy_listing(emb.graph, embedding=emb, tiebreak=tiebreak_prefer("pof"))
+        m = emb.graph.m
+        assert (m, len(listing.tree_masks)) == (7, 21)
+        high = Listing(listing.graph, listing.labeling, emb,
+                       tuple(x | 1 << m for x in listing.tree_masks), listing.steps,
+                       False, None)
+        assert verify_gray(high, "pof") == treegen.GrayReport(
+            False, ("tree 0 is not a spanning tree",), 21, 21)
 
     def test_gray_catches_wrong_class_claim(self):
         # hand-built two-tree listing whose only step swaps opposite
