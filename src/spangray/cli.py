@@ -4,7 +4,8 @@ Subcommands: label (print the dual-tree edge labeling), gen (generate
 a listing), verify (re-check a listing file), count (spanning tree
 counts), experiment (small-graph sweeps), flip (export a flip graph).
 
-Exit codes: 0 success, 1 verification failure, 2 bad input or usage.
+Exit codes: 0 success, 1 verification failure, 2 bad input or usage,
+141 (128 + SIGPIPE) when the reader of the output closes it early.
 All output is deterministic; experiment timings can be zeroed with
 --no-timings to make runs byte-identical.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 
 from . import counting, flipgraph, treegen
@@ -334,15 +336,22 @@ def cmd_experiment(args: argparse.Namespace, out) -> int:
 def cmd_flip(args: argparse.Namespace, out) -> int:
     parsed = parse_graph(_read(args.path))
     g = parsed.graph
+    restriction = args.restriction or "any"
     if parsed.directed:
+        if args.restriction is not None:
+            raise GraphError("--restriction does not apply to directed input: "
+                             "arborescences flip by arc exchanges")
         if args.root_vertex is None:
             raise GraphError("directed input needs --root-vertex")
         fg = flipgraph.arborescence_flip_graph(flipgraph.DiGraph(g.n, g.edges),
                                                args.root_vertex)
-    elif args.restriction in ("any", "pivot") and parsed.outer is None:
-        fg = flipgraph.build_flip_graph(g, args.restriction)
+    elif args.root_vertex is not None:
+        raise GraphError("--root-vertex does not apply to undirected input: "
+                         "it roots the arborescences of a directed one")
+    elif restriction in ("any", "pivot") and parsed.outer is None:
+        fg = flipgraph.build_flip_graph(g, restriction)
     else:
-        fg = flipgraph.build_flip_graph(_embed(g, parsed.outer), args.restriction)
+        fg = flipgraph.build_flip_graph(_embed(g, parsed.outer), restriction)
     text = (flipgraph.to_dot(fg) if args.fmt == "dot" else flipgraph.to_text(fg))
     if args.out is None:
         print(text, file=out)
@@ -411,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     flp = sub.add_parser("flip", help="export a flip graph")
     flp.add_argument("path")
     flp.add_argument("--restriction", choices=treegen.RESTRICTIONS,
-                     default="any")
+                     default=None)
     flp.add_argument("--format", dest="fmt", choices=("dot", "text"),
                      default="text")
     flp.add_argument("--root-vertex", type=int, default=None,
@@ -426,6 +435,11 @@ def entry(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
+    except BrokenPipeError:
+        # the reader left (`| head`): what is flushed at exit goes nowhere
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,8 +17,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .dualtree import weak_dual
-from .embedgraph import EmbeddedGraph, MultiGraph, blocks, build_embedding, is_triangulation
+from .dualtree import _outer_is_cycle, weak_dual
+from .embedgraph import EmbeddedGraph, MultiGraph, build_embedding, is_triangulation
 from .errors import CertificationError, GraphError
 
 _fib = [0, 1]
@@ -231,7 +231,8 @@ def _is_path_graph(g: MultiGraph) -> bool:
         return g.m == 0
     if g.m != g.n - 1 or not g.is_connected():
         return False
-    return all(g.degree(v) <= 2 for v in range(g.n))
+    degree = Counter(x for u, v in g.edges if u != v for x in (u, v))
+    return max(degree.values()) <= 2
 
 
 @dataclass(frozen=True)
@@ -263,11 +264,8 @@ def check_fib_bound(emb: EmbeddedGraph) -> FibBoundReport:
     if t > bound:
         raise CertificationError(f"t={t} exceeds f_{g.m + 1}={bound}")
     loopless = not g.loop_edges()
-    if g.n == 1:
-        two_connected = g.m == 0
-    else:
-        bl = blocks(g)
-        two_connected = len(bl) == 1 and bl[0].graph.n == g.n
+    # one vertex counts as 2-connected only without loops
+    two_connected = g.m == 0 if g.n == 1 else _outer_is_cycle(emb)
     digons_outer = True
     for f in emb.faces:
         if not f.is_outer and f.length == 2:

@@ -4,9 +4,12 @@ The split dual of a 2-connected outerplane embedding is obtained from the
 plane dual by splitting the outer-face vertex into one degree-1 leaf per
 outer-boundary edge; the result is a tree with exactly one node per inner
 face, one leaf per boundary edge, and one edge per (non-loop) edge of the
-primal graph.  Rooting that tree at a leaf orients it, and a depth-first
-traversal that takes subtrees in ccw order assigns edge labels 1..m with
-strong ordering properties around every face and every vertex.  Those
+primal graph.  It is a tree exactly when the outer face walk passes every
+vertex once, which :class:`SplitDual` reads off the outer face's length,
+without a search.  One depth-first traversal from a root leaf, taking
+the subtrees at each face node in ccw order, orients the tree away from
+the root and assigns edge labels 1..m in its preorder, with strong
+ordering properties around every face and every vertex.  Those
 properties are what make class-restricted tie-breaking work in the greedy
 spanning-tree generator, and this module also provides executable
 checkers for them plus the constructive replacement exchange they imply.
@@ -14,6 +17,7 @@ checkers for them plus the constructive replacement exchange they imply.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _fundamental,
@@ -34,60 +38,49 @@ def weak_dual(emb: EmbeddedGraph) -> MultiGraph:
     return MultiGraph(len(inner), tuple(edges))
 
 
+def _outer_is_cycle(emb: EmbeddedGraph) -> bool:
+    """True iff the outer face walk has one dart per vertex: for n >= 2,
+    iff the graph is 2-connected (see :class:`SplitDual`)."""
+    return len(emb.faces[emb.outer_face].darts) == emb.graph.n
+
+
 class SplitDual:
     """The split dual tree of an embedding.
 
     Nodes 0..k-1 are the inner faces (in face order); nodes k.. are the
     leaves, one per outer-boundary dart, numbered along the boundary
-    walk.  The tree edge for primal edge ``e`` connects the nodes of the
-    two faces bounding ``e``, a leaf standing in for the outer face.
+    walk.  The tree edge for primal edge ``e`` joins the nodes
+    ``ends[e]`` of the two faces bounding ``e``, a leaf standing in for
+    the outer face; a loop has no tree edge, and ``ends[e]`` is None.
+
+    It is a tree exactly when the outer face walk has n darts.  With F
+    faces, D outer darts and m' non-loop edges it has N = (F - 1) + D
+    nodes and m' edges.  ``build_embedding`` checks that the graph is
+    connected and that n - m' + F = 2, so m' = N - 1 exactly when D = n;
+    and it has no cycle, which would enclose a vertex, since every
+    vertex lies on the outer face.
     """
 
     def __init__(self, emb: EmbeddedGraph):
         self.emb = emb
         g = emb.graph
+        if not _outer_is_cycle(emb):
+            raise NotTwoConnectedError(
+                "split dual is not a tree; the graph is not 2-connected "
+                "(decompose with blocks() first)")
         inner = [f.id for f in emb.faces if not f.is_outer]
         self.inner_count = len(inner)
         self.inner_face_ids = tuple(inner)
         self._node_of_face = {fid: i for i, fid in enumerate(inner)}
-        outer_darts = emb.faces[emb.outer_face].darts
-        self.leaf_darts = tuple(outer_darts)
-        self._leaf_of_dart = {d: self.inner_count + k for k, d in enumerate(outer_darts)}
-        self.node_count = self.inner_count + len(outer_darts)
+        self.leaf_darts = emb.faces[emb.outer_face].darts
+        self.node_count = self.inner_count + len(self.leaf_darts)
 
-        def node_for(dart):
-            fid = emb.left_face[dart]
-            if fid == emb.outer_face:
-                return self._leaf_of_dart[dart]
-            return self._node_of_face[fid]
-
-        ends: list[tuple[int, int] | None] = []
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
-        for e, (u, v) in enumerate(g.edges):
-            if u == v:
-                ends.append(None)
-                continue
-            a, b = node_for((e, u)), node_for((e, v))
-            ends.append((a, b))
-            adj[a].append((e, b))
-            adj[b].append((e, a))
-        self.adjacency = adj
-
-        nonloop = sum(1 for x in ends if x is not None)
-        seen = [False] * self.node_count
-        if self.node_count:
-            stack = [0]
-            seen[0] = True
-            while stack:
-                x = stack.pop()
-                for _, y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-        if not all(seen) or nonloop != self.node_count - 1:
-            raise NotTwoConnectedError(
-                "split dual is not a tree; the graph is not 2-connected "
-                "(decompose with blocks() first)")
+        node_of_dart = {d: self.inner_count + k for k, d in enumerate(self.leaf_darts)}
+        for i, fid in enumerate(inner):
+            for d in emb.faces[fid].darts:
+                node_of_dart[d] = i
+        self.ends = tuple(None if u == v else (node_of_dart[(e, u)], node_of_dart[(e, v)])
+                          for e, (u, v) in enumerate(g.edges))
 
     def is_leaf(self, node: int) -> bool:
         return node >= self.inner_count
@@ -126,44 +119,56 @@ def split_dual(emb: EmbeddedGraph) -> SplitDual:
 def default_root_leaf(sd: SplitDual) -> int:
     """Leaf of the outer-boundary edge with the smallest endpoint pair
     (ties by edge id, then boundary position)."""
-    best = None
-    for k, (e, tail) in enumerate(sd.leaf_darts):
-        u, v = sd.emb.graph.edges[e]
-        key = (min(u, v), max(u, v), e, k)
-        if best is None or key < best[0]:
-            best = (key, sd.inner_count + k)
-    if best is None:
-        raise GraphError("embedding has no outer-boundary edges")
-    return best[1]
+    edges = sd.emb.graph.edges
+    return min(range(sd.inner_count, sd.node_count), key=lambda leaf: (
+        sorted(edges[sd.leaf_edge(leaf)]), sd.leaf_edge(leaf), leaf))
 
 
 class OrientedSplitDual:
-    """A split dual rooted at a leaf, every edge oriented away from the root."""
+    """A split dual rooted at a leaf, every edge oriented away from the
+    root by one depth-first walk that takes the subtrees at each face
+    node in ccw order, starting right after the incoming edge.  ``order``
+    lists the non-loop edges in its preorder; the walk leaves node
+    ``tail_of[e]`` and enters ``head_of[e]`` by edge ``e`` (-1 for a loop)."""
 
     def __init__(self, sd: SplitDual, root: int):
         if not sd.is_leaf(root):
             raise GraphError(f"root {root} is not a leaf of the split dual")
         self.split = sd
         self.root = root
-        tail = [-1] * sd.emb.graph.m
-        head = [-1] * sd.emb.graph.m
-        seen = [False] * sd.node_count
-        seen[root] = True
-        stack = [root]
+        m = sd.emb.graph.m
+        ends, inner = sd.ends, sd.inner_count
+        tail, head, order = [-1] * m, [-1] * m, []
+        # preorder with an explicit stack: an edge's subtree is walked
+        # before its next sibling, so siblings are pushed in reverse
+        stack = [(sd.leaf_edge(root), root)]
         while stack:
-            x = stack.pop()
-            for e, y in sd.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    tail[e], head[e] = x, y
-                    stack.append(y)
+            e, x = stack.pop()
+            a, b = ends[e]
+            y = b if a == x else a
+            tail[e], head[e] = x, y
+            order.append(e)
+            if y < inner:
+                rot = sd.rotation_at(y)
+                i = rot.index(e)
+                stack.extend((f, y) for f in reversed(rot[i + 1:] + rot[:i]))
         self.tail_of = tuple(tail)
         self.head_of = tuple(head)
-        self._lobes: dict[int, tuple[frozenset[int], ...]] = {}
+        self.order = tuple(order)
 
     @property
     def emb(self) -> EmbeddedGraph:
         return self.split.emb
+
+    @functools.cached_property
+    def _runs(self) -> tuple[dict[int, int], list[int]]:
+        """Each non-loop edge's position in ``order`` and the size of its
+        subtree, which is the run of ``order`` from there."""
+        into = {y: e for e, y in enumerate(self.head_of)}
+        size = [1] * len(self.head_of)
+        for e in reversed(self.order[1:]):
+            size[into[self.tail_of[e]]] += size[e]
+        return {e: k for k, e in enumerate(self.order)}, size
 
 
 def orient_split_dual(sd: SplitDual, root: int | None = None) -> OrientedSplitDual:
@@ -173,32 +178,16 @@ def orient_split_dual(sd: SplitDual, root: int | None = None) -> OrientedSplitDu
 
 
 def dual_tree_labeling(osd: OrientedSplitDual) -> EdgeLabeling:
-    """Label the edges 1..m by a depth-first walk from the root that takes
-    the subtrees at each face node in ccw order, starting right after the
-    incoming edge.  Loops, which have no dual edge, get the labels after
-    all non-loop edges, in id order."""
-    sd = osd.split
-    g = sd.emb.graph
-    label = [0] * g.m
-    counter = 0
-    # preorder with an explicit stack: an edge's subtree is labeled before
-    # its next sibling, so siblings are pushed in reverse
-    stack = [sd.adjacency[osd.root][0][0]]
-    while stack:
-        e = stack.pop()
-        counter += 1
-        label[e] = counter
-        node = osd.head_of[e]
-        if not sd.is_leaf(node):
-            rot = sd.rotation_at(node)
-            idx = rot.index(e)
-            t = len(rot)
-            stack.extend(rot[(idx + k) % t] for k in range(t - 1, 0, -1))
-    for e in g.loop_edges():
-        counter += 1
-        label[e] = counter
-    if counter != g.m:
+    """Label the edges 1..m in the preorder of the rooted walk
+    (``osd.order``).  Loops, which have no dual edge, get the labels
+    after all non-loop edges, in id order."""
+    g = osd.emb.graph
+    walk = osd.order + g.loop_edges()
+    if len(walk) != g.m:
         raise CertificationError("labeling walk did not cover every edge")
+    label = [0] * g.m
+    for k, e in enumerate(walk, 1):
+        label[e] = k
     return EdgeLabeling(tuple(label))
 
 
@@ -241,30 +230,15 @@ def lobe(osd: OrientedSplitDual, oface: OrientedFace, i: int) -> frozenset[int]:
     t = len(oface.edge_ids)
     if not 1 <= i <= t:
         raise GraphError(f"lobe index {i} out of range 1..{t}")
-    cached = osd._lobes.get(oface.face_id)
-    if cached is None:
-        sd = osd.split
-        node = sd.face_node(oface.face_id)
-        parts = []
-        for e in oface.edge_ids:
-            # component of the dual tree minus the face node on e's side
-            other = osd.head_of[e] if osd.tail_of[e] == node else osd.tail_of[e]
-            found = {e}
-            seen_nodes = {other}
-            stack = [other]
-            while stack:
-                x = stack.pop()
-                for f, y in sd.adjacency[x]:
-                    if y == node or f in found:
-                        continue
-                    found.add(f)
-                    if y not in seen_nodes:
-                        seen_nodes.add(y)
-                        stack.append(y)
-            parts.append(frozenset(found))
-        cached = tuple(parts)
-        osd._lobes[oface.face_id] = cached
-    return cached[i - 1]
+    e = oface.edge_ids[i - 1]
+    order = osd.order
+    position, size = osd._runs
+    a, b = position[e], position[e] + size[e]
+    # a lobe is a run of the preorder: e's subtree if e leaves the face
+    # node, else everything outside the node's subtree, e kept
+    if osd.tail_of[e] == osd.split.face_node(oface.face_id):
+        return frozenset(order[a:b])
+    return frozenset(order[:a + 1] + order[b:])
 
 
 @dataclass(frozen=True)

@@ -344,8 +344,15 @@ def _posa_cycle(adj, n: int, budget: int):
 
 
 def _ordered_candidates(adj, cur: int, visited: int):
-    cands = sorted((bin(adj[l - 1] & ~visited).count("1"), l - 1)
-                   for l in _labels(adj[cur] & ~visited))
+    unvisited = ~visited
+    cands = []
+    x = adj[cur] & unvisited
+    while x:
+        low = x & -x
+        i = low.bit_length() - 1
+        cands.append(((adj[i] & unvisited).bit_count(), i))
+        x ^= low
+    cands.sort()
     return [i for _, i in cands]
 
 
@@ -363,18 +370,23 @@ def _prunable(adj, visited: int, cur: int, start: int, full: int) -> bool:
     comp = frontier
     while frontier:
         nxt = 0
-        for l in _labels(frontier):
-            nxt |= adj[l - 1]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & free & ~comp
         comp |= frontier
     if comp != free:
         return True
     allowed = free | (1 << cur) | (1 << start)
-    for l in _labels(free):
-        links = adj[l - 1] & allowed
+    x = free
+    while x:
+        low = x & -x
+        links = adj[low.bit_length() - 1] & allowed
         if links & (links - 1) == 0:
             # fewer than two links: the node cannot be passed through
             return True
+        x ^= low
     return False
 
 

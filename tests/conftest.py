@@ -2,7 +2,8 @@
 
 import pytest
 
-from spangray.embedgraph import MultiGraph, build_embedding
+from spangray.embedgraph import EdgeLabeling, MultiGraph, build_embedding
+from spangray.errors import NotTwoConnectedError
 from spangray.treegen import SpanningTree
 
 
@@ -114,6 +115,114 @@ def reference_spanning_trees(g):
 
     rec(0, 0, 0)
     return tuple(out)
+
+
+def reference_split_dual(emb):
+    """The split dual numbered as ``SplitDual`` numbers it, and the tree
+    test by search it once ran: the inner face ids, each edge's two
+    nodes (None for a loop) and each node's (edge, other node) list.
+    It raises ``SplitDual``'s refusal when a depth-first search from
+    node 0 misses a node or the edges are not one fewer than the
+    nodes.  The reference for ``split_dual``."""
+    g = emb.graph
+    inner = [f.id for f in emb.faces if not f.is_outer]
+    node_of_face = {fid: i for i, fid in enumerate(inner)}
+    outer_darts = emb.faces[emb.outer_face].darts
+    leaf_of_dart = {d: len(inner) + k for k, d in enumerate(outer_darts)}
+    node_count = len(inner) + len(outer_darts)
+
+    def node_for(dart):
+        fid = emb.left_face[dart]
+        return leaf_of_dart[dart] if fid == emb.outer_face else node_of_face[fid]
+
+    ends = []
+    adj = [[] for _ in range(node_count)]
+    for e, (u, v) in enumerate(g.edges):
+        if u == v:
+            ends.append(None)
+            continue
+        a, b = node_for((e, u)), node_for((e, v))
+        ends.append((a, b))
+        adj[a].append((e, b))
+        adj[b].append((e, a))
+    seen = [False] * node_count
+    if node_count:
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for _, y in adj[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+    if not all(seen) or g.m - len(g.loop_edges()) != node_count - 1:
+        raise NotTwoConnectedError(
+            "split dual is not a tree; the graph is not 2-connected "
+            "(decompose with blocks() first)")
+    return inner, tuple(ends), adj
+
+
+def reference_orientation(adj, m, root):
+    """Each edge's tail and head (-1 for a loop) by a depth-first search
+    over the adjacency from the root, which takes no rotation order.
+    The reference for ``OrientedSplitDual.tail_of`` and ``head_of``."""
+    tail, head = [-1] * m, [-1] * m
+    seen = {root}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for e, y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                tail[e], head[e] = x, y
+                stack.append(y)
+    return tuple(tail), tuple(head)
+
+
+def reference_labeling(emb, inner, adj, head, root):
+    """The dual-tree labeling by a preorder of its own over the
+    reference orientation: from the root leaf's edge, each face node's
+    other edges in ccw order after the incoming one, each edge's
+    subtree before its next sibling; loops last, in id order.  The
+    reference for ``dual_tree_labeling``."""
+    g = emb.graph
+    label = [0] * g.m
+    counter = 0
+    stack = [adj[root][0][0]]
+    while stack:
+        e = stack.pop()
+        counter += 1
+        label[e] = counter
+        node = head[e]
+        if node < len(inner):
+            rot = emb.faces[inner[node]].edge_ids
+            idx = rot.index(e)
+            t = len(rot)
+            stack.extend(rot[(idx + k) % t] for k in range(t - 1, 0, -1))
+    for e in g.loop_edges():
+        counter += 1
+        label[e] = counter
+    return EdgeLabeling(tuple(label))
+
+
+def reference_lobes(adj, tail, head, node, edge_ids):
+    """Per edge of the face at ``node``, that edge and the edges of the
+    component on its side once the node is removed, by search.  The
+    reference for ``dualtree.lobe``."""
+    parts = []
+    for e in edge_ids:
+        other = head[e] if tail[e] == node else tail[e]
+        found = {e}
+        seen = {other}
+        stack = [other]
+        while stack:
+            for f, y in adj[stack.pop()]:
+                if y != node and f not in found:
+                    found.add(f)
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        parts.append(frozenset(found))
+    return tuple(parts)
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ BASES = (
 HUGE = tuple(f"{n} 7\n{outer}{FAN_EDGES}"
              for n in ("1000000000", "1" + "0" * 33)
              for outer in ("outer: 0 1 2 3 4\n", ""))
-COMMANDS = (["label"], ["gen"], ["count"], ["flip", "--root-vertex", "0"])
+COMMANDS = ("label", "gen", "count", "flip")
 STRAY = "01-+#:_ x\t٣"
 BIG = ("1000000000", "1" + "0" * 33, "9" * 5000, "-1")
 
@@ -90,21 +90,25 @@ def run_all(seed: int, count: int) -> list[dict]:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             line = parse_crash = None
+            root = []
             try:
-                parse_graph(text)
+                if parse_graph(text).directed:
+                    root = ["--root-vertex", "0"]
             except ParseError as exc:
                 line = exc.line
             except Exception:
                 parse_crash = traceback.format_exc()
-            for argv in COMMANDS:
+            for command in COMMANDS:
                 err = io.StringIO()
                 rc, crash = None, parse_crash
                 try:
                     with contextlib.redirect_stderr(err):
-                        rc = cli.entry([argv[0], path, *argv[1:]], out=io.StringIO())
+                        # flip takes --root-vertex on a directed file only
+                        extra = root if command == "flip" else []
+                        rc = cli.entry([command, path, *extra], out=io.StringIO())
                 except Exception:
                     crash = traceback.format_exc()
-                out.append({"text": text[:200], "command": argv[0], "rc": rc,
+                out.append({"text": text[:200], "command": command, "rc": rc,
                             "err": err.getvalue(), "parse_line": line, "crash": crash})
     return out
 

@@ -140,6 +140,22 @@ def test_seeded_graph_file_mutations():
     assert {r["rc"] for r in runs} >= {0, 2}
 
 
+def test_closed_pipe_exits_quietly(strip_file):
+    """A reader that takes one line of the m=22 strip's listing and
+    closes the pipe, as `| head -1` does: gen stops with exit code 141
+    (128 + SIGPIPE) and nothing on stderr."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from spangray.cli import entry; sys.exit(entry())",
+         "gen", strip_file],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (first, child.wait(timeout=60), err) == (b"1010101010101010101010\n", 141, b"")
+
+
 def test_disconnected_header_refused(tmp_path, capsys):
     """A header declaring more vertices than m + 1 names the header's
     line (no graph with n > m + 1 is connected; count printed t=0
@@ -1036,6 +1052,34 @@ class TestFlip:
         assert out.splitlines()[0].startswith("nodes=1")
         rc, _ = run(["flip", str(p)])
         assert rc == 2
+
+    def test_directed_refuses_restriction(self, tmp_path, capsys):
+        """An arborescence flip graph has no exchange classes: any
+        --restriction on a directed file exits 2."""
+        p = tmp_path / "d.txt"
+        p.write_text(DIRECTED)
+        for restriction in ("pof", "any"):
+            rc, out = run(["flip", str(p), "--root-vertex", "0",
+                           "--restriction", restriction])
+            assert (rc, out) == (2, "")
+            assert capsys.readouterr().err == (
+                "error: --restriction does not apply to directed input: "
+                "arborescences flip by arc exchanges\n")
+
+    @pytest.mark.parametrize("root", ["0", "5"])
+    def test_undirected_refuses_root_vertex(self, fan_file, capsys, root):
+        """--root-vertex roots arborescences only; on an undirected file
+        it exits 2, in range or not."""
+        rc, out = run(["flip", fan_file, "--root-vertex", root])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --root-vertex does not apply to undirected input: "
+            "it roots the arborescences of a directed one\n")
+
+    def test_restriction_defaults_to_any(self, fan_file):
+        assert run(["flip", fan_file]) == run(["flip", fan_file, "--restriction", "any"])
+        assert run(["flip", fan_file])[1].splitlines()[0] == \
+            "nodes=21 edges=76 restriction=any"
 
     def test_pivot_without_outer_ok(self, tmp_path):
         p = tmp_path / "k4.txt"

@@ -4,16 +4,19 @@ the alternative-exchange construction."""
 import pytest
 
 from conftest import (bundle_graph, cycle_graph, diamond_embedding,
-                      fan_embedding, triangle_with_parallel)
+                      fan_embedding, reference_labeling, reference_lobes,
+                      reference_orientation, reference_split_dual,
+                      triangle_with_parallel)
 from spangray.dualtree import (alternative_pof_exchange,
                                check_face_label_order,
                                check_vertex_label_chain, default_root_leaf,
                                dual_tree_labeling, incidence_list, lobe,
                                orient_split_dual, oriented_faces, split_dual,
                                weak_dual)
-from spangray.embedgraph import (EdgeLabeling, MultiGraph, build_embedding,
-                                 is_triangulation)
-from spangray.counting import extremal_family
+from spangray.embedgraph import (EdgeLabeling, MultiGraph, blocks,
+                                 build_embedding, is_triangulation)
+from spangray.counting import enumerate_outerplane, extremal_family
+from spangray.flipgraph import enumerate_small_graphs, find_outerplane_order
 from spangray.errors import CertificationError, GraphError, NotTwoConnectedError
 from spangray.treegen import (Exchange, classify_exchange, greedy_listing,
                               valid_exchanges)
@@ -61,6 +64,103 @@ class TestSplitDual:
         for leaf in sd.leaves():
             e = sd.leaf_edge(leaf)
             assert sd.leaf_for_edge(e) in sd.leaves()
+
+
+REFUSAL = ("split dual is not a tree; the graph is not 2-connected "
+           "(decompose with blocks() first)")
+
+
+def _compare_with_references(emb):
+    """``split_dual``, the orientation from every root leaf, the labeling
+    and the lobes, against the search-based references in conftest.
+    Returns the number of labelings compared, None for a refusal."""
+    g = emb.graph
+    bl = blocks(g)
+    two_connected = g.n > 1 and len(bl) == 1 and bl[0].graph.n == g.n
+    try:
+        inner, ends, adj = reference_split_dual(emb)
+    except NotTwoConnectedError as exc:
+        with pytest.raises(NotTwoConnectedError) as got:
+            split_dual(emb)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        assert not two_connected
+        return None
+    assert two_connected
+    sd = split_dual(emb)
+    assert sd.ends == ends and sd.node_count == len(adj)
+    for root in sd.leaves():
+        osd = orient_split_dual(sd, root)
+        tail, head = reference_orientation(adj, g.m, root)
+        assert (osd.tail_of, osd.head_of) == (tail, head)
+        assert dual_tree_labeling(osd) == reference_labeling(emb, inner, adj, head, root)
+        for of in oriented_faces(osd):
+            node = sd.face_node(of.face_id)
+            want = reference_lobes(adj, tail, head, node, of.edge_ids)
+            assert tuple(lobe(osd, of, i + 1) for i in range(len(want))) == want
+    return len(sd.leaves())
+
+
+def _with_loop_and_parallel(g):
+    """g, g with a loop at vertex 0, g with a copy of edge 0, and g
+    with both (the last two only when g has an edge)."""
+    yield g
+    yield MultiGraph(g.n, g.edges + ((0, 0),))
+    if g.m:
+        yield MultiGraph(g.n, g.edges + (g.edges[0],))
+        yield MultiGraph(g.n, g.edges + (g.edges[0], (0, 0)))
+
+
+def _small_graph_sweep(sizes):
+    """Every connected outerplane graph from ``enumerate_small_graphs``
+    at the given sizes, with and without an added loop and parallel
+    edge, embedded in its searched order."""
+    refused = labelings = 0
+    for n in sizes:
+        for g in enumerate_small_graphs(n, "outerplane"):
+            if not g.is_connected():
+                continue
+            order = find_outerplane_order(g)
+            for h in _with_loop_and_parallel(g):
+                got = _compare_with_references(build_embedding(h, order))
+                if got is None:
+                    refused += 1
+                else:
+                    labelings += got
+    return refused, labelings
+
+
+class TestAgainstReferences:
+    """The split dual's outer-face tree test and its one rooted preorder
+    give the refusals, orientations, labelings and lobes of the
+    search-based references."""
+
+    def test_outerplane_sweep_every_root(self):
+        count = sum(_compare_with_references(emb) for emb in enumerate_outerplane(9))
+        assert count == 1455
+
+    def test_extremal_strips(self):
+        for k in range(1, 30):
+            for d in range(min(k, 2) + 1):
+                assert _compare_with_references(extremal_family(k, d))
+
+    def test_small_graphs_with_loops_and_parallels(self):
+        assert _small_graph_sweep(range(1, 7)) == (206, 328)
+
+    @pytest.mark.slow
+    def test_small_graphs_n7(self):
+        assert _small_graph_sweep([7]) == (608, 560)
+
+    @pytest.mark.parametrize("g, order", [
+        (MultiGraph(1, ()), (0,)),
+        (MultiGraph(1, ((0, 0),)), (0,)),
+        (MultiGraph(3, ((0, 1), (1, 2))), (0, 1, 2)),
+        (MultiGraph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4))),
+         (0, 1, 2, 3, 4)),
+    ], ids=["vertex", "vertex-loop", "path", "bowtie"])
+    def test_refusal_text(self, g, order):
+        with pytest.raises(NotTwoConnectedError) as exc:
+            split_dual(build_embedding(g, order))
+        assert str(exc.value) == REFUSAL
 
 
 class TestLabeling:
