@@ -154,8 +154,7 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
     if args.initial is not None:
         initial = _ints([t.strip() for t in args.initial.split(",") if t.strip()],
                         "--initial expects comma-separated labels", None)
-    # the embedding makes g outerplane, so it reduces series-parallel
-    expected = counting.count_series_parallel(g)
+    expected = treegen._count_trees(g, emb)
     listing = treegen.greedy_listing(
         g, labeling=labeling, embedding=emb, initial=initial,
         tiebreak=_tiebreak_rule(args.tiebreak), max_trees=args.max_trees,
@@ -192,6 +191,15 @@ def _read_listing(text: str, g: MultiGraph) -> tuple[list[int], list[tuple[int, 
     return _read_bulk(lines, m, label) or _read_lines(lines, m, label)
 
 
+def _step_tokens(line: str):
+    """The two label tokens of a step line "- r + a [classes]", or None
+    for a line of any other shape."""
+    parts = line.split()
+    if len(parts) in (4, 5) and parts[0] == "-" and parts[2] == "+":
+        return parts[1], parts[3]
+    return None
+
+
 def _read_bulk(lines: list[str], m: int, label: dict[str, int]):
     """The masks and pairs of ``lines`` if they have gen's exact shape,
     else None.  The shape: tree and step lines alternate from the first
@@ -218,10 +226,10 @@ def _read_bulk(lines: list[str], m: int, label: dict[str, int]):
     pair = {}
     steps = lines[1:end:2]
     for line in set(steps):
-        parts = line.split()
-        if len(parts) not in (4, 5) or parts[0] != "-" or parts[2] != "+":
+        tokens = _step_tokens(line)
+        if tokens is None:
             return None
-        removed, added = label.get(parts[1]), label.get(parts[3])
+        removed, added = label.get(tokens[0]), label.get(tokens[1])
         if removed is None or added is None:
             return None
         pair[line] = (removed, added)
@@ -232,9 +240,10 @@ def _read_bulk(lines: list[str], m: int, label: dict[str, int]):
 def _read_lines(lines: list[str], m: int, label: dict[str, int]):
     """The masks and pairs of ``lines``, one line at a time: a line's
     first character tells which kind it is, and a ParseError names the
-    line of any fault."""
+    line of any fault.  Each distinct step line is read once."""
     masks: list[int] = []
     pairs: list[tuple[int, int]] = []
+    pair = {}           # step line -> its (removed, added)
     tree_next = True    # a tree line comes next: first, and after each step
     lineno = step_line = 1
     for lineno, raw in enumerate(lines, start=1):
@@ -243,15 +252,18 @@ def _read_lines(lines: list[str], m: int, label: dict[str, int]):
         if first == "-":
             if tree_next:
                 raise ParseError("step line without a preceding tree", lineno)
-            parts = line.split()
-            if len(parts) not in (4, 5) or parts[0] != "-" or parts[2] != "+":
-                raise ParseError(f"bad step line {line!r}", lineno)
-            removed, added = label.get(parts[1]), label.get(parts[3])
-            if removed is None or added is None:
-                removed, added = _ints(parts[1:4:2], "step labels must be integers", lineno)
-                if not (1 <= removed <= m and 1 <= added <= m):
-                    raise ParseError("step label out of range", lineno)
-            pairs.append((removed, added))
+            step = pair.get(line)
+            if step is None:
+                tokens = _step_tokens(line)
+                if tokens is None:
+                    raise ParseError(f"bad step line {line!r}", lineno)
+                step = label.get(tokens[0]), label.get(tokens[1])
+                if None in step:
+                    step = _ints(tokens, "step labels must be integers", lineno)
+                    if not all(1 <= l <= m for l in step):
+                        raise ParseError("step label out of range", lineno)
+                step = pair[line] = tuple(step)
+            pairs.append(step)
             tree_next = True
             step_line = lineno
         elif first and first != "#":
@@ -440,9 +452,6 @@ def entry(argv=None, out=None) -> int:
         if out is sys.stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CertificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

@@ -60,15 +60,10 @@ def count_matrix_tree(g: MultiGraph) -> int:
         if u < d and v < d:
             a[u][v] -= 1
             a[v][u] -= 1
-    sign = 1
+    # g is connected, so the minor is positive definite and each Bareiss
+    # pivot, a leading principal minor, is positive: no row swaps
     prev = 1
     for k in range(d - 1):
-        if a[k][k] == 0:
-            row = next((i for i in range(k + 1, d) if a[i][k] != 0), None)
-            if row is None:
-                return 0
-            a[k], a[row] = a[row], a[k]
-            sign = -sign
         akk = a[k][k]
         for i in range(k + 1, d):
             aik = a[i][k]
@@ -78,7 +73,7 @@ def count_matrix_tree(g: MultiGraph) -> int:
                 row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = akk
-    return sign * a[d - 1][d - 1]
+    return a[d - 1][d - 1]
 
 
 def count_series_parallel(g: MultiGraph) -> int:

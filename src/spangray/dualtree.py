@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 
 from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _fundamental,
-                         _labels)
+                         _labels, _tree_mask)
 from .errors import CertificationError, GraphError, NotTwoConnectedError
 
 
@@ -332,12 +332,8 @@ def alternative_pof_exchange(osd: OrientedSplitDual, labeling: EdgeLabeling,
     lobe just before f on the face.
     """
     g = osd.emb.graph
-    tree_labels = set(tree_labels)
-    tree = frozenset(labeling.edge(l) for l in tree_labels if 1 <= l <= g.m)
-    if len(tree) != len(tree_labels) or not g.is_spanning_tree(tree):
-        raise GraphError(f"labels {sorted(tree_labels)} do not form a spanning tree")
-    if hasattr(exchange, "pair"):
-        exchange = exchange.pair()
+    mask = _tree_mask(g, labeling, tree_labels)
+    tree = frozenset(labeling.edge(l) for l in _labels(mask))
     la, lb = exchange
     if la == lb:
         raise GraphError("exchange must involve two distinct labels")
@@ -360,11 +356,10 @@ def alternative_pof_exchange(osd: OrientedSplitDual, labeling: EdgeLabeling,
         raise CertificationError("larger-label edge is the inward face edge")
 
     non_tree = e_id if f_id in tree else f_id
-    mask = sum(1 << (l - 1) for l in tree_labels)
     path = _fundamental(g, labeling, mask, g.m + 1)[labeling.label(non_tree)]
     cycle = {labeling.edge(l) for l in _labels(path)} | {non_tree}
     if e_id not in cycle or f_id not in cycle:
-        raise GraphError(f"exchange {exchange} is not valid for the tree")
+        raise GraphError(f"exchange {(le, lf)} is not valid for the tree")
 
     if f_id in tree:
         j = next(k for k in range(1, len(of.edge_ids) + 1)

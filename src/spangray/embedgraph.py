@@ -538,6 +538,26 @@ def blocks(g: MultiGraph) -> list[Block]:
     return result
 
 
+def _tree_mask(g: MultiGraph, labeling: EdgeLabeling, labels) -> int:
+    """The mask of the labels, which must form a spanning tree of g,
+    each label once."""
+    seen = set()
+    for l in labels:
+        if l in seen:
+            raise GraphError(f"label {l} is repeated")
+        seen.add(l)
+    labels = seen
+    if not all(1 <= l <= g.m for l in labels):
+        raise GraphError("labels out of range")
+    ids = [labeling.edge(l) for l in labels]
+    if not g.is_spanning_tree(ids):
+        raise GraphError(f"labels {sorted(labels)} do not form a spanning tree")
+    mask = 0
+    for l in labels:
+        mask |= 1 << (l - 1)
+    return mask
+
+
 def _fundamental(g: MultiGraph, labeling: EdgeLabeling, mask: int, k: int) -> list[int]:
     """The fundamental cuts and cycles of the spanning tree whose labels
     are the set bits of ``mask``, restricted to the labels below ``k``,

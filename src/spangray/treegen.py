@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import counting
 from .dualtree import dual_tree_labeling, orient_split_dual, split_dual
 from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _fundamental, _labels,
-                         _pivot)
+                         _pivot, _tree_mask)
 from .errors import CertificationError, GraphError
 
 
@@ -101,26 +101,6 @@ def _flag_text(c: ExchangeClass) -> str:
 # them are of that kind
 _CLASSES = tuple(ExchangeClass(bool(i & 1), bool(i & 2), bool(i & 4)) for i in range(8))
 _IN_CLASS = {k: tuple(c.matches(k) for c in _CLASSES) for k in RESTRICTIONS}
-
-
-def _tree_mask(g: MultiGraph, labeling: EdgeLabeling, labels) -> int:
-    """The mask of the labels, which must form a spanning tree of g,
-    each label once."""
-    seen = set()
-    for l in labels:
-        if l in seen:
-            raise GraphError(f"label {l} is repeated")
-        seen.add(l)
-    labels = seen
-    if not all(1 <= l <= g.m for l in labels):
-        raise GraphError("labels out of range")
-    ids = [labeling.edge(l) for l in labels]
-    if not g.is_spanning_tree(ids):
-        raise GraphError(f"labels {sorted(labels)} do not form a spanning tree")
-    mask = 0
-    for l in labels:
-        mask |= 1 << (l - 1)
-    return mask
 
 
 def spanning_tree_from_labels(g: MultiGraph, labeling: EdgeLabeling, labels) -> SpanningTree:
@@ -244,40 +224,35 @@ class TieContext:
     candidates: tuple[Exchange, ...]
 
 
-def tiebreak_closest(ctx: TieContext) -> Exchange:
-    """Pick the candidate with the maximum smaller label."""
-    if not ctx.candidates:
-        raise GraphError("empty tie set")
-    return ctx.candidates[-1]
-
-
 # A rule with a ``kind`` attribute declares that it picks, among the
 # candidates of that exchange class, the one with the largest smaller
 # label; :func:`greedy_walk` then makes that pick itself, on labels.
-tiebreak_closest.kind = "any"
-
-
 def tiebreak_prefer(kind: str):
-    """Rule that keeps only candidates of the given exchange class and
-    picks the one with the maximum smaller label, as tiebreak_closest
-    does.  An empty preferred set raises CertificationError: with a
-    dual-tree labeling the theory guarantees a candidate of the
-    preferred class in every tie."""
-    if kind == "any" or kind not in RESTRICTIONS:
+    """Rule that keeps only candidates of the given exchange class
+    ("any" keeps them all) and picks the one with the maximum smaller
+    label.  An empty tie set is a GraphError; an empty preferred set
+    raises CertificationError: with a dual-tree labeling the theory
+    guarantees a candidate of the preferred class in every tie."""
+    if kind not in RESTRICTIONS:
         raise GraphError(f"unknown exchange class {kind!r}")
 
     def rule(ctx: TieContext) -> Exchange:
-        index, table = _classifier(ctx.graph, ctx.embedding, ctx.labeling, kind)
         cands = ctx.candidates
-        larger = cands[-1].larger if cands else 0
+        if not cands:
+            raise GraphError("empty tie set")
+        index, table = _classifier(ctx.graph, ctx.embedding, ctx.labeling, kind)
         partners = 0
         for x in cands:
             partners |= 1 << x.smaller - 1
-        e = _prefer(index, table, kind, larger, partners)
+        e = _prefer(index, table, kind, cands[-1].larger, partners)
         return next(x for x in reversed(cands) if x.smaller == e)
 
     rule.kind = kind
     return rule
+
+
+# the candidate with the maximum smaller label
+tiebreak_closest = tiebreak_prefer("any")
 
 
 def tiebreak_random(rng: random.Random):
@@ -514,20 +489,18 @@ class GrayReport:
     expected: int | None
 
 
-def verify_gray(listing: Listing, required_class: str = "any",
-                expected_count: int | None = None) -> GrayReport:
+def verify_gray(listing: Listing, required_class: str = "any") -> GrayReport:
     """:func:`verify_gray_masks` on the listing's masks and the label
     pairs its steps record."""
     return verify_gray_masks(listing.graph, listing.labeling, listing.embedding,
                              listing.tree_masks,
                              [(ex.removed, ex.added) for ex, _ in listing.steps],
-                             listing.truncated, required_class, expected_count)
+                             listing.truncated, required_class)
 
 
 def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
                       embedding: EmbeddedGraph | None, masks, pairs,
-                      truncated: bool, required_class: str = "any",
-                      expected_count: int | None = None) -> GrayReport:
+                      truncated: bool, required_class: str = "any") -> GrayReport:
     """Re-validate a listing given as its tree masks and the
     ``(removed, added)`` label pair each step records: every tree a
     spanning tree, no repeats, completeness against an independent
@@ -591,11 +564,8 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
                 bad.append(f"tree {i} repeats tree {seen[x]}")
                 break
             seen[x] = i
-    expected = expected_count
-    if not truncated:
-        if expected is None:
-            expected = _count_trees(g, embedding)
-        if len(masks) != expected:
-            bad.append(f"listing has {len(masks)} trees, count says {expected}")
+    expected = None if truncated else _count_trees(g, embedding)
+    if expected is not None and len(masks) != expected:
+        bad.append(f"listing has {len(masks)} trees, count says {expected}")
     bad += step_bad
     return GrayReport(not bad, tuple(bad), len(masks), expected)

@@ -156,6 +156,25 @@ def test_closed_pipe_exits_quietly(strip_file):
     assert (first, child.wait(timeout=60), err) == (b"1010101010101010101010\n", 141, b"")
 
 
+@pytest.mark.parametrize("command", ["label", "gen", "verify", "count"])
+def test_directed_file_refused(tmp_path, capsys, command):
+    """Every command but flip reads an undirected graph, and names
+    itself when it gets a directed one."""
+    p = tmp_path / "d.txt"
+    p.write_text(DIRECTED)
+    # verify's listing is never read: the graph file fails first
+    listing = [str(p)] if command == "verify" else []
+    assert run([command, str(p), *listing]) == (2, "")
+    assert capsys.readouterr().err == f"error: {command} expects an undirected graph\n"
+
+
+@pytest.mark.parametrize("command", ["label", "gen", "verify"])
+def test_root_out_of_range(fan_file, capsys, command):
+    listing = [fan_file] if command == "verify" else []
+    assert run([command, fan_file, *listing, "--root", "99"]) == (2, "")
+    assert capsys.readouterr().err == "error: --root edge id 99 out of range\n"
+
+
 def test_disconnected_header_refused(tmp_path, capsys):
     """A header declaring more vertices than m + 1 names the header's
     line (no graph with n > m + 1 is connected; count printed t=0
@@ -427,6 +446,10 @@ class TestGen:
     def test_bad_initial(self, fan_file):
         rc, _ = run(["gen", fan_file, "--initial", "1,2,3,4"])
         assert rc == 2
+
+    def test_initial_label_out_of_range(self, fan_file, capsys):
+        assert run(["gen", fan_file, "--initial", "0,1,2,3"]) == (2, "")
+        assert capsys.readouterr().err == "error: labels out of range\n"
 
     def test_repeated_initial_label(self, fan_file, capsys):
         """``--initial 1,2,5,6`` is a tree; repeating a label exits 2
@@ -862,6 +885,34 @@ class TestListingReader:
         assert text == "\n"
         assert self._read_both(g, text + "# trees=1\n") == \
             (("line 2: listing contains no trees", 2), False)
+
+    def test_line_reader_decodes_like_gen(self):
+        """Step labels written with a leading 0 and "#" lines between
+        the steps send the 3-face strip's listing to the line reader,
+        which reads each distinct step line once: it returns the masks
+        and label pairs the walk listed.  A bad step line that repeats
+        is named at its first line."""
+        emb = counting.extremal_family(3)
+        g = emb.graph
+        listing = treegen.greedy_listing(g, embedding=emb, classify=True)
+        lines = []
+        for line in listing.render_lines():
+            if line.startswith("-"):
+                _, r, _, a, *flags = line.split()
+                lines += [" ".join(["-", "0" + r, "+", "0" + a, *flags]), "# note"]
+            else:
+                lines.append(line)
+        m = g.m
+        assert cli._read_bulk(lines, m, {str(l): l for l in range(1, m + 1)}) is None
+        assert cli._read_listing("\n".join(lines), g) == \
+            (list(listing.tree_masks), [(ex.removed, ex.added) for ex, _ in listing.steps])
+        repeated = [i for i, line in enumerate(lines) if line == lines[1]]
+        assert len(repeated) > 1
+        bad = lines[1].replace("+ 0", "+ 9")
+        for at in (repeated, repeated[1:]):
+            mutant = [bad if i in at else line for i, line in enumerate(lines)]
+            assert _read_outcome(cli._read_listing, "\n".join(mutant), g) == \
+                (f"line {at[0] + 1}: step label out of range", at[0] + 1)
 
     def test_seeded_mutants_read_alike(self):
         """About 2,000 seeded mutants of small gen listings, and a few of

@@ -331,3 +331,18 @@ class TestAlternativeExchange:
                            ([1, 2, 4, 6, 8], (8, 7))):
             with pytest.raises(GraphError):
                 alternative_pof_exchange(osd, lab, labels, ex)
+
+    def test_refuses_repeated_label(self):
+        """The tree test is the walk's: [1, 2, 4, 6] is a tree of the
+        3-face strip, and the same labels with 1 repeated are refused,
+        as are labels out of range."""
+        osd = orient_split_dual(split_dual(extremal_family(3)))
+        lab = dual_tree_labeling(osd)
+        assert alternative_pof_exchange(osd, lab, [1, 2, 4, 6], (1, 3)) == (2, 3)
+        for labels, message in (([1, 2, 4, 6, 1], "label 1 is repeated"),
+                                ([0, 1, 2, 4, 6], "labels out of range"),
+                                ([1, 2, 4, 8], "labels out of range"),
+                                ([1, 2], "labels [1, 2] do not form a spanning tree")):
+            with pytest.raises(GraphError) as exc:
+                alternative_pof_exchange(osd, lab, labels, (1, 3))
+            assert str(exc.value) == message

@@ -410,6 +410,29 @@ class TestTieRules:
         ctx = TieContext(fan, lab, None, t.mask, cands)
         assert tiebreak_closest(ctx).pair() == (2, 4)
 
+    def test_closest_is_prefer_any(self, fan):
+        """The built-in closest rule is the prefer rule of class "any":
+        on criterion 2's tie both pick (2, 4)."""
+        lab = EdgeLabeling.identity(7)
+        t = spanning_tree_from_labels(fan, lab, [1, 2, 5, 6])
+        cands = tuple(ex for ex in valid_exchanges(fan, lab, t)
+                      if ex.larger == 4)
+        ctx = TieContext(fan, lab, None, t.mask, cands)
+        assert tiebreak_prefer("any")(ctx).pair() == (2, 4)
+        assert tiebreak_closest.kind == tiebreak_prefer("any").kind == "any"
+
+    @pytest.mark.parametrize("name", ("closest", "random") + RESTRICTIONS)
+    def test_empty_tie_set_raises(self, diamond, diamond_emb, name):
+        """Every built-in rule: closest, random and prefer of each class."""
+        rule = {"closest": tiebreak_closest,
+                "random": tiebreak_random(random.Random(3))}.get(name)
+        rule = rule or tiebreak_prefer(name)
+        lab = EdgeLabeling.identity(5)
+        t = spanning_tree_from_labels(diamond, lab, [1, 2, 5])
+        ctx = TieContext(diamond, lab, diamond_emb, t.mask, ())
+        with pytest.raises(GraphError, match="^empty tie set$"):
+            rule(ctx)
+
     def test_prefer_filters_then_falls_back(self, diamond, diamond_emb):
         lab = EdgeLabeling.identity(5)
         t = spanning_tree_from_labels(diamond, lab, [1, 2, 5])
