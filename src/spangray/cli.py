@@ -240,10 +240,9 @@ def _read_bulk(lines: list[str], m: int, label: dict[str, int]):
 def _read_lines(lines: list[str], m: int, label: dict[str, int]):
     """The masks and pairs of ``lines``, one line at a time: a line's
     first character tells which kind it is, and a ParseError names the
-    line of any fault.  Each distinct step line is read once."""
+    line of any fault."""
     masks: list[int] = []
     pairs: list[tuple[int, int]] = []
-    pair = {}           # step line -> its (removed, added)
     tree_next = True    # a tree line comes next: first, and after each step
     lineno = step_line = 1
     for lineno, raw in enumerate(lines, start=1):
@@ -252,18 +251,15 @@ def _read_lines(lines: list[str], m: int, label: dict[str, int]):
         if first == "-":
             if tree_next:
                 raise ParseError("step line without a preceding tree", lineno)
-            step = pair.get(line)
-            if step is None:
-                tokens = _step_tokens(line)
-                if tokens is None:
-                    raise ParseError(f"bad step line {line!r}", lineno)
-                step = label.get(tokens[0]), label.get(tokens[1])
-                if None in step:
-                    step = _ints(tokens, "step labels must be integers", lineno)
-                    if not all(1 <= l <= m for l in step):
-                        raise ParseError("step label out of range", lineno)
-                step = pair[line] = tuple(step)
-            pairs.append(step)
+            tokens = _step_tokens(line)
+            if tokens is None:
+                raise ParseError(f"bad step line {line!r}", lineno)
+            removed, added = label.get(tokens[0]), label.get(tokens[1])
+            if removed is None or added is None:
+                removed, added = _ints(tokens, "step labels must be integers", lineno)
+                if not (1 <= removed <= m and 1 <= added <= m):
+                    raise ParseError("step label out of range", lineno)
+            pairs.append((removed, added))
             tree_next = True
             step_line = lineno
         elif first and first != "#":

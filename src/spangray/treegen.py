@@ -237,9 +237,13 @@ def tiebreak_prefer(kind: str):
         raise GraphError(f"unknown exchange class {kind!r}")
 
     def rule(ctx: TieContext) -> Exchange:
+        """Pick, among the candidates of this rule's exchange class, the
+        one with the maximum smaller label."""
         cands = ctx.candidates
         if not cands:
             raise GraphError("empty tie set")
+        if kind == "any":
+            return cands[-1]
         index, table = _classifier(ctx.graph, ctx.embedding, ctx.labeling, kind)
         partners = 0
         for x in cands:
