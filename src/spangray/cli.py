@@ -310,18 +310,31 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     return 0 if genlex_ok and rep.ok else 1
 
 
+# The deletion-contraction cross-check gives up past this many memo
+# states: the m=3001 strip needs 11,997, but seeded random outerplane
+# multigraphs of about a hundred edges need millions.
+_CROSS_CHECK_STATES = 100_000
+
+
 def cmd_count(args: argparse.Namespace, out) -> int:
     parsed = _undirected(args)
     g = parsed.graph
+    # embedded before anything is counted, so input that --fib refuses
+    # prints nothing and costs no count
+    emb = _embed(g, parsed.outer) if args.fib else None
     t1 = counting.count_matrix_tree(g)
-    t2 = counting.count_del_contract(g)
+    t2 = counting.count_del_contract(g, _CROSS_CHECK_STATES)
     print(f"t(matrix-tree)={t1}", file=out)
-    print(f"t(deletion-contraction)={t2}", file=out)
-    if t1 != t2:
-        print("count mismatch between methods", file=out)
-        return 1
-    if args.fib:
-        print(counting.check_fib_bound(_embed(g, parsed.outer)).line(), file=out)
+    if t2 is None:
+        print(f"t(deletion-contraction)=skipped (over {_CROSS_CHECK_STATES} states)",
+              file=out)
+    else:
+        print(f"t(deletion-contraction)={t2}", file=out)
+        if t1 != t2:
+            print("count mismatch between methods", file=out)
+            return 1
+    if emb is not None:
+        print(counting.check_fib_bound(emb).line(), file=out)
     return 0
 
 

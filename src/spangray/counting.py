@@ -1,19 +1,23 @@
 """Exact spanning-tree counting and the Fibonacci extremal bound.
 
 Three independent counters serve as oracles for the generator: the
-Kirchhoff determinant (any multigraph, O(n^3)), deletion-contraction
-(any multigraph, exponential, for cross-checks) and series-parallel
-reduction (outerplane and other K4-minor-free multigraphs, O(m)
-reductions).  The extremal checker
+Kirchhoff determinant (any multigraph; sparse elimination in
+minimum-degree order, O(1) fill per step on an outerplane graph, exact
+modulo a Mersenne prime above its Hadamard bound), deletion-contraction
+(any multigraph, exponential, for cross-checks, with an optional budget
+of memo states) and series-parallel reduction (outerplane and other
+K4-minor-free multigraphs, O(m) reductions).  The extremal checker
 verifies t(G) <= f_{m+1} for outerplane multigraphs and the exact
 characterization of equality: no loops, 2-connected, all inner faces of
 length at most 3, weak dual a path, and every digon face sharing an
-edge with the outer face.  All arithmetic is exact integer arithmetic.
+edge with the outer face.  Every count is exact.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -38,42 +42,83 @@ def _need_vertex(g: MultiGraph) -> None:
         raise GraphError("a graph needs at least one vertex")
 
 
+# The exponents p of the Mersenne primes 2^p - 1, in increasing order
+_MERSENNE_EXPONENTS = (
+    2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
+    3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243,
+    110503, 132049, 216091, 756839, 859433, 1257787, 1398269, 2976221,
+    3021377, 6972593, 13466917, 20996011, 24036583, 25964951, 30402457,
+    32582657, 37156667, 42643801, 43112609, 57885161)
+
+
 def count_matrix_tree(g: MultiGraph) -> int:
-    """Number of spanning trees as a Laplacian minor determinant,
-    fraction-free integer elimination (no floats).  A graph that cannot
-    be connected counts 0 before the (n-1)^2 matrix is allocated."""
+    """Number of spanning trees by Kirchhoff's Matrix-Tree theorem: the
+    determinant of the Laplacian with the row and column of one root
+    vertex deleted, by symmetric elimination over sparse per-vertex rows.
+    Each step pivots on a vertex of least current degree, taken from a
+    heap; an outerplane graph always has a vertex of degree at most 2,
+    so its fill stays O(1) per step.
+
+    The arithmetic is exact modulo one prime P, the least Mersenne prime
+    above the Hadamard bound B, the product of deg(v) over v != root
+    (deg counts non-loop edge ends).  The reduced Laplacian is positive
+    semidefinite with diagonal deg(v) >= 1 once no vertex is isolated,
+    so each leading principal minor D_k of the elimination order lies in
+    [0, B] by Hadamard's inequality, and D_k is 0 mod P only when it is
+    0.  The k-th pivot is D_k / D_(k-1), so the first pivot that is 0
+    mod P marks a zero minor, hence a zero determinant (Fischer's
+    inequality) and a disconnected graph: the count is 0.  Otherwise
+    every pivot is invertible, their product is t(G) mod P, and
+    t(G) <= B < P makes it exact."""
     _need_vertex(g)
     n = g.n
     if n == 1:
         return 1
-    if g.m < n - 1 or not g.is_connected():
-        return 0
-    d = n - 1
-    a = [[0] * d for _ in range(d)]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    diag = [0] * n
     for u, v in g.edges:
-        if u == v:
-            continue
-        if u < d:
-            a[u][u] += 1
-        if v < d:
-            a[v][v] += 1
-        if u < d and v < d:
-            a[u][v] -= 1
-            a[v][u] -= 1
-    # g is connected, so the minor is positive definite and each Bareiss
-    # pivot, a leading principal minor, is positive: no row swaps
-    prev = 1
-    for k in range(d - 1):
-        akk = a[k][k]
-        for i in range(k + 1, d):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, d):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    return a[d - 1][d - 1]
+        if u != v:
+            diag[u] += 1
+            diag[v] += 1
+            rows[u][v] = rows[u].get(v, 0) - 1
+            rows[v][u] = rows[v].get(u, 0) - 1
+    if 0 in diag:
+        return 0            # an isolated vertex
+    # the root of greatest degree leaves the sparsest rows
+    root = diag.index(max(diag))
+    bound = math.prod(diag) // diag[root]
+    p = next((p for p in _MERSENNE_EXPONENTS if (1 << p) - 1 > bound), None)
+    if p is None:
+        raise GraphError("graph too large for the Matrix-Tree count")
+    mod = (1 << p) - 1
+    for u in rows[root]:
+        del rows[u][root]
+    done = [False] * n
+    done[root] = True
+    heap = [(len(rows[v]), v) for v in range(n) if v != root]
+    heapq.heapify(heap)
+    det = 1
+    while heap:
+        k, v = heapq.heappop(heap)
+        row = rows[v]
+        if done[v] or k != len(row):
+            continue        # stale: v is gone or its degree has changed
+        pivot = diag[v] % mod
+        if not pivot:
+            return 0
+        det = det * pivot % mod
+        done[v] = True
+        inv = pow(pivot, -1, mod)
+        for u, a in row.items():
+            at = rows[u]
+            del at[v]
+            f = a * inv % mod
+            diag[u] = (diag[u] - f * a) % mod
+            for w, b in row.items():
+                if w != u:
+                    at[w] = (at.get(w, 0) - f * b) % mod
+            heapq.heappush(heap, (len(at), u))
+    return det
 
 
 def count_series_parallel(g: MultiGraph) -> int:
@@ -175,13 +220,16 @@ def _branch(n: int, bundles: tuple):
     return None, (deleted, k, (last, tuple(merged)))
 
 
-def count_del_contract(g: MultiGraph) -> int:
+def count_del_contract(g: MultiGraph, max_states: int | None = None) -> int | None:
     """Number of spanning trees by deletion-contraction over bundles:
     t(G) = t(G - P) + |P| * t(G / P), where P is all parallel edges
     between two vertices.  A state is (n, sorted ((u, v), k) bundles),
     loops dropped, memoized per invocation, on an explicit post-order
-    stack.  Exponential; shares no counting code with the other counters."""
+    stack.  Exponential; shares no counting code with the other counters.
+    Given max_states, it gives up and returns None as soon as its memo
+    holds more states than that."""
     _need_vertex(g)
+    limit = math.inf if max_states is None else max_states
     mult = Counter((u, v) if u < v else (v, u) for u, v in g.edges if u != v)
     root = (g.n, tuple(sorted(mult.items())))
     memo: dict[tuple, int] = {}
@@ -193,17 +241,18 @@ def count_del_contract(g: MultiGraph) -> int:
                 stack.pop()
                 continue
             value, split = _branch(*state)
-            if split is None:
-                memo[state] = value
-                stack.pop()
+            if split is not None:
+                stack[-1] = (state, split)
+                stack.extend((kid, None) for kid in (split[0], split[2])
+                             if kid not in memo)
                 continue
-            stack[-1] = (state, split)
-            stack.extend((kid, None) for kid in (split[0], split[2])
-                         if kid not in memo)
-            continue
-        deleted, k, contracted = split
-        memo[state] = memo[deleted] + k * memo[contracted]
+        else:
+            deleted, k, contracted = split
+            value = memo[deleted] + k * memo[contracted]
+        memo[state] = value
         stack.pop()
+        if len(memo) > limit:
+            return None
     return memo[root]
 
 

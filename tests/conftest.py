@@ -42,6 +42,19 @@ def k33_graph():
     return MultiGraph(6, tuple((i, j) for i in range(3) for j in range(3, 6)))
 
 
+def cube_graph():
+    """The 3-cube: vertices 0..7, joined when their bits differ in one place."""
+    return MultiGraph(8, tuple((v, v ^ b) for v in range(8) for b in (1, 2, 4)
+                               if v < v ^ b))
+
+
+def petersen_graph():
+    """Outer 5-cycle 0..4, spokes to 5..9, inner pentagram on 5..9."""
+    return MultiGraph(10, tuple((i, (i + 1) % 5) for i in range(5))
+                      + tuple((i, i + 5) for i in range(5))
+                      + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)))
+
+
 def wheel_graph(k):
     """Hub k joined to a k-cycle 0..k-1."""
     rim = tuple((i, (i + 1) % k) for i in range(k))
@@ -79,6 +92,43 @@ def random_outerplane_multigraph(n, rng):
     edges += rng.sample(edges, rng.randrange(min(len(edges), 8) + 1))
     rng.shuffle(edges)
     return MultiGraph(n, tuple(edges))
+
+
+def reference_matrix_tree(g):
+    """The Laplacian minor of the last vertex as a dense (n-1)^2 matrix,
+    by fraction-free Bareiss elimination: each pivot of a connected
+    graph is a positive leading principal minor, so no row is swapped,
+    and a graph that is not connected counts 0 before its matrix is
+    built.  The reference for ``counting.count_matrix_tree``."""
+    n = g.n
+    if n == 1:
+        return 1
+    if g.m < n - 1 or not g.is_connected():
+        return 0
+    d = n - 1
+    a = [[0] * d for _ in range(d)]
+    for u, v in g.edges:
+        if u == v:
+            continue
+        if u < d:
+            a[u][u] += 1
+        if v < d:
+            a[v][v] += 1
+        if u < d and v < d:
+            a[u][v] -= 1
+            a[v][u] -= 1
+    prev = 1
+    for k in range(d - 1):
+        akk = a[k][k]
+        for i in range(k + 1, d):
+            aik = a[i][k]
+            row_i = a[i]
+            row_k = a[k]
+            for j in range(k + 1, d):
+                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = akk
+    return a[d - 1][d - 1]
 
 
 def reference_spanning_trees(g):

@@ -9,10 +9,12 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
+from conftest import random_outerplane_multigraph
 from spangray import cli, counting, flipgraph, treegen
 from spangray.cli import entry, parse_listing
 from spangray.embedgraph import EdgeLabeling, MultiGraph
@@ -1009,14 +1011,66 @@ class TestCount:
         assert out.splitlines()[-1].startswith("t=21 ")
         assert len(calls) == 1
 
-    def test_nonouterplanar_counts_without_fib(self, tmp_path):
+    def test_nonouterplanar_counts_without_fib(self, tmp_path, monkeypatch):
+        """--fib embeds first: a graph it refuses, K4 or a 10-cycle with
+        no 'outer:' line, prints nothing and is never counted."""
         p = tmp_path / "k4.txt"
         p.write_text(K4)
         rc, out = run(["count", str(p)])
         assert rc == 0
         assert "t(matrix-tree)=16" in out
-        rc, _ = run(["count", str(p), "--fib"])
-        assert rc == 2
+
+        def refuse(g, *args):
+            raise AssertionError("counted a graph that --fib refuses")
+
+        for name in ("count_matrix_tree", "count_del_contract",
+                     "count_series_parallel"):
+            monkeypatch.setattr(counting, name, refuse)
+        assert run(["count", str(p), "--fib"]) == (2, "")
+        p.write_text(TestSearchCap.CYCLE_10)
+        assert run(["count", str(p), "--fib"]) == (2, "")
+
+    def test_cross_check_budget(self, fan_file, monkeypatch):
+        """Past its budget of memo states the deletion-contraction count
+        is skipped, with no mismatch check; the other lines stay."""
+        monkeypatch.setattr(cli, "_CROSS_CHECK_STATES", 3)
+        rc, out = run(["count", fan_file, "--fib"])
+        assert rc == 0
+        assert out.splitlines() == [
+            "t(matrix-tree)=21", "t(deletion-contraction)=skipped (over 3 states)",
+            "t=21 bound=f_8=21 equality=yes predicate=yes"]
+
+    @pytest.mark.slow
+    def test_long_strip(self, tmp_path):
+        """The m=3001 strip counts by both methods in seconds."""
+        g = counting.extremal_family(1500).graph
+        assert g.m == 3001
+        p = tmp_path / "strip.txt"
+        p.write_text(f"{g.n} {g.m}\nouter: {' '.join(map(str, range(g.n)))}\n"
+                     + "".join(f"{u} {v}\n" for u, v in g.edges))
+        start = time.perf_counter()
+        rc, out = run(["count", str(p), "--fib"])
+        elapsed = time.perf_counter() - start
+        t = counting.fib(3002)
+        assert rc == 0
+        assert out.splitlines() == [
+            f"t(matrix-tree)={t}", f"t(deletion-contraction)={t}",
+            f"t={t} bound=f_3002={t} equality=yes predicate=yes"]
+        assert elapsed < 15
+
+    @pytest.mark.slow
+    def test_random_graph_ends_within_budget(self, tmp_path):
+        """A seeded outerplane multigraph whose deletion-contraction
+        count needs over a million memo states."""
+        g = random_outerplane_multigraph(63, random.Random(32))
+        assert g.m == 97
+        p = tmp_path / "random.txt"
+        p.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        rc, out = run(["count", str(p)])
+        assert rc == 0
+        assert out.splitlines() == [
+            f"t(matrix-tree)={counting.count_series_parallel(g)}",
+            f"t(deletion-contraction)=skipped (over {cli._CROSS_CHECK_STATES} states)"]
 
 
 class TestExperiment:

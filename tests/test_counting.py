@@ -7,9 +7,12 @@ import tracemalloc
 
 import pytest
 
-from conftest import (bundle_graph, complete_graph, cycle_graph,
+from collections import Counter
+
+from conftest import (bundle_graph, complete_graph, cube_graph, cycle_graph,
                       diamond_graph, fan_graph, k33_graph, loopy_triangle,
-                      random_outerplane_multigraph, triangle_with_parallel)
+                      petersen_graph, random_outerplane_multigraph,
+                      reference_matrix_tree, triangle_with_parallel)
 from spangray import counting
 from spangray.counting import (check_fib_bound, check_fib_product,
                                count_bruteforce, count_del_contract,
@@ -99,6 +102,67 @@ class TestCounts:
             count_bruteforce(g)
 
 
+class TestMatrixTree:
+    """The sparse elimination against the dense reference."""
+
+    def test_matches_reference_on_sweep(self):
+        graphs = [emb.graph for emb in enumerate_outerplane(9)]
+        assert len(graphs) == 292
+        for g in graphs:
+            assert count_matrix_tree(g) == reference_matrix_tree(g)
+
+    def test_matches_reference_on_random_multigraphs(self):
+        """Loops, parallels, isolated vertices, graphs that are
+        disconnected with no isolated vertex, and n = 1."""
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(2000):
+            n = rng.randrange(1, 13)
+            edges = tuple((rng.randrange(n), rng.randrange(n))
+                          for _ in range(rng.randrange(31)))
+            g = MultiGraph(n, edges)
+            want = reference_matrix_tree(g)
+            assert count_matrix_tree(g) == want, g
+            ends = {x for u, v in edges if u != v for x in (u, v)}
+            seen["loop"] += any(u == v for u, v in edges)
+            seen["parallel"] += len({tuple(sorted(e)) for e in edges}) < len(edges)
+            seen["single"] += n == 1
+            seen["isolated"] += n > 1 and len(ends) < n
+            seen["split"] += n > 1 and len(ends) == n and want == 0
+            seen["nonzero"] += want > 0
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize("g,want", [
+        *((complete_graph(n), n ** (n - 2)) for n in range(2, 8)),   # Cayley
+        (k33_graph(), 81), (cube_graph(), 384), (petersen_graph(), 2000)],
+        ids=[*(f"K{n}" for n in range(2, 8)), "K33", "cube", "petersen"])
+    def test_non_outerplane(self, g, want):
+        assert count_matrix_tree(g) == reference_matrix_tree(g) == want
+
+    def test_strips_are_fibonacci(self):
+        sizes = []
+        for k in (1, 2, 5, 30, 100, 250, 500):
+            for digons in range(min(2, k) + 1):
+                g = extremal_family(k, digons).graph
+                assert count_matrix_tree(g) == fib(g.m + 1)
+                sizes.append(g.m)
+        assert max(sizes) == 1001
+
+    def test_long_strip_is_sparse(self):
+        """The m=1001 strip's elimination stays far below the 500 x 500
+        slots, 2 MB of pointers, of one dense matrix of its minor."""
+        g = extremal_family(500).graph
+        assert g.m == 1001 and g.n - 1 == 501
+        tracemalloc.start()
+        try:
+            count = count_matrix_tree(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == fib(1002)
+        assert peak < 500 ** 2 * 8 // 4
+
+
 def _frame_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -150,6 +214,12 @@ class TestDelContract:
             assert count_del_contract(strip) == fib(122)
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_gives_up_past_max_states(self):
+        """The m=121 strip needs 477 memo states."""
+        strip = extremal_family(60).graph
+        assert count_del_contract(strip, 477) == fib(122)
+        assert count_del_contract(strip, 476) is None
 
     def test_long_strip_is_fibonacci(self):
         strip = extremal_family(500).graph
