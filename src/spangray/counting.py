@@ -74,7 +74,7 @@ def count_matrix_tree(g: MultiGraph) -> int:
     n = g.n
     if n == 1:
         return 1
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    rows: list[dict[int, int] | None] = [{} for _ in range(n)]
     diag = [0] * n
     for u, v in g.edges:
         if u != v:
@@ -93,21 +93,20 @@ def count_matrix_tree(g: MultiGraph) -> int:
     mod = (1 << p) - 1
     for u in rows[root]:
         del rows[u][root]
-    done = [False] * n
-    done[root] = True
-    heap = [(len(rows[v]), v) for v in range(n) if v != root]
+    rows[root] = None
+    heap = [(len(row), v) for v, row in enumerate(rows) if row is not None]
     heapq.heapify(heap)
     det = 1
     while heap:
         k, v = heapq.heappop(heap)
         row = rows[v]
-        if done[v] or k != len(row):
+        if row is None or k != len(row):
             continue        # stale: v is gone or its degree has changed
         pivot = diag[v] % mod
         if not pivot:
             return 0
         det = det * pivot % mod
-        done[v] = True
+        rows[v] = None
         inv = pow(pivot, -1, mod)
         for u, a in row.items():
             at = rows[u]
