@@ -139,6 +139,14 @@ class TestMatrixTree:
     def test_non_outerplane(self, g, want):
         assert count_matrix_tree(g) == reference_matrix_tree(g) == want
 
+    def test_bound_past_the_prime_table(self, monkeypatch):
+        """The prime must exceed the Hadamard bound: the triangle's is 4,
+        under 2^3 - 1; K4's is 27."""
+        monkeypatch.setattr(counting, "_MERSENNE_EXPONENTS", (2, 3))
+        assert count_matrix_tree(cycle_graph(3)) == 3
+        with pytest.raises(GraphError, match="^graph too large for the Matrix-Tree count$"):
+            count_matrix_tree(complete_graph(4))
+
     def test_strips_are_fibonacci(self):
         sizes = []
         for k in (1, 2, 5, 30, 100, 250, 500):
