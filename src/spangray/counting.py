@@ -8,9 +8,11 @@ modulo a Mersenne prime above its Hadamard bound), deletion-contraction
 of memo states) and series-parallel reduction (outerplane and other
 K4-minor-free multigraphs, O(m) reductions).  The extremal checker
 verifies t(G) <= f_{m+1} for outerplane multigraphs and the exact
-characterization of equality: no loops, 2-connected, all inner faces of
-length at most 3, weak dual a path, and every digon face sharing an
-edge with the outer face.  Every count is exact.
+characterization of equality (no loops, 2-connected, inner faces of
+length at most 3, weak dual a path, every digon on the outer face) in
+one pass: no loops, 2-connected, and every inner face of length at most
+3 with an outer edge, since an inner face's degree in the weak dual, a
+tree, is its number of edges off the outer face.  Every count is exact.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .dualtree import _outer_is_cycle, weak_dual
+from .dualtree import _outer_is_cycle
 from .embedgraph import EmbeddedGraph, MultiGraph, build_embedding, is_triangulation
 from .errors import CertificationError, GraphError
 
@@ -236,9 +238,8 @@ def count_del_contract(g: MultiGraph, max_states: int | None = None) -> int | No
     while stack:
         state, split = stack[-1]
         if split is None:
-            if state in memo:
-                stack.pop()
-                continue
+            # not memoized: every waiting state is the deleted child of a
+            # state whose contracted child, with fewer vertices, runs first
             value, split = _branch(*state)
             if split is not None:
                 stack[-1] = (state, split)
@@ -269,15 +270,6 @@ def count_bruteforce(g: MultiGraph) -> int:
     return hits
 
 
-def _is_path_graph(g: MultiGraph) -> bool:
-    if g.n <= 1:
-        return g.m == 0
-    if g.m != g.n - 1 or not g.is_connected():
-        return False
-    degree = Counter(x for u, v in g.edges if u != v for x in (u, v))
-    return max(degree.values()) <= 2
-
-
 @dataclass(frozen=True)
 class FibBoundReport:
     count: int
@@ -297,6 +289,13 @@ def check_fib_bound(emb: EmbeddedGraph) -> FibBoundReport:
     """Verify t(G) <= f_{m+1} and, for loopless graphs, that equality
     holds exactly when the structural predicate does.
 
+    The predicate is one pass over the inner faces: no loops,
+    2-connected, and every inner face of length at most 3 with an edge
+    on the outer face.  The weak dual of a 2-connected outerplane graph
+    is a tree in which an inner face's degree is its number of edges off
+    the outer face, so for faces of length at most 3 it is a path with
+    every digon on the outer face exactly when every face has one.
+
     The equality characterization is stated for loopless multigraphs;
     with loops present the report still carries both facts but the
     equivalence is not asserted (certified=False).
@@ -309,16 +308,9 @@ def check_fib_bound(emb: EmbeddedGraph) -> FibBoundReport:
     loopless = not g.loop_edges()
     # one vertex counts as 2-connected only without loops
     two_connected = g.m == 0 if g.n == 1 else _outer_is_cycle(emb)
-    digons_outer = True
-    for f in emb.faces:
-        if not f.is_outer and f.length == 2:
-            if not any(emb.is_outer_edge(e) for e in f.edge_ids):
-                digons_outer = False
-                break
-    predicate = (loopless and two_connected
-                 and is_triangulation(emb, multi=True)
-                 and _is_path_graph(weak_dual(emb))
-                 and digons_outer)
+    predicate = loopless and two_connected and all(
+        f.length <= 3 and any(map(emb.is_outer_edge, f.edge_ids))
+        for f in emb.faces if not f.is_outer)
     equality = t == bound
     if loopless and equality != predicate:
         raise CertificationError(

@@ -399,8 +399,7 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
 def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
                    embedding: EmbeddedGraph | None = None,
                    initial=None, tiebreak=None, max_trees: int | None = None,
-                   check: bool = True, classify: bool | None = None,
-                   expected_count: int | None = None) -> Listing:
+                   check: bool = True, classify: bool | None = None) -> Listing:
     """The trees and steps of :func:`greedy_walk`, to its end or to
     ``max_trees`` trees; ``initial`` is as there.
 
@@ -434,14 +433,11 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
         if not verify_genlex_masks(trees, m):
             raise CertificationError("listing is not genlex")
         if not truncated:
-            want = expected_count if expected_count is not None \
-                else _count_trees(g, embedding)
+            want = _count_trees(g, embedding)
             if len(trees) != want:
                 raise CertificationError(
                     f"generated {len(trees)} trees, independent count says {want}")
             complete = True
-    elif not truncated and expected_count is not None:
-        complete = len(trees) == expected_count
 
     return Listing(g, labeling, embedding, tuple(trees), tuple(steps), truncated, complete)
 
@@ -449,7 +445,7 @@ def greedy_listing(g: MultiGraph, labeling: EdgeLabeling | None = None,
 def _count_trees(g: MultiGraph, emb: EmbeddedGraph | None) -> int:
     """The independent tree count a certification compares against: an
     embedded graph is outerplane, so it reduces series-parallel in O(m)
-    steps; a bare graph gets the O(n^3) determinant."""
+    steps; a bare graph gets the sparse Matrix-Tree determinant."""
     return counting.count_matrix_tree(g) if emb is None else counting.count_series_parallel(g)
 
 

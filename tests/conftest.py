@@ -1,8 +1,12 @@
 """Shared graph builders for the test suite."""
 
+from collections import Counter
+
 import pytest
 
-from spangray.embedgraph import EdgeLabeling, MultiGraph, build_embedding
+from spangray.dualtree import weak_dual
+from spangray.embedgraph import (EdgeLabeling, MultiGraph, build_embedding,
+                                 is_triangulation)
 from spangray.errors import NotTwoConnectedError
 from spangray.treegen import SpanningTree
 
@@ -129,6 +133,32 @@ def reference_matrix_tree(g):
             row_i[k] = 0
         prev = akk
     return a[d - 1][d - 1]
+
+
+def reference_fib_predicate(emb):
+    """The equality case of the Fibonacci bound as five separate tests:
+    no loops, 2-connected, every inner face of length at most 3, a weak
+    dual that is a path, and every digon sharing an edge with the outer
+    face.  The reference for ``counting.check_fib_bound``'s predicate."""
+    g = emb.graph
+    if g.loop_edges():
+        return False
+    # the outer walk of a 2-connected graph has one dart per vertex
+    n_outer = len(emb.faces[emb.outer_face].darts)
+    if not (g.m == 0 if g.n == 1 else n_outer == g.n):
+        return False
+    if not is_triangulation(emb, multi=True):
+        return False
+    d = weak_dual(emb)
+    if d.n > 1:
+        degree = Counter(x for u, v in d.edges if u != v for x in (u, v))
+        if (d.m != d.n - 1 or not d.is_connected()
+                or max(degree.values()) > 2):
+            return False
+    elif d.m:
+        return False
+    return all(any(emb.is_outer_edge(e) for e in f.edge_ids)
+               for f in emb.faces if not f.is_outer and f.length == 2)
 
 
 def reference_spanning_trees(g):

@@ -117,8 +117,7 @@ def test_criterion_03_triangulation_sweep():
             for init in _initial_trees(g, lab):
                 listing = greedy_listing(g, labeling=lab, embedding=emb,
                                          initial=init, tiebreak=rule,
-                                         check=False, classify=False,
-                                         expected_count=expected)
+                                         check=False, classify=False)
                 masks = listing.tree_masks
                 assert len(masks) == expected
                 assert len(set(masks)) == expected
@@ -144,8 +143,7 @@ def test_criterion_04_outerplane_sweep():
             for init in _initial_trees(g, lab):
                 listing = greedy_listing(g, labeling=lab, embedding=emb,
                                          initial=init, tiebreak=rule,
-                                         check=False, classify=False,
-                                         expected_count=expected)
+                                         check=False, classify=False)
                 masks = listing.tree_masks
                 assert len(masks) == expected
                 assert len(set(masks)) == expected
@@ -173,7 +171,7 @@ def test_criterion_05_random_robustness():
             rule = rng.choice([tiebreak_closest, tiebreak_random(rng)])
             listing = greedy_listing(g, labeling=lab, initial=init,
                                      tiebreak=rule, check=False,
-                                     classify=False, expected_count=expected)
+                                     classify=False)
             masks = listing.tree_masks
             assert len(masks) == expected
             assert len(set(masks)) == expected

@@ -66,6 +66,11 @@ def test_header_without_vertices_rejected(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("text, err", [
     ("3 2\n0 1\n2 5\n", "line 3: edge 1 endpoint out of range: (2, 5)"),
+    ("3 2 1\n0 1\n1 2\n", "line 1: expected header 'n m'"),
+    ("-3 2\n0 1\n1 2\n", "line 1: n and m must be nonnegative"),
+    ("3 -2\n", "line 1: n and m must be nonnegative"),
+    ("3 2\n0 1\ndirected\n1 2\n", "line 3: 'directed' must precede the edge lines"),
+    ("3 2\n0 1\nouter: 0 1 2\n1 2\n", "line 3: 'outer:' must precede the edge lines"),
     ("3 1\n-1 0\n", "line 2: edge 0 endpoint out of range: (-1, 0)"),
     ("3 1\nouter: 0 1\n0 1\n", "line 2: outer order must list every vertex exactly once"),
     ("3 1\nouter: 0 1 2\nouter: 0 2 1\n0 1\n", "line 3: a second 'outer:' line"),
@@ -1010,6 +1015,19 @@ class TestCount:
         assert rc == 0
         assert out.splitlines()[-1].startswith("t=21 ")
         assert len(calls) == 1
+
+    def test_mismatch_exits_1_before_fib(self, fan_file, monkeypatch):
+        """Counts that disagree end stdout with the mismatch line, exit 1
+        and print no Fibonacci line."""
+        cross_check = counting.count_del_contract
+        monkeypatch.setattr(counting, "count_del_contract",
+                            lambda g, states: cross_check(g, states) + 1)
+        rc, out = run(["count", fan_file, "--fib"])
+        assert rc == 1
+        assert out.splitlines() == ["t(matrix-tree)=21",
+                                    "t(deletion-contraction)=22",
+                                    "count mismatch between methods"]
+        assert "bound=" not in out
 
     def test_nonouterplanar_counts_without_fib(self, tmp_path, monkeypatch):
         """--fib embeds first: a graph it refuses, K4 or a 10-cycle with

@@ -12,8 +12,9 @@ from collections import Counter
 from conftest import (bundle_graph, complete_graph, cube_graph, cycle_graph,
                       diamond_graph, fan_graph, k33_graph, loopy_triangle,
                       petersen_graph, random_outerplane_multigraph,
-                      reference_matrix_tree, triangle_with_parallel)
-from spangray import counting
+                      reference_fib_predicate, reference_matrix_tree,
+                      triangle_with_parallel)
+from spangray import counting, dualtree, embedgraph
 from spangray.counting import (check_fib_bound, check_fib_product,
                                count_bruteforce, count_del_contract,
                                count_matrix_tree, count_series_parallel,
@@ -28,6 +29,12 @@ class TestFib:
 
     def test_large_value(self):
         assert fib(51) == 20365011074
+
+    def test_refusals(self):
+        with pytest.raises(GraphError, match="^negative Fibonacci index$"):
+            fib(-1)
+        with pytest.raises(GraphError, match="^indices must be >= 1$"):
+            check_fib_product(0, 1)
 
 
 KNOWN_COUNTS = [
@@ -314,6 +321,60 @@ class TestFibBound:
             assert rep.count <= rep.bound
             assert rep.equality == rep.predicate, emb.graph.edges
 
+    @staticmethod
+    def _embeddings():
+        """The m <= 10 sweep, the strips of fewer than 40 faces, 3,000
+        seeded random outerplane multigraphs (one in three with a loop
+        added), the bowtie and one vertex."""
+        yield from enumerate_outerplane(10)
+        for k in range(1, 40):
+            for d in range(min(k, 2) + 1):
+                yield extremal_family(k, d)
+        rng = random.Random(24)
+        for i in range(3000):
+            n = rng.randrange(2, 13)
+            g = random_outerplane_multigraph(n, rng)
+            if i % 3 == 0:
+                v = rng.randrange(n)
+                g = MultiGraph(n, g.edges + ((v, v),))
+            yield build_embedding(g, tuple(range(n)))
+        bowtie = MultiGraph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)))
+        yield build_embedding(bowtie, (4, 3, 2, 1, 0))
+        yield build_embedding(MultiGraph(1, ()), (0,))
+
+    def test_predicate_equals_reference(self):
+        """One pass over the inner faces decides what the five separate
+        tests of the reference decide."""
+        total = holds = 0
+        for emb in self._embeddings():
+            rep = check_fib_bound(emb)
+            assert rep.predicate == reference_fib_predicate(emb), emb.graph.edges
+            total += 1
+            holds += rep.predicate
+        assert (total, holds) == (3900, 525)
+
+    def test_predicate_builds_no_weak_dual(self, monkeypatch):
+        """No weak dual, no triangulation test, and no connectivity test
+        but the one the series-parallel count makes of the graph."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_fib_bound left its one pass")
+
+        cases = ((extremal_family(6, 1), True), (extremal_family(1, 1), True),
+                 (build_embedding(cycle_graph(4), (0, 1, 2, 3)), False))
+        monkeypatch.setattr(dualtree, "weak_dual", refuse)
+        monkeypatch.setattr(embedgraph, "is_triangulation", refuse)
+        monkeypatch.setattr(counting, "is_triangulation", refuse)
+        connected = MultiGraph.is_connected
+        seen = []
+        monkeypatch.setattr(MultiGraph, "is_connected",
+                            lambda g: seen.append(g) or connected(g))
+        for emb, predicate in cases:
+            assert check_fib_bound(emb).predicate == predicate
+            assert seen == [emb.graph]
+            seen.clear()
+        assert not hasattr(counting, "_is_path_graph")
+        assert not hasattr(counting, "weak_dual")
+
     def test_product_inequality(self):
         for i in range(1, 13):
             for j in range(1, 13):
@@ -345,6 +406,8 @@ class TestExtremalFamily:
             extremal_family(1, digon_ends=2)
         with pytest.raises(GraphError):
             extremal_family(0)
+        with pytest.raises(GraphError, match="^digon_ends must be 0, 1, or 2$"):
+            extremal_family(3, 3)
 
 
 class TestEnumeration:

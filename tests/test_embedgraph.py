@@ -31,6 +31,10 @@ class TestMultiGraph:
         with pytest.raises(GraphError):
             MultiGraph(2, ((0, 2),))
 
+    def test_other_end_of_a_stranger(self):
+        with pytest.raises(GraphError, match="^vertex 2 is not an endpoint of edge 0$"):
+            MultiGraph(3, ((0, 1), (1, 2))).other_end(0, 2)
+
     def test_connectivity(self):
         assert fan_graph().is_connected()
         assert not MultiGraph(3, ((0, 1),)).is_connected()

@@ -252,6 +252,19 @@ def outerplanar_by_minors(g):
     return not has_minor(g, k4, 4) and not has_minor(g, k23, 5)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(enumerate_small_graphs(4, "bogus")), "unknown filter 'bogus'"),
+    (lambda: list(enumerate_small_digraphs(6)), "guarded to n <= 5"),
+    (lambda: DiGraph(2, [(0, 2)]), "arc endpoint out of range"),
+    (lambda: enumerate_arborescences(DiGraph(2, [(0, 1)]), 2), "root out of range"),
+    (lambda: enumerate_arborescences(DiGraph(2, [(0, 1)]), -1), "root out of range"),
+    (lambda: hamilton_path(FlipGraph((), "any", (), ())), "empty flip graph"),
+], ids=["filter", "digraphs", "arc", "root-high", "root-low", "empty-flip"])
+def test_library_refusals(call, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        call()
+
+
 class TestEnumerateTrees:
     def test_counts_match_kirchhoff(self):
         for g in (fan_graph(), diamond_graph(), cycle_graph(5),

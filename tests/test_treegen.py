@@ -441,6 +441,12 @@ class TestTieRules:
         # (2,4) is a pivot, (1,4) is not; prefer-pivot must keep (2,4)
         assert tiebreak_prefer("pivot")(ctx).pair() == (2, 4)
 
+    def test_unknown_class_refused(self):
+        with pytest.raises(GraphError, match="^unknown exchange class 'bogus'$"):
+            tiebreak_prefer("bogus")
+        with pytest.raises(GraphError, match="^unknown exchange class 'bogus'$"):
+            ExchangeClass(True, True, False).matches("bogus")
+
     def test_prefer_empty_set_raises(self, diamond, diamond_emb):
         lab = EdgeLabeling.identity(5)
         t = spanning_tree_from_labels(diamond, lab, [1, 2, 5])
@@ -723,8 +729,7 @@ class TestGreedyListing:
                 init = random_spanning_tree(g, lab, rng)
                 rule = random.choice([tiebreak_closest, tiebreak_random(rng)])
                 listing = greedy_listing(g, labeling=lab, initial=init,
-                                         tiebreak=rule,
-                                         expected_count=expected)
+                                         tiebreak=rule)
                 assert len(listing.trees) == expected
                 assert verify_genlex(listing)
 
