@@ -75,12 +75,19 @@ class SplitDual:
         self.leaf_darts = emb.faces[emb.outer_face].darts
         self.node_count = self.inner_count + len(self.leaf_darts)
 
-        node_of_dart = {d: self.inner_count + k for k, d in enumerate(self.leaf_darts)}
+        # per flat dart 2e + side (see embedgraph), the node of its left
+        # face; the outer face's darts are then set to their leaves
+        node_of_face = [0] * len(emb.faces)
         for i, fid in enumerate(inner):
-            for d in emb.faces[fid].darts:
-                node_of_dart[d] = i
-        self.ends = tuple(None if u == v else (node_of_dart[(e, u)], node_of_dart[(e, v)])
-                          for e, (u, v) in enumerate(g.edges))
+            node_of_face[fid] = i
+        node_of_dart = [node_of_face[f] for f in emb.face_of]
+        edges = g.edges
+        for k, (e, t) in enumerate(self.leaf_darts):
+            node_of_dart[2 * e + (t != edges[e][0])] = self.inner_count + k
+        self.ends = tuple(None if u == v else (node_of_dart[2 * e], node_of_dart[2 * e + 1])
+                          for e, (u, v) in enumerate(edges))
+        # per inner node, its face's edge ids in ccw order
+        self._rotations = tuple([emb.faces[fid].edge_ids for fid in inner])
 
     def is_leaf(self, node: int) -> bool:
         return node >= self.inner_count
@@ -99,7 +106,7 @@ class SplitDual:
 
     def rotation_at(self, node: int) -> tuple[int, ...]:
         """Primal edges at an inner node in ccw order (= face boundary)."""
-        return self.emb.faces[self.node_face(node)].edge_ids
+        return self._rotations[node]
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(range(self.inner_count, self.node_count))
@@ -120,8 +127,11 @@ def default_root_leaf(sd: SplitDual) -> int:
     """Leaf of the outer-boundary edge with the smallest endpoint pair
     (ties by edge id, then boundary position)."""
     edges = sd.emb.graph.edges
-    return min(range(sd.inner_count, sd.node_count), key=lambda leaf: (
-        sorted(edges[sd.leaf_edge(leaf)]), sd.leaf_edge(leaf), leaf))
+    keys = []
+    for k, (e, _) in enumerate(sd.leaf_darts):
+        u, v = edges[e]
+        keys.append((u, v, e, k) if u < v else (v, u, e, k))
+    return sd.inner_count + min(keys)[3]
 
 
 class OrientedSplitDual:

@@ -17,7 +17,9 @@ Conventions used by the whole package:
   everything built on top of them.
 
 A dart is a directed edge end, written ``(edge_id, tail_vertex)``; the
-head is the other endpoint of the edge.
+head is the other endpoint of the edge.  Inside the package a dart of a
+non-loop edge e = (u, v) is also numbered flat, d = 2e + side: 2e leaves
+u and 2e + 1 leaves v, so ``d ^ 1`` is the reverse dart.
 """
 
 from __future__ import annotations
@@ -90,23 +92,20 @@ class MultiGraph:
         components of the forest grown from the ids before it (Kruskal's
         selection).  Loops and repeated ids never join; an id outside
         0..m-1 raises GraphError."""
-        m = self.m
+        m, edges = self.m, self.edges
         parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         out = []
         for e in edge_ids:
             if not 0 <= e < m:
                 raise GraphError(f"edge id {e} out of range 0..{m - 1}")
-            u, v = self.edges[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+            u, v = edges[e]
+            # each end to its root, halving its path
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
                 out.append(e)
         return out
 
@@ -283,38 +282,43 @@ class EmbeddedGraph:
 
     def __init__(self, graph: MultiGraph, outer_order: tuple[int, ...],
                  rotation: tuple[tuple[int, ...], ...], faces: tuple[Face, ...],
-                 outer_face: int, left_face: dict[tuple[int, int], int]):
+                 outer_face: int, face_of: tuple[int, ...]):
         self.graph = graph
         self.outer_order = outer_order
         self.rotation = rotation
         self.faces = faces
         self.outer_face = outer_face
-        self.left_face = left_face
+        # per flat dart 2e + side, the id of the face on its left (-1 for
+        # the darts of a loop)
+        self.face_of = face_of
         self.loop_edges = graph.loop_edges()
-        # per edge, the ids of the faces its two sides bound (none for
-        # loops), and its class bits: its end vertices as bits 0..n-1 and
-        # its faces as bits n and up
         n = graph.n
-        face_sets: list[tuple[int, ...]] = []
-        class_bits: list[int] = []
-        for e, (u, v) in enumerate(graph.edges):
-            if u == v:
-                face_sets.append(())
-                class_bits.append(1 << u)
-            else:
-                fl, fr = left_face[(e, u)], left_face[(e, v)]
-                face_sets.append((fl, fr))
-                class_bits.append(1 << u | 1 << v | 1 << n + fl | 1 << n + fr)
-        self._edge_faces = tuple(face_sets)
-        self._class_bits = tuple(class_bits)
         self._vertex_bits = (1 << n) - 1
         self._inner_face_bits = ((1 << len(faces)) - 1 ^ 1 << outer_face) << n
+
+    @functools.cached_property
+    def left_face(self) -> dict[tuple[int, int], int]:
+        """Per dart ``(edge_id, tail_vertex)``, the id of the face on its
+        left, in the order the faces were traced."""
+        return {d: f.id for f in self.faces for d in f.darts}
 
     def inner_faces(self) -> tuple[Face, ...]:
         return tuple(f for f in self.faces if not f.is_outer)
 
     def faces_of_edge(self, e: int) -> tuple[int, ...]:
-        return self._edge_faces[e]
+        """The ids of the faces the two sides of edge e bound (none for a
+        loop)."""
+        fl, fr = self.face_of[2 * e:2 * e + 2]
+        return () if fl < 0 else (fl, fr)
+
+    @functools.cached_property
+    def _class_bits(self) -> tuple[int, ...]:
+        """Per edge, its class bits: its end vertices as bits 0..n-1 and
+        the faces its two sides bound as bits n and up (a loop: its
+        vertex alone), built at the first classification."""
+        n, face_of = self.graph.n, self.face_of
+        return tuple(1 << u if u == v else 1 << u | 1 << v | 1 << n + fl | 1 << n + fr
+                     for (u, v), fl, fr in zip(self.graph.edges, face_of[::2], face_of[1::2]))
 
     @functools.cached_property
     def _edge_index(self):
@@ -346,7 +350,7 @@ class EmbeddedGraph:
         return index
 
     def is_outer_edge(self, e: int) -> bool:
-        return self.outer_face in self._edge_faces[e]
+        return self.outer_face in self.face_of[2 * e:2 * e + 2]
 
 
 def _check_crossings(g: MultiGraph, pos: list[int]) -> None:
@@ -396,53 +400,50 @@ def build_embedding(g: MultiGraph, outer_order) -> EmbeddedGraph:
         pos[v] = i
     _check_crossings(g, pos)
     n = g.n
+    edges = g.edges
+    tail = [x for uv in edges for x in uv]      # tail[d] of the flat dart d
 
     ends: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(g.edges):
+    for e, (a, b) in enumerate(edges):
         if a != b:
             # nested parallel arcs: ascending id at the low-position end
             low = e if pos[a] < pos[b] else -e
-            ends[a].append(((pos[b] - pos[a]) % n, low, e))
-            ends[b].append(((pos[a] - pos[b]) % n, -low, e))
-    rotation = [tuple(e for _, _, e in sorted(at)) for at in ends]
+            ends[a].append(((pos[b] - pos[a]) % n, low, 2 * e))
+            ends[b].append(((pos[a] - pos[b]) % n, -low, 2 * e + 1))
+    # per vertex, its out-darts in ccw order; prev_out[d] is the out-dart
+    # before d at d's tail
+    outs = [[d for _, _, d in sorted(at)] for at in ends]
+    rotation = tuple([tuple([d >> 1 for d in out]) for out in outs])
+    prev_out = [-1] * len(tail)
+    for out in outs:
+        for i, d in enumerate(out):
+            prev_out[d] = out[i - 1]
 
-    # face tracing: successor of dart (e, t) is (f, head) where f precedes e
-    # in the ccw rotation at head
-    rot_index: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        for i, e in enumerate(rotation[v]):
-            rot_index[(e, v)] = i
-
-    left_face: dict[tuple[int, int], int] = {}
-    faces: list[Face] = []
-    for e0, (u0, v0) in enumerate(g.edges):
-        if u0 == v0:
+    # face tracing: the successor of dart d is the out-dart before the
+    # reverse of d in the ccw rotation at d's head
+    face_of = [-1] * len(tail)
+    walks: list[list[int]] = []
+    for d0 in range(len(tail)):
+        if face_of[d0] >= 0 or tail[d0] == tail[d0 ^ 1]:
             continue
-        for t0 in (u0, v0):
-            if (e0, t0) in left_face:
-                continue
-            fid = len(faces)
-            walk = []
-            e, t = e0, t0
-            while (e, t) not in left_face:
-                left_face[(e, t)] = fid
-                walk.append((e, t))
-                head = g.other_end(e, t)
-                rot = rotation[head]
-                idx = rot_index[(e, head)]
-                e = rot[idx - 1]
-                t = head
-            faces.append(Face(fid, tuple(walk), False))
+        fid = len(walks)
+        walk = []
+        d = d0
+        while face_of[d] < 0:
+            face_of[d] = fid
+            walk.append(d)
+            d = prev_out[d ^ 1]
+        walks.append(walk)
 
-    if faces:
+    if walks:
         # the outer face lies left of the last dart in the rotation at the
         # vertex of outer position 0 (that dart points most clockwise)
         v0 = outer_order[0]
-        if not rotation[v0]:
+        if not outs[v0]:
             raise GraphError("vertex of outer position 0 has no non-loop edge")
-        e_last = rotation[v0][-1]
-        outer_id = left_face[(e_last, v0)]
-        faces = [Face(f.id, f.darts, f.id == outer_id) for f in faces]
+        outer_id = face_of[outs[v0][-1]]
+        faces = [Face(fid, tuple((d >> 1, tail[d]) for d in walk), fid == outer_id)
+                 for fid, walk in enumerate(walks)]
     else:
         # single vertex (possibly with loops): one outer face, empty boundary
         faces = [Face(0, (), True)]
@@ -452,7 +453,7 @@ def build_embedding(g: MultiGraph, outer_order) -> EmbeddedGraph:
     if n - nonloop + len(faces) != 2:
         raise EmbeddingError("face count violates Euler's formula; embedding is broken")
 
-    return EmbeddedGraph(g, outer_order, tuple(rotation), tuple(faces), outer_id, left_face)
+    return EmbeddedGraph(g, outer_order, rotation, tuple(faces), outer_id, tuple(face_of))
 
 
 def is_triangulation(emb: EmbeddedGraph, multi: bool = False) -> bool:
@@ -558,7 +559,39 @@ def _tree_mask(g: MultiGraph, labeling: EdgeLabeling, labels) -> int:
     return mask
 
 
-def _fundamental(g: MultiGraph, labeling: EdgeLabeling, mask: int, k: int) -> list[int]:
+def _links(g: MultiGraph, labeling: EdgeLabeling, mask: int) -> tuple[list[int], list[int]]:
+    """``(parent, stamp)``: the edges of the spanning tree ``mask`` joined
+    by union by size in decreasing label order, each link stamped with
+    the label that made it (a root has stamp 0), and no path compressed,
+    which would bypass stamps.
+    The stamps fall from a vertex toward its root, so
+    ``while stamp[v] >= k: v = parent[v]`` finds the vertex that v merges
+    into when every tree edge of label k or more is contracted, in
+    O(log n) steps.  One O(n log n) pass; the tree labels come from the
+    binary digits of ``mask``, highest first."""
+    parent = list(range(g.n))
+    stamp = [0] * g.n
+    size = [1] * g.n
+    edges, edge_of = g.edges, labeling.edge_of
+    digits = bin(mask)
+    i = digits.find("1", 2)
+    while i >= 0:
+        l = len(digits) - i
+        u, v = edges[edge_of[l - 1]]
+        while stamp[u]:
+            u = parent[u]
+        while stamp[v]:
+            v = parent[v]
+        if size[u] < size[v]:
+            u, v = v, u
+        parent[v], stamp[v] = u, l
+        size[u] += size[v]
+        i = digits.find("1", i + 1)
+    return parent, stamp
+
+
+def _fundamental(g: MultiGraph, labeling: EdgeLabeling, mask: int, k: int,
+                 links=None) -> list[int]:
     """The fundamental cuts and cycles of the spanning tree whose labels
     are the set bits of ``mask``, restricted to the labels below ``k``,
     as one bitmask per label (index 0 unused; bit l-1 holds label l).
@@ -566,38 +599,58 @@ def _fundamental(g: MultiGraph, labeling: EdgeLabeling, mask: int, k: int) -> li
     whose tree path runs through l; for a non-tree label l < k, the tree
     labels below k on its tree path (none for a loop).  Labels k and up
     are in no mask and have 0, as if their tree edges were contracted.
-    ``mask`` must be a spanning tree.  Built in O(n + m) integer operations: a vertex's path bits from
-    vertex 0 give the cycles, a subtree's incident non-tree bits the
-    cuts.  :func:`_pivot` keeps it up to date across exchanges."""
-    n = g.n
-    adj = [[] for _ in range(n)]
-    at = [0] * n            # non-tree labels below k at each vertex; a loop cancels
+
+    ``mask`` must be a spanning tree, and ``links`` the :func:`_links` of
+    a base tree whose labels k and up are those of ``mask`` (computed
+    from ``mask`` itself when not given).  Only the labels below k are
+    read: each end is mapped to its contracted vertex through the links
+    in O(log n), so a build costs O(k log n).  On the contracted tree, a
+    vertex's path bits from a root give the cycles, a subtree's incident
+    non-tree bits the cuts.  :func:`_pivot` keeps it up to date across
+    exchanges."""
+    parent, stamp = _links(g, labeling, mask) if links is None else links
+    edges, edge_of = g.edges, labeling.edge_of
+    adj = {}        # contracted vertex -> [(contracted vertex, tree label)]
+    at = {}         # contracted vertex -> its non-tree labels; a loop cancels
     chords = []
-    for (u, v), l in zip(g.edges, labeling.label_of):
+    for l in range(1, k):
+        u, v = edges[edge_of[l - 1]]
+        while stamp[u] >= k:
+            u = parent[u]
+        while stamp[v] >= k:
+            v = parent[v]
         b = 1 << l - 1
         if mask & b:
-            t = l if l < k else 0       # label 0: contracted
-            adj[u].append((v, t))
-            adj[v].append((u, t))
-        elif l < k:
-            at[u] ^= b
-            at[v] ^= b
+            if u in adj:
+                adj[u].append((v, l))
+            else:
+                adj[u] = [(v, l)]
+            if v in adj:
+                adj[v].append((u, l))
+            else:
+                adj[v] = [(u, l)]
+        else:
+            at[u] = at.get(u, 0) ^ b
+            at[v] = at.get(v, 0) ^ b
             chords.append((l, u, v))
+    # the contracted tree searched from vertex 0's contracted vertex
+    x = 0
+    while stamp[x] >= k:
+        x = parent[x]
+    root = {x: 0}           # tree labels below k on the path from x
+    down = []               # (vertex, its parent, the label between)
+    todo = [x]
+    for x in todo:
+        rx = root[x]
+        for y, l in adj.get(x, ()):
+            if y not in root:
+                root[y] = rx | 1 << l - 1
+                todo.append(y)
+                down.append((y, x, l))
     cut = [0] * (g.m + 1)
-    root = [0] * n          # tree labels below k on the path from vertex 0
-    up, up_label = [-1] * n, [0] * n
-    order = [0]
-    for x in order:
-        for y, l in adj[x]:
-            if y != up[x]:
-                up[y], up_label[y] = x, l
-                root[y] = root[x] | (1 << l - 1 if l else 0)
-                order.append(y)
-    for x in reversed(order):
-        if x:
-            at[up[x]] ^= at[x]
-            if up_label[x]:
-                cut[up_label[x]] = at[x]
+    for y, x, l in reversed(down):
+        cut[l] = a = at.get(y, 0)
+        at[x] = at.get(x, 0) ^ a
     for l, u, v in chords:
         cut[l] = root[u] ^ root[v]
     return cut

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import counting
 from .dualtree import dual_tree_labeling, orient_split_dual, split_dual
 from .embedgraph import (EdgeLabeling, EmbeddedGraph, MultiGraph, _fundamental, _labels,
-                         _pivot, _tree_mask)
+                         _links, _pivot, _tree_mask)
 from .errors import CertificationError, GraphError
 
 
@@ -133,14 +133,18 @@ def random_spanning_tree(g: MultiGraph, labeling: EdgeLabeling,
                                                           key=lambda l: order[l - 1])))
 
 
-def _widen(g: MultiGraph, labeling: EdgeLabeling, mask: int, f: int):
+def _widen(g: MultiGraph, labeling: EdgeLabeling, mask: int, f: int, links):
     """``(k, cut)``: the tree state of :func:`greedy_walk` and
     :func:`verify_gray_masks` once they reach level f, the fundamental
     cuts and cycles of ``mask`` (:func:`_fundamental`) below
-    k = min(2f, m + 1).  Doubling k keeps the number of builds per
-    walk O(log m) and the sets a step updates small."""
+    k = min(2f, m + 1).  ``links`` are the :func:`_links` of the base
+    tree, the last tree the caller built them for: every exchange since
+    then swapped labels below the old k, so the labels k and up of
+    ``mask`` are still the base tree's, and the build costs O(k log n).
+    Doubling k keeps the number of builds per walk O(log m) and their
+    cost O(m log n) in all."""
     k = min(2 * f, g.m + 1)
-    return k, _fundamental(g, labeling, mask, k)
+    return k, _fundamental(g, labeling, mask, k, links)
 
 
 def valid_exchanges(g: MultiGraph, labeling: EdgeLabeling,
@@ -332,7 +336,10 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     updates the state in place by :func:`_pivot`, a pivot of the
     fundamental matrix in O(|cycle| + |cut|) XORs, so a step pays for
     labels below k only.  A level f >= k rebuilds it with k = 2f
-    (:func:`_widen`), so it is built O(log m) times.
+    (:func:`_widen`), so it is built O(log m) times.  Every exchange
+    swaps two labels below k, so the tree labels k and up stay those of
+    the initial tree: one O(n log n) :func:`_links` pass over that tree
+    lets each build read the labels below k only, in O(k log n).
 
     A rule with a ``kind`` attribute (the built-in ones) is not called:
     the walk picks the last partner of that class itself, on labels.
@@ -350,7 +357,8 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
         mask = _tree_mask(g, labeling, initial.labels() if isinstance(initial, SpanningTree)
                           else initial)
     h = 0
-    k, cut = _widen(g, labeling, mask, 1)
+    links = _links(g, labeling, mask)
+    k, cut = _widen(g, labeling, mask, 1, links)
     full = (1 << g.m) - 1
     kind = getattr(tiebreak, "kind", None)
     index = None        # built at the first tie: a tree has none
@@ -363,7 +371,7 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
             fbit = free & -free
             f = fbit.bit_length()
             if f >= k:
-                k, cut = _widen(g, labeling, mask, f)
+                k, cut = _widen(g, labeling, mask, f, links)
             partners = cut[f] & (fbit - 1)
             if partners:
                 break
@@ -512,16 +520,18 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
     a in, both at most m) is a tree iff r lies on the fundamental cycle
     of a: one AND, ``cut[a] & bit r``, on the cut/cycle masks of the
     previous tree below k, kept as :func:`greedy_walk` keeps them
-    (:func:`_pivot` per swap, :func:`_widen` once a swap reaches k).
-    Any other mask gets the full union-find test, which a bit at m or
-    above fails, and a rebuild at k = 2."""
-    index, table = _classifier(g, embedding, labeling, required_class)
+    (:func:`_pivot` per swap, :func:`_widen` once a swap reaches k, on
+    the links of the last fully tested tree).  Any other mask gets the
+    full union-find test, which a bit at m or above fails, and new
+    links and a rebuild at k = 2."""
     check_class = required_class != "any"
+    if check_class:
+        index, table = _classifier(g, embedding, labeling, required_class)
     m = g.m
     non_tree = None
     step_bad = []
     recorded = len(pairs)
-    k, cut = 0, None
+    k, cut, links = 0, None, None
     prev = 0            # no label leaves 0, so the first mask gets the full test
     for i, x in enumerate(masks):
         d = x ^ prev
@@ -532,13 +542,14 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
         if non_tree is None:
             if swap and r <= m and a <= m:
                 if r >= k or a >= k:
-                    k, cut = _widen(g, labeling, prev, max(r, a))
+                    k, cut = _widen(g, labeling, prev, max(r, a), links)
                 if cut[a] >> r - 1 & 1:
                     _pivot(cut, r, a)
                 else:
                     non_tree = i
             elif not x >> m and g.is_spanning_tree([labeling.edge(l) for l in _labels(x)]):
-                k, cut = _widen(g, labeling, x, 1)
+                links = _links(g, labeling, x)
+                k, cut = _widen(g, labeling, x, 1, links)
             else:
                 non_tree = i
         prev = x

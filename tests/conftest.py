@@ -1,13 +1,14 @@
 """Shared graph builders for the test suite."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from spangray.dualtree import weak_dual
-from spangray.embedgraph import (EdgeLabeling, MultiGraph, build_embedding,
-                                 is_triangulation)
-from spangray.errors import NotTwoConnectedError
+from spangray.embedgraph import (EdgeLabeling, MultiGraph, _check_crossings,
+                                 build_embedding, is_triangulation)
+from spangray.errors import EmbeddingError, GraphError, NotTwoConnectedError
 from spangray.treegen import SpanningTree
 
 
@@ -159,6 +160,83 @@ def reference_fib_predicate(emb):
         return False
     return all(any(emb.is_outer_edge(e) for e in f.edge_ids)
                for f in emb.faces if not f.is_outer and f.length == 2)
+
+
+def reference_embedding(g, outer_order):
+    """The embedding traced over ``(edge, tail)``-keyed dicts, as
+    ``build_embedding`` once traced it, with the values built on it:
+    ``rotation``, ``faces`` as (id, darts, is_outer) triples,
+    ``outer_face``, ``left_face``, the per-edge ``class_bits``, and
+    for a 2-connected graph the split dual's ``ends`` and the
+    ``root_leaf`` of ``default_root_leaf`` (None otherwise).  It raises
+    the errors of ``build_embedding`` with the same messages.  The
+    reference for ``build_embedding``, ``SplitDual.ends`` and
+    ``default_root_leaf``."""
+    outer_order = tuple(outer_order)
+    if sorted(outer_order) != list(range(g.n)):
+        raise GraphError("outer order must list every vertex exactly once")
+    if not g.is_connected():
+        raise GraphError("graph is disconnected; embed components separately")
+    n = g.n
+    pos = [0] * n
+    for i, v in enumerate(outer_order):
+        pos[v] = i
+    _check_crossings(g, pos)
+    ends = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(g.edges):
+        if a != b:
+            low = e if pos[a] < pos[b] else -e
+            ends[a].append(((pos[b] - pos[a]) % n, low, e))
+            ends[b].append(((pos[a] - pos[b]) % n, -low, e))
+    rotation = tuple(tuple(e for _, _, e in sorted(at)) for at in ends)
+    rot_index = {(e, v): i for v in range(n) for i, e in enumerate(rotation[v])}
+    left_face = {}
+    walks = []
+    for e0, (u0, v0) in enumerate(g.edges):
+        if u0 == v0:
+            continue
+        for t0 in (u0, v0):
+            if (e0, t0) in left_face:
+                continue
+            walk = []
+            e, t = e0, t0
+            while (e, t) not in left_face:
+                left_face[(e, t)] = len(walks)
+                walk.append((e, t))
+                head = g.other_end(e, t)
+                e, t = rotation[head][rot_index[(e, head)] - 1], head
+            walks.append(tuple(walk))
+    if walks:
+        v0 = outer_order[0]
+        if not rotation[v0]:
+            raise GraphError("vertex of outer position 0 has no non-loop edge")
+        outer = left_face[(rotation[v0][-1], v0)]
+    else:
+        walks, outer = [()], 0
+    nonloop = sum(1 for u, v in g.edges if u != v)
+    if n - nonloop + len(walks) != 2:
+        raise EmbeddingError("face count violates Euler's formula; embedding is broken")
+    faces = tuple((i, walk, i == outer) for i, walk in enumerate(walks))
+    class_bits = tuple(
+        1 << u if u == v else
+        1 << u | 1 << v | 1 << n + left_face[(e, u)] | 1 << n + left_face[(e, v)]
+        for e, (u, v) in enumerate(g.edges))
+    split_ends = root_leaf = None
+    if len(walks[outer]) == n:
+        inner = [i for i in range(len(walks)) if i != outer]
+        node_of_dart = {d: len(inner) + k for k, d in enumerate(walks[outer])}
+        for i, fid in enumerate(inner):
+            for d in walks[fid]:
+                node_of_dart[d] = i
+        split_ends = tuple(None if u == v else (node_of_dart[(e, u)], node_of_dart[(e, v)])
+                           for e, (u, v) in enumerate(g.edges))
+        leaves = range(len(inner), len(inner) + len(walks[outer]))
+        root_leaf = min(leaves, key=lambda leaf: (
+            sorted(g.edges[walks[outer][leaf - len(inner)][0]]),
+            walks[outer][leaf - len(inner)][0], leaf))
+    return SimpleNamespace(rotation=rotation, faces=faces, outer_face=outer,
+                           left_face=left_face, class_bits=class_bits,
+                           ends=split_ends, root_leaf=root_leaf)
 
 
 def reference_spanning_trees(g):

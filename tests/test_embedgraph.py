@@ -6,12 +6,15 @@ import re
 import pytest
 
 from conftest import (bundle_graph, cycle_graph, diamond_graph, fan_graph,
-                      loopy_triangle, triangle_with_parallel)
+                      loopy_triangle, random_outerplane_multigraph,
+                      reference_embedding, triangle_with_parallel)
 from spangray.counting import enumerate_outerplane
+from spangray.dualtree import default_root_leaf, split_dual
 from spangray.embedgraph import (EdgeLabeling, MultiGraph, _check_crossings,
                                  blocks, build_embedding, is_triangulation,
                                  parse_graph)
-from spangray.errors import EmbeddingError, GraphError, ParseError
+from spangray.errors import (EmbeddingError, GraphError, NotTwoConnectedError,
+                             ParseError)
 
 
 class TestMultiGraph:
@@ -264,6 +267,84 @@ class TestEmbedding:
     def test_bad_outer_order(self, fan):
         with pytest.raises((EmbeddingError, GraphError)):
             build_embedding(fan, (0, 1, 2, 3))
+
+    @staticmethod
+    def _seeded_multigraphs(rng):
+        """Seeded outerplane multigraphs up to n = 90 with parallel edges
+        and one to three loops, their vertices renamed by a seeded
+        permutation that also orders the circle; every third one loses
+        seeded edges, each while the rest stays connected, so it need not be
+        2-connected.  As (graph, outer order) pairs."""
+        out = []
+        for n in list(range(1, 13)) * 4 + [20, 33, 47, 60, 75, 90] * 3:
+            g = random_outerplane_multigraph(n, rng) if n > 1 else MultiGraph(1, ())
+            edges = list(g.edges)
+            for _ in range(rng.randrange(1, 4)):
+                v = rng.randrange(n)
+                edges.insert(rng.randrange(len(edges) + 1), (v, v))
+            if len(out) % 3 == 2:
+                for _ in range(len(edges) // 4):
+                    e = rng.randrange(len(edges))
+                    rest = edges[:e] + edges[e + 1:]
+                    if MultiGraph(n, tuple(rest)).is_connected():
+                        edges = rest
+            name = rng.sample(range(n), n)
+            g = MultiGraph(n, tuple((name[u], name[v]) for u, v in edges))
+            out.append((g, tuple(name)))
+        return out
+
+    def test_equals_reference_embedding(self):
+        """Every 2-connected outerplane multigraph with m <= 9 and the
+        seeded multigraphs: the flat-dart tracing gives the rotation,
+        the faces, the outer face, ``left_face`` (in tracing order), the
+        per-edge faces and class bits, and for a 2-connected graph the
+        split dual's ends and default root leaf, of the dict-keyed
+        tracing; a graph that is not 2-connected has no split dual."""
+        cases = [(emb.graph, emb.outer_order) for emb in enumerate_outerplane(9)]
+        cases += self._seeded_multigraphs(random.Random(31))
+        two_connected = 0
+        for g, order in cases:
+            emb, ref = build_embedding(g, order), reference_embedding(g, order)
+            assert emb.rotation == ref.rotation
+            assert [(f.id, f.darts, f.is_outer) for f in emb.faces] == list(ref.faces)
+            assert emb.outer_face == ref.outer_face
+            assert list(emb.left_face.items()) == list(ref.left_face.items())
+            assert emb._class_bits == ref.class_bits
+            for e, (u, v) in enumerate(g.edges):
+                faces = () if u == v else (ref.left_face[(e, u)], ref.left_face[(e, v)])
+                assert emb.faces_of_edge(e) == faces
+                assert emb.is_outer_edge(e) == (ref.outer_face in faces)
+            if ref.ends is None:
+                with pytest.raises(NotTwoConnectedError):
+                    split_dual(emb)
+                continue
+            sd = split_dual(emb)
+            assert sd.ends == ref.ends
+            assert default_root_leaf(sd) == ref.root_leaf
+            two_connected += 1
+        assert len(cases) == 358 and two_connected == 335
+
+    @pytest.mark.parametrize("g, order", [
+        (MultiGraph(4, ((0, 1), (2, 3), (1, 1))), (0, 1, 2, 3)),
+        (MultiGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))), (0, 1, 2, 3)),
+        (MultiGraph(3, ((0, 1), (1, 2))), (0, 1, 1)),
+        (MultiGraph(3, ((0, 1), (1, 2))), (0, 1)),
+        (MultiGraph(3, ((0, 0), (1, 2), (2, 1), (0, 0))), (0, 1, 2)),
+        (MultiGraph(1, ((0, 0), (0, 0))), (0,)),
+    ], ids=["disconnected", "crossing", "repeated-vertex", "short-order",
+            "loops-only-at-position-0", "one-vertex-loops"])
+    def test_errors_equal_reference(self, g, order):
+        """Refused input gets the error type and message of the
+        dict-keyed tracing; one vertex with loops alone is no error."""
+        try:
+            ref = reference_embedding(g, order)
+        except (EmbeddingError, GraphError) as exc:
+            with pytest.raises(type(exc)) as got:
+                build_embedding(g, order)
+            assert str(got.value) == str(exc)
+        else:
+            emb = build_embedding(g, order)
+            assert [(f.id, f.darts, f.is_outer) for f in emb.faces] == list(ref.faces)
 
 
 class TestTriangulation:

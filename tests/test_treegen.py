@@ -7,6 +7,7 @@ import itertools
 import pickle
 import random
 import tracemalloc
+import types
 
 import pytest
 
@@ -19,7 +20,7 @@ from spangray.counting import (count_matrix_tree, enumerate_outerplane,
                                extremal_family)
 from spangray.dualtree import (default_root_leaf, dual_tree_labeling,
                                orient_split_dual, split_dual)
-from spangray.embedgraph import (EdgeLabeling, MultiGraph, _fundamental,
+from spangray.embedgraph import (EdgeLabeling, MultiGraph, _fundamental, _links,
                                  build_embedding)
 from spangray.errors import CertificationError, GraphError
 from spangray.flipgraph import Arborescence
@@ -250,6 +251,20 @@ def with_loop(g, rng):
     v = rng.randrange(g.n)
     edges.insert(rng.randrange(g.m + 1), (v, v))
     return MultiGraph(g.n, tuple(edges))
+
+
+def swapped_below(g, lab, mask, k, rng):
+    """The tree ``mask`` after up to three seeded exchanges of two labels
+    below k, each a tree label on the added label's tree path."""
+    for _ in range(3):
+        path = tree_paths(g, lab, mask)
+        swaps = [(r, a) for a in range(1, k) if not mask >> (a - 1) & 1
+                 for r in path(a) if r < k]
+        if not swaps:
+            break
+        r, a = rng.choice(swaps)
+        mask ^= 1 << r - 1 ^ 1 << a - 1
+    return mask
 
 
 def corrupted_listings(listing, rng):
@@ -727,7 +742,7 @@ class TestGreedyListing:
             for _ in range(25):
                 lab = EdgeLabeling.shuffled(g.m, rng)
                 init = random_spanning_tree(g, lab, rng)
-                rule = random.choice([tiebreak_closest, tiebreak_random(rng)])
+                rule = rng.choice([tiebreak_closest, tiebreak_random(rng)])
                 listing = greedy_listing(g, labeling=lab, initial=init,
                                          tiebreak=rule)
                 assert len(listing.trees) == expected
@@ -911,12 +926,58 @@ class TestWalk:
                 else MultiGraph(1, ((0, 0),))
             lab = EdgeLabeling.shuffled(g.m, rng)
             mask = random_spanning_tree(g, lab, rng).mask
+            links = _links(g, lab, mask)
             for k in range(1, g.m + 2):
                 cut = _fundamental(g, lab, mask, k)
                 assert cut == reference_cut(g, lab, mask, k)
                 assert not any(cut[k:])
+                assert _fundamental(g, lab, mask, k, links) == cut
+                # the links of the base tree serve every tree that
+                # differs from it below k
+                other = swapped_below(g, lab, mask, k, rng)
+                assert _fundamental(g, lab, other, k, links) == reference_cut(g, lab, other, k)
             for e in g.loop_edges():
                 assert cut[lab.label(e)] == 0
+
+    def test_builds_read_the_labels_below_k_only(self, monkeypatch):
+        """A 1000-tree walk and the verify of its listing, on the m = 3001
+        and the m = 10001 strip: every build gets the links of its base
+        tree and reads one ``edge_of`` entry per label below its k, so
+        the builds read as many entries on both strips."""
+        reads = []
+
+        class Edges:
+            def __init__(self, edge_of):
+                self.edge_of = edge_of
+
+            def __getitem__(self, i):
+                reads.append(i)
+                return self.edge_of[i]
+
+        ks = []
+
+        def build(g, lab, mask, k, links):
+            assert links is not None
+            ks.append(k)
+            return _fundamental(g, types.SimpleNamespace(edge_of=Edges(lab.edge_of)),
+                                mask, k, links)
+
+        monkeypatch.setattr(treegen, "_fundamental", build)
+        counts = []
+        for k in (1500, 5000):
+            emb = extremal_family(k, 0)
+            g = emb.graph
+            lab = dual_tree_labeling(orient_split_dual(split_dual(emb)))
+            reads.clear()
+            ks.clear()
+            listing = greedy_listing(g, labeling=lab, embedding=emb,
+                                     tiebreak=tiebreak_prefer("pof"), max_trees=1000)
+            assert verify_gray(listing, "pof").ok
+            assert len(reads) == sum(k - 1 for k in ks)
+            counts.append((g.m, len(reads), ks[:]))
+        assert [m for m, _, _ in counts] == [3001, 10001]
+        assert counts[0][1:] == counts[1][1:]
+        assert counts[0][1:] == (105, [2, 4, 8, 16, 32, 2, 6, 14, 30])
 
     @pytest.mark.parametrize("rule", [tiebreak_closest, tiebreak_prefer("pof")],
                              ids=["closest", "prefer-pof"])
