@@ -621,14 +621,8 @@ def _fundamental(g: MultiGraph, labeling: EdgeLabeling, mask: int, k: int,
             v = parent[v]
         b = 1 << l - 1
         if mask & b:
-            if u in adj:
-                adj[u].append((v, l))
-            else:
-                adj[u] = [(v, l)]
-            if v in adj:
-                adj[v].append((u, l))
-            else:
-                adj[v] = [(u, l)]
+            adj.setdefault(u, []).append((v, l))
+            adj.setdefault(v, []).append((u, l))
         else:
             at[u] = at.get(u, 0) ^ b
             at[v] = at.get(v, 0) ^ b
