@@ -562,13 +562,12 @@ def _tree_mask(g: MultiGraph, labeling: EdgeLabeling, labels) -> int:
 def _links(g: MultiGraph, labeling: EdgeLabeling, mask: int) -> tuple[list[int], list[int]]:
     """``(parent, stamp)``: the edges of the spanning tree ``mask`` joined
     by union by size in decreasing label order, each link stamped with
-    the label that made it (a root has stamp 0), and no path compressed,
-    which would bypass stamps.
-    The stamps fall from a vertex toward its root, so
-    ``while stamp[v] >= k: v = parent[v]`` finds the vertex that v merges
-    into when every tree edge of label k or more is contracted, in
-    O(log n) steps.  One O(n log n) pass; the tree labels come from the
-    binary digits of ``mask``, highest first."""
+    the label that made it (a root has stamp 0).  The stamps fall from a
+    vertex toward its root, so ``while stamp[v] >= k: v = parent[v]``
+    finds the vertex that v merges into when every tree edge of label k
+    or more is contracted, in O(log n) steps; no path is compressed,
+    since that would skip stamps.  One O(n log n) pass; the tree labels
+    come from the binary digits of ``mask``, highest first."""
     parent = list(range(g.n))
     stamp = [0] * g.n
     size = [1] * g.n
@@ -602,12 +601,12 @@ def _fundamental(g: MultiGraph, labeling: EdgeLabeling, mask: int, k: int,
 
     ``mask`` must be a spanning tree, and ``links`` the :func:`_links` of
     a base tree whose labels k and up are those of ``mask`` (computed
-    from ``mask`` itself when not given).  Only the labels below k are
-    read: each end is mapped to its contracted vertex through the links
-    in O(log n), so a build costs O(k log n).  On the contracted tree, a
-    vertex's path bits from a root give the cycles, a subtree's incident
-    non-tree bits the cuts.  :func:`_pivot` keeps it up to date across
-    exchanges."""
+    from ``mask`` itself when not given, one O(n log n) pass).  Only the
+    labels below k are read: each end is mapped to its contracted vertex
+    through the links in O(log n), so a build costs O(k log n).  On the
+    contracted tree, a vertex's path bits from a root give the cycles, a
+    subtree's incident non-tree bits the cuts.  :func:`_pivot` keeps it
+    up to date across exchanges."""
     parent, stamp = _links(g, labeling, mask) if links is None else links
     edges, edge_of = g.edges, labeling.edge_of
     adj = {}        # contracted vertex -> [(contracted vertex, tree label)]

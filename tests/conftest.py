@@ -163,11 +163,10 @@ def reference_fib_predicate(emb):
 
 
 def reference_embedding(g, outer_order):
-    """The embedding traced over ``(edge, tail)``-keyed dicts, as
-    ``build_embedding`` once traced it, with the values built on it:
-    ``rotation``, ``faces`` as (id, darts, is_outer) triples,
-    ``outer_face``, ``left_face``, the per-edge ``class_bits``, and
-    for a 2-connected graph the split dual's ``ends`` and the
+    """The embedding traced over ``(edge, tail)``-keyed dicts, with the
+    values built on it: ``rotation``, ``faces`` as (id, darts, is_outer)
+    triples, ``outer_face``, ``left_face``, the per-edge ``class_bits``,
+    and for a 2-connected graph the split dual's ``ends`` and the
     ``root_leaf`` of ``default_root_leaf`` (None otherwise).  It raises
     the errors of ``build_embedding`` with the same messages.  The
     reference for ``build_embedding``, ``SplitDual.ends`` and

@@ -964,8 +964,8 @@ class TestWalk:
 
         monkeypatch.setattr(treegen, "_fundamental", build)
         counts = []
-        for k in (1500, 5000):
-            emb = extremal_family(k, 0)
+        for size in (1500, 5000):
+            emb = extremal_family(size, 0)
             g = emb.graph
             lab = dual_tree_labeling(orient_split_dual(split_dual(emb)))
             reads.clear()
