@@ -277,7 +277,10 @@ class EmbeddedGraph:
     """An outerplane embedding of a connected multigraph.
 
     Built by :func:`build_embedding`; carries the rotation system, the
-    traced faces, and dart-to-face lookups.
+    traced faces, and dart-to-face lookups.  :meth:`class_index` tells
+    the exchange class of one pair of edges; callers that test many
+    pairs by label read class rows built from the rotation and the faces
+    (:func:`treegen._classifier`).
     """
 
     def __init__(self, graph: MultiGraph, outer_order: tuple[int, ...],
@@ -292,9 +295,6 @@ class EmbeddedGraph:
         # the darts of a loop)
         self.face_of = face_of
         self.loop_edges = graph.loop_edges()
-        n = graph.n
-        self._vertex_bits = (1 << n) - 1
-        self._inner_face_bits = ((1 << len(faces)) - 1 ^ 1 << outer_face) << n
 
     @functools.cached_property
     def left_face(self) -> dict[tuple[int, int], int]:
@@ -311,43 +311,18 @@ class EmbeddedGraph:
         fl, fr = self.face_of[2 * e:2 * e + 2]
         return () if fl < 0 else (fl, fr)
 
-    @functools.cached_property
-    def _class_bits(self) -> tuple[int, ...]:
-        """Per edge, its class bits: its end vertices as bits 0..n-1 and
-        the faces its two sides bound as bits n and up (a loop: its
-        vertex alone), built at the first classification."""
-        n, face_of = self.graph.n, self.face_of
-        return tuple(1 << u if u == v else 1 << u | 1 << v | 1 << n + fl | 1 << n + fr
-                     for (u, v), fl, fr in zip(self.graph.edges, face_of[::2], face_of[1::2]))
-
-    @functools.cached_property
-    def _edge_index(self):
-        """:meth:`label_class_index` over the edge ids themselves, built
-        at the first :meth:`class_index` call, so that an embedding that
-        is only walked, verified or flip-graphed (each gathers its own
-        bits by label) carries no second copy of the bits."""
-        return self.label_class_index(range(self.graph.m))
-
     def class_index(self, a: int, b: int) -> int:
         """The exchange class of edges a and b as 0..7: bit 0 set iff
         they share an end vertex (pivot), bit 1 iff they bound a common
         face (face), bit 2 iff a common face is inner (face_inner).  A
-        loop bounds no face."""
-        return self._edge_index(a + 1, b + 1)
-
-    def label_class_index(self, edge_of):
-        """``index(a, b)``, one call: :meth:`class_index` of the edges
-        ``edge_of[a - 1]`` and ``edge_of[b - 1]``, read from class bits
-        gathered once, so a caller that numbers its edges by label (as
-        :attr:`EdgeLabeling.edge_of` does) classifies labels directly."""
-        bits = [0] + [self._class_bits[e] for e in edge_of]
-        vertex, inner = self._vertex_bits, self._inner_face_bits
-
-        def index(a: int, b: int) -> int:
-            common = bits[a] & bits[b]
-            return bool(common & vertex) | (common > vertex) << 1 | bool(common & inner) << 2
-
-        return index
+        loop bounds no face.  One pair at a time, from the ends and
+        faces themselves; a caller that classifies many exchanges by
+        label reads class rows (:func:`treegen._classifier`)."""
+        u, v = self.graph.edges[a]
+        ends = self.graph.edges[b]
+        common = set(self.faces_of_edge(a)).intersection(self.faces_of_edge(b))
+        return ((u in ends or v in ends) | bool(common) << 1
+                | bool(common - {self.outer_face}) << 2)
 
     def is_outer_edge(self, e: int) -> bool:
         return self.outer_face in self.face_of[2 * e:2 * e + 2]

@@ -162,7 +162,7 @@ def _flip_graph(nodes, restriction: str, rows) -> FlipGraph:
         for k, (i, r) in enumerate(group):
             row = -1 if rows is None else rows[r]
             for j, a in group[k + 1:]:
-                if row >> a & 1:
+                if row >> a - 1 & 1:
                     labels.append((i, j, (r, a) if r < a else (a, r)))
     labels.sort()
     adjacency = [[] for _ in nodes]

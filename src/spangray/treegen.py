@@ -97,10 +97,8 @@ def _flag_text(c: ExchangeClass) -> str:
     return " [" + ",".join(k for k in ("pivot", "face", "face_inner") if getattr(c, k)) + "]"
 
 
-# the eight classes by EmbeddedGraph.class_index, and per kind, which of
-# them are of that kind
+# the eight classes by EmbeddedGraph.class_index
 _CLASSES = tuple(ExchangeClass(bool(i & 1), bool(i & 2), bool(i & 4)) for i in range(8))
-_IN_CLASS = {k: tuple(c.matches(k) for c in _CLASSES) for k in RESTRICTIONS}
 
 
 def spanning_tree_from_labels(g: MultiGraph, labeling: EdgeLabeling, labels) -> SpanningTree:
@@ -169,49 +167,121 @@ def classify_exchange(emb: EmbeddedGraph, labeling: EdgeLabeling,
                                     labeling.edge(exchange.added))]
 
 
+def _label_mask(edge_ids, label_of) -> int:
+    """The mask with bit l-1 set for the label l of each edge of a
+    nonempty list, in O(len + max) bit steps.  Up to 64 labels are ORed
+    in one at a time, at most 64 * max bits; more are written as a 0/1
+    string over the span of the labels and shifted into place, since an
+    OR per label would cost O(len * max) bits, quadratic at a vertex of
+    high degree."""
+    if len(edge_ids) <= 64:
+        mask = 0
+        for e in edge_ids:
+            mask |= 1 << label_of[e] - 1
+        return mask
+    labels = [label_of[e] for e in edge_ids]
+    low, top = min(labels), max(labels)
+    text = bytearray(b"0") * (top - low + 1)
+    for l in labels:
+        text[top - l] = 49      # "1"; the first character is label top
+    return int(text, 2) << low - 1
+
+
+class _ClassRows(dict):
+    """The class rows of a labeled graph, by label: ``rows[f]`` holds
+    one row per class, in :data:`RESTRICTIONS` order, and the row of a
+    kind has bit a-1 set iff the exchange of labels f and a is of that
+    kind (f with itself counts as sharing its own ends and faces).
+
+    With ends u, v and faces fl, fr of f's edge, the pivot row is the OR
+    of the label masks of u and v (every edge at the vertex, loops too),
+    the face row that of fl and fr (a loop has none), the face_inner row
+    that of the inner ones among them; paf is the AND of the pivot and
+    face rows, pof their OR, and "any" is -1, every bit.  A bare graph
+    (``emb`` None) has no face rows: :func:`_classifier` lets it be
+    asked for pivot and "any" only.  A label's rows, and the masks they
+    read, are built at its first read and kept, so a caller pays for the
+    labels it reads: a mask costs O(size + max) bit steps
+    (:func:`_label_mask`), a label's rows a few ORs, and a read of a
+    built label one dict lookup."""
+
+    __slots__ = ("_graph", "_emb", "_edges_at", "_label_of", "_edge_of", "_vertex", "_face")
+
+    def __init__(self, g: MultiGraph, emb: EmbeddedGraph | None, labeling: EdgeLabeling):
+        super().__init__()
+        self._graph, self._emb = g, emb
+        if emb is not None and not emb.loop_edges:
+            self._edges_at = emb.rotation       # every edge at each vertex, once
+        else:
+            self._edges_at = at = [[] for _ in range(g.n)]
+            for e, (u, v) in enumerate(g.edges):
+                at[u].append(e)
+                if v != u:
+                    at[v].append(e)
+        self._label_of, self._edge_of = labeling.label_of, labeling.edge_of
+        # per vertex and per face its label mask, None until a row reads it
+        self._vertex = [None] * g.n
+        self._face = [] if emb is None else [None] * len(emb.faces)
+
+    def __missing__(self, f: int) -> tuple[int, ...]:
+        g, emb, label, vertex = self._graph, self._emb, self._label_of, self._vertex
+        e = self._edge_of[f - 1]
+        u, v = g.edges[e]
+        pu = vertex[u]
+        if pu is None:
+            pu = vertex[u] = _label_mask(self._edges_at[u], label)
+        pv = vertex[v]
+        if pv is None:
+            pv = vertex[v] = _label_mask(self._edges_at[v], label)
+        pivot = pu | pv
+        face = inner = 0
+        fl = -1 if emb is None else emb.face_of[2 * e]
+        if fl >= 0:             # not a loop, whose darts have face -1
+            fr, faces = emb.face_of[2 * e + 1], self._face
+            ml, mr = faces[fl], faces[fr]
+            if ml is None:
+                ml = faces[fl] = _label_mask([d for d, _ in emb.faces[fl].darts], label)
+            if mr is None:
+                mr = faces[fr] = _label_mask([d for d, _ in emb.faces[fr].darts], label)
+            face = ml | mr
+            outer = emb.outer_face
+            inner = (0 if fl == outer else ml) | (0 if fr == outer else mr)
+        rows = self[f] = (-1, pivot, face, inner, pivot & face, pivot | face)
+        return rows
+
+
 def _classifier(g: MultiGraph, emb: EmbeddedGraph | None,
-                labeling: EdgeLabeling, kind: str):
-    """``(index, table)``: ``index(a, b)`` is the class index of the
-    exchange of labels a and b, one call on class bits gathered here by
-    label (:meth:`EmbeddedGraph.label_class_index`), and ``table[i]``
-    tells whether class i is of the given kind.  Pivot reads the graph
-    only, and without an embedding ``index`` gives the pivot bit alone;
-    the face-based classes need the embedding."""
+                labeling: EdgeLabeling, kind: str) -> _ClassRows:
+    """The class rows of the labeled graph (:class:`_ClassRows`), once
+    ``kind`` is known to be a class they can tell: pivot reads the graph
+    only, the face-based classes need the embedding.  The one class test
+    of the walk's ties, of ``verify --class`` and of the flip graphs:
+    an exchange of labels f and a is of the kind iff bit a-1 of the
+    kind's row of f is set, and the largest partner of f of the kind is
+    the top bit of the partners ANDed with that row."""
     if kind not in RESTRICTIONS:
         raise GraphError(f"unknown exchange class {kind!r}")
-    edge = labeling.edge_of
-    if emb is not None:
-        return emb.label_class_index(edge), _IN_CLASS[kind]
-    if kind not in ("any", "pivot"):
+    if emb is None and kind not in ("any", "pivot"):
         raise GraphError(f"exchange class {kind!r} needs an embedding")
-    return lambda a, b: int(g.shares_vertex(edge[a - 1], edge[b - 1])), _IN_CLASS[kind]
+    return _ClassRows(g, emb, labeling)
 
 
 def _class_rows(g: MultiGraph, emb: EmbeddedGraph | None,
                 labeling: EdgeLabeling, kind: str) -> list[int] | None:
-    """The class table of ``kind``: None for "any", else a list whose
-    row r has bit a set iff the exchange of labels r and a (r != a) is
-    of that kind.  It costs m^2 :func:`_classifier` index calls, so it
-    suits the flip-graph builder, which tests many pairs on a small m."""
-    index, table = _classifier(g, emb, labeling, kind)
+    """The class table of ``kind``: None for "any", else the
+    :func:`_classifier` row of every label, m row builds, row r at index
+    r (index 0 is 0) with label a at bit a-1, for the flip-graph
+    builder, which tests many pairs on a small m."""
+    classes = _classifier(g, emb, labeling, kind)
     if kind == "any":
         return None
-    labels = range(1, g.m + 1)
-    return [0] + [sum(1 << a for a in labels if table[index(r, a)]) for r in labels]
+    slot = RESTRICTIONS.index(kind)
+    return [0] + [classes[r][slot] for r in range(1, g.m + 1)]
 
 
-def _prefer(index, table, kind: str, f: int, partners: int) -> int:
-    """The largest label in ``partners``, a bitmask of smaller labels
-    that each exchange with the larger label f, whose exchange is of
-    class ``kind``.  ``index`` and ``table`` come from
-    :func:`_classifier`."""
-    x = partners
-    while x:
-        e = x.bit_length()
-        if table[index(e, f)]:
-            return e
-        x ^= 1 << e - 1
-    raise CertificationError(
+def _no_exchange(kind: str, f: int, partners: int) -> CertificationError:
+    """The error of a tie whose partners of f hold none of class ``kind``."""
+    return CertificationError(
         f"no {kind} exchange in tie set {[(e, f) for e in _labels(partners)]}")
 
 
@@ -239,6 +309,7 @@ def tiebreak_prefer(kind: str):
     guarantees a candidate of the preferred class in every tie."""
     if kind not in RESTRICTIONS:
         raise GraphError(f"unknown exchange class {kind!r}")
+    slot = RESTRICTIONS.index(kind)
 
     def rule(ctx: TieContext) -> Exchange:
         """Pick, among the candidates of this rule's exchange class, the
@@ -248,12 +319,12 @@ def tiebreak_prefer(kind: str):
             raise GraphError("empty tie set")
         if kind == "any":
             return cands[-1]
-        index, table = _classifier(ctx.graph, ctx.embedding, ctx.labeling, kind)
-        partners = 0
-        for x in cands:
-            partners |= 1 << x.smaller - 1
-        e = _prefer(index, table, kind, cands[-1].larger, partners)
-        return next(x for x in reversed(cands) if x.smaller == e)
+        f = cands[-1].larger
+        row = _classifier(ctx.graph, ctx.embedding, ctx.labeling, kind)[f][slot]
+        for x in reversed(cands):
+            if row >> x.smaller - 1 & 1:
+                return x
+        raise _no_exchange(kind, f, sum(1 << x.smaller - 1 for x in cands))
 
     rule.kind = kind
     return rule
@@ -342,10 +413,13 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     lets each build read the labels below k only, in O(k log n).
 
     A rule with a ``kind`` attribute (the built-in ones) is not called:
-    the walk picks the last partner of that class itself, on labels.
-    Any other rule gets a :class:`TieContext` per step.  Either way the
-    walk yields one shared step per directed (removed, added) pair,
-    built and classified the first time it takes that exchange.
+    the walk picks the last partner of that class itself, the top bit of
+    the partners ANDed with f's class row (:func:`_classifier`, built at
+    the first tie at level f).  Any other rule gets a
+    :class:`TieContext` per step.  Either way the walk yields one shared
+    step per directed (removed, added) pair, built the first time it
+    takes that exchange and classified from three rows of its larger
+    label.
     """
     if labeling.m != g.m:
         raise GraphError("labeling size does not match the graph")
@@ -361,7 +435,8 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     k, cut = _widen(g, labeling, mask, 1, links)
     full = (1 << g.m) - 1
     kind = getattr(tiebreak, "kind", None)
-    index = None        # built at the first tie: a tree has none
+    slot = RESTRICTIONS.index(kind or "any")
+    classes = None      # built at the first tie: a tree has none
     shared = {}         # r * (m + 1) + a -> the step that removes r and adds a
     width = g.m + 1
     yield mask, None
@@ -379,8 +454,8 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
         else:
             return
         f_in = mask & fbit
-        if index is None:
-            index, table = _classifier(g, embedding, labeling, kind or "any")
+        if classes is None:
+            classes = _classifier(g, embedding, labeling, kind or "any")
         if kind is None:
             cands = tuple(Exchange(f, e) if f_in else Exchange(e, f) for e in _labels(partners))
             chosen = tiebreak(TieContext(g, labeling, embedding, mask, cands))
@@ -390,12 +465,18 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
         elif kind == "any":
             e = partners.bit_length()
         else:
-            e = _prefer(index, table, kind, f, partners)
+            e = (partners & classes[f][slot]).bit_length()
+            if not e:
+                raise _no_exchange(kind, f, partners)
         r, a = (f, e) if f_in else (e, f)
         step = shared.get(r * width + a)
         if step is None:
-            step = shared[r * width + a] = (Exchange(r, a),
-                                            _CLASSES[index(r, a)] if classify else None)
+            cls = None
+            if classify:        # numbered as EmbeddedGraph.class_index numbers it
+                _, pivot, face, inner, _, _ = classes[f]
+                cls = _CLASSES[pivot >> e - 1 & 1 | (face >> e - 1 & 1) << 1
+                               | (inner >> e - 1 & 1) << 2]
+            step = shared[r * width + a] = (Exchange(r, a), cls)
         mask ^= 1 << r - 1 ^ 1 << a - 1
         _pivot(cut, r, a)
         # the tree enters the second half of its level-f block, and
@@ -526,7 +607,8 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
     links and a rebuild at k = 2."""
     check_class = required_class != "any"
     if check_class:
-        index, table = _classifier(g, embedding, labeling, required_class)
+        classes = _classifier(g, embedding, labeling, required_class)
+        slot = RESTRICTIONS.index(required_class)
     m = g.m
     non_tree = None
     step_bad = []
@@ -562,7 +644,8 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
             step_bad.append(f"step {i - 1} records {tuple(sorted(pairs[i - 1]))}, "
                             f"trees differ by {tuple(sorted((r, a)))}")
         # a label above m names no edge, so the exchange is of no class
-        if check_class and (r > m or a > m or not table[index(r, a)]):
+        if check_class and (r > m or a > m or not (classes[r][slot] >> a - 1 if r > a
+                                                   else classes[a][slot] >> r - 1) & 1):
             step_bad.append(f"step {i - 1} exchange {tuple(sorted((r, a)))} "
                             f"is not {required_class}")
     bad = []

@@ -8,8 +8,9 @@ import pytest
 from spangray.dualtree import weak_dual
 from spangray.embedgraph import (EdgeLabeling, MultiGraph, _check_crossings,
                                  build_embedding, is_triangulation)
-from spangray.errors import EmbeddingError, GraphError, NotTwoConnectedError
-from spangray.treegen import SpanningTree
+from spangray.errors import (CertificationError, EmbeddingError, GraphError,
+                             NotTwoConnectedError)
+from spangray.treegen import SpanningTree, classify_exchange
 
 
 def fan_graph():
@@ -236,6 +237,24 @@ def reference_embedding(g, outer_order):
     return SimpleNamespace(rotation=rotation, faces=faces, outer_face=outer,
                            left_face=left_face, class_bits=class_bits,
                            ends=split_ends, root_leaf=root_leaf)
+
+
+def reference_prefer(kind):
+    """The prefer rule of ``kind`` by its definition, for tests of the
+    class rows: scan the candidates from the largest smaller label down
+    and take the first of the class, by ``classify_exchange`` (a bare
+    graph: pivot by a shared end); none raises the walk's error."""
+    def rule(ctx):
+        g, lab, emb = ctx.graph, ctx.labeling, ctx.embedding
+        for x in reversed(ctx.candidates):
+            if (classify_exchange(emb, lab, x).matches(kind) if emb is not None
+                    else kind == "any" or g.shares_vertex(lab.edge(x.removed),
+                                                           lab.edge(x.added))):
+                return x
+        raise CertificationError(
+            f"no {kind} exchange in tie set {[x.pair() for x in ctx.candidates]}")
+
+    return rule
 
 
 def reference_spanning_trees(g):

@@ -15,6 +15,7 @@ from spangray.embedgraph import (EdgeLabeling, MultiGraph, _check_crossings,
                                  parse_graph)
 from spangray.errors import (EmbeddingError, GraphError, NotTwoConnectedError,
                              ParseError)
+from spangray.treegen import _classifier
 
 
 class TestMultiGraph:
@@ -297,7 +298,9 @@ class TestEmbedding:
         """Every 2-connected outerplane multigraph with m <= 9 and the
         seeded multigraphs: the flat-dart tracing gives the rotation,
         the faces, the outer face, ``left_face`` (in tracing order), the
-        per-edge faces and class bits, and for a 2-connected graph the
+        per-edge faces, the pivot, face and face_inner class rows of the
+        identity labeling (read from the reference's per-edge class
+        bits), and for a 2-connected graph the
         split dual's ends and default root leaf, of the dict-keyed
         tracing; a graph that is not 2-connected has no split dual."""
         cases = [(emb.graph, emb.outer_order) for emb in enumerate_outerplane(9)]
@@ -309,7 +312,13 @@ class TestEmbedding:
             assert [(f.id, f.darts, f.is_outer) for f in emb.faces] == list(ref.faces)
             assert emb.outer_face == ref.outer_face
             assert list(emb.left_face.items()) == list(ref.left_face.items())
-            assert emb._class_bits == ref.class_bits
+            classes = _classifier(g, emb, EdgeLabeling.identity(g.m), "pof")
+            for a, bits in enumerate(ref.class_bits, 1):
+                common = [bits & other for other in ref.class_bits]
+                want = tuple(sum(1 << i for i, c in enumerate(common) if c & part)
+                             for part in ((1 << g.n) - 1, -1 << g.n,
+                                          -1 << g.n ^ 1 << g.n + ref.outer_face))
+                assert classes[a][1:4] == want
             for e, (u, v) in enumerate(g.edges):
                 faces = () if u == v else (ref.left_face[(e, u)], ref.left_face[(e, v)])
                 assert emb.faces_of_edge(e) == faces

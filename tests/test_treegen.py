@@ -6,14 +6,15 @@ import io
 import itertools
 import pickle
 import random
+import re
 import tracemalloc
 import types
 
 import pytest
 
 from conftest import (bundle_graph, cycle_graph, k33_graph, loopy_triangle,
-                      random_outerplane_multigraph, reference_spanning_trees,
-                      wheel_graph)
+                      random_outerplane_multigraph, reference_prefer,
+                      reference_spanning_trees, wheel_graph)
 from spangray import treegen
 from spangray.cli import entry, parse_listing
 from spangray.counting import (count_matrix_tree, enumerate_outerplane,
@@ -26,7 +27,7 @@ from spangray.errors import CertificationError, GraphError
 from spangray.flipgraph import Arborescence
 from spangray.treegen import (Exchange, ExchangeClass, Listing, RESTRICTIONS,
                               SpanningTree, TieContext, _class_rows,
-                              classify_exchange,
+                              _classifier, classify_exchange,
                               greedy_listing,
                               greedy_walk, kruskal_tree, random_spanning_tree,
                               spanning_tree_from_labels, tiebreak_closest,
@@ -618,10 +619,102 @@ class TestClassTest:
                     r, a = ex.removed, ex.added
                     for k, rows in tables:
                         want = cls.matches(k)
-                        assert (rows[r] >> a & 1, rows[a] >> r & 1) == (want, want), \
+                        assert (rows[r] >> a - 1 & 1, rows[a] >> r - 1 & 1) == (want, want), \
                             (g.edges, ex, k)
                     checked += 1
         assert checked > 1000
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_rows_match_classify_on_every_pair(self, shuffle):
+        """Every ordered label pair, a label with itself included, of
+        every outerplane multigraph with m <= 9 and of seeded multigraphs
+        with loops and parallel edges: bit a-1 of each kind's row of f is
+        set iff ``classify_exchange`` puts the exchange of f and a in
+        that kind, and the bare-graph pivot row iff the two edges share
+        an end (``MultiGraph.shares_vertex``)."""
+        rng = random.Random(17)
+        embs = list(enumerate_outerplane(9))
+        for n in (2, 3, 5, 8):
+            for _ in range(3):
+                g = with_loop(with_loop(random_outerplane_multigraph(n, rng), rng), rng)
+                embs.append(build_embedding(g, tuple(range(n))))
+        pairs = 0
+        for emb in embs:
+            g = emb.graph
+            lab = EdgeLabeling.shuffled(g.m, rng) if shuffle else EdgeLabeling.identity(g.m)
+            rows = _classifier(g, emb, lab, "pof")
+            bare = _classifier(g, None, lab, "pivot")
+            for f in range(1, g.m + 1):
+                for a in range(1, g.m + 1):
+                    cls = classify_exchange(emb, lab, Exchange(f, a))
+                    got = [row >> a - 1 & 1 for row in rows[f]]
+                    assert got == [cls.matches(k) for k in RESTRICTIONS], (g.edges, f, a)
+                    assert bare[f][1] >> a - 1 & 1 == g.shares_vertex(lab.edge(f), lab.edge(a))
+                    pairs += 1
+        assert pairs > 20000
+
+    @pytest.mark.parametrize("kind", [k for k in RESTRICTIONS if k != "any"])
+    def test_rule_and_walk_pick_as_reference(self, kind):
+        """On every tie of walks over every outerplane multigraph with
+        m <= 8, under shuffled labelings from seeded trees: the walk's
+        own pick, ``rule(ctx)`` and the reference pick (the candidates
+        scanned from the top with ``classify_exchange``) agree, and an
+        empty preferred set raises the same error after the same
+        trees."""
+        rng = random.Random(5)
+        rule = tiebreak_prefer(kind)
+        ties = refused = 0
+
+        def checked(ctx):
+            nonlocal ties
+            ties += 1
+            try:
+                want = reference_prefer(kind)(ctx)
+            except CertificationError as exc:
+                with pytest.raises(CertificationError, match=re.escape(str(exc))):
+                    rule(ctx)
+                raise
+            assert rule(ctx) == want
+            return want
+
+        for emb in enumerate_outerplane(8):
+            g = emb.graph
+            lab = EdgeLabeling.shuffled(g.m, rng)
+            init = random_spanning_tree(g, lab, rng)
+            runs = []
+            for tiebreak in (rule, checked):
+                trees = []
+                try:
+                    for mask, step in greedy_walk(g, lab, emb, init, tiebreak, classify=True):
+                        trees.append((mask, step))
+                except CertificationError as exc:
+                    runs.append((trees, str(exc)))
+                else:
+                    runs.append((trees, None))
+            assert runs[0] == runs[1]
+            refused += runs[0][1] is not None
+        assert ties > 400 and refused
+
+    def test_bundle_reads_few_rows(self):
+        """A triangle with 3,998 parallel copies of one edge (m = 4000):
+        a 50-tree ``prefer-pof`` listing from a fresh embedding builds
+        the rows of the few labels it reads, so its traced peak stays far
+        below what an up-front table of all m rows (about 2 MiB here) or
+        a per-edge gather of vertex and face bits (about 1.3 MiB) holds."""
+        m = 4000
+        g = MultiGraph(3, ((0, 1),) * (m - 2) + ((1, 2), (0, 2)))
+        emb = build_embedding(g, (0, 1, 2))
+        lab = dual_tree_labeling(orient_split_dual(split_dual(emb)))
+        emb = build_embedding(g, (0, 1, 2))
+        tracemalloc.start()
+        try:
+            listing = greedy_listing(g, labeling=lab, embedding=emb,
+                                     tiebreak=tiebreak_prefer("pof"), max_trees=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(listing.tree_masks) == 50 and all(cls.pof for _, cls in listing.steps)
+        assert peak < 0.75 * 2 ** 20
 
     def test_errors(self, fan, fan_emb):
         lab = EdgeLabeling.identity(7)
