@@ -604,7 +604,8 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
     (:func:`_pivot` per swap, :func:`_widen` once a swap reaches k, on
     the links of the last fully tested tree).  Any other mask gets the
     full union-find test, which a bit at m or above fails, and new
-    links and a rebuild at k = 2."""
+    links and a rebuild at k = 2.  A step's class is bit a-1 of the
+    class row of r (:func:`_classifier`)."""
     check_class = required_class != "any"
     if check_class:
         classes = _classifier(g, embedding, labeling, required_class)
@@ -644,8 +645,7 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
             step_bad.append(f"step {i - 1} records {tuple(sorted(pairs[i - 1]))}, "
                             f"trees differ by {tuple(sorted((r, a)))}")
         # a label above m names no edge, so the exchange is of no class
-        if check_class and (r > m or a > m or not (classes[r][slot] >> a - 1 if r > a
-                                                   else classes[a][slot] >> r - 1) & 1):
+        if check_class and (r > m or a > m or not classes[r][slot] >> a - 1 & 1):
             step_bad.append(f"step {i - 1} exchange {tuple(sorted((r, a)))} "
                             f"is not {required_class}")
     bad = []
