@@ -295,6 +295,9 @@ class EmbeddedGraph:
         # the darts of a loop)
         self.face_of = face_of
         self.loop_edges = graph.loop_edges()
+        # the class rows of the last labeling classified, kept for the
+        # next caller with that labeling (treegen._classifier)
+        self.class_rows = None
 
     @functools.cached_property
     def left_face(self) -> dict[tuple[int, int], int]:

@@ -196,16 +196,13 @@ class _ClassRows(dict):
     With ends u, v and faces fl, fr of f's edge, the pivot row is the OR
     of the label masks of u and v (every edge at the vertex, loops too),
     the face row that of fl and fr (a loop has none), the face_inner row
-    that of the inner ones among them; paf is the AND of the pivot and
-    face rows, pof their OR, and "any" is -1, every bit.  A bare graph
-    (``emb`` None) has no face rows: :func:`_classifier` lets it be
-    asked for pivot and "any" only.  A label's rows, and the masks they
-    read, are built at its first read and kept, so a caller pays for the
-    labels it reads: a mask costs O(size + max) bit steps
-    (:func:`_label_mask`), a label's rows a few ORs, and a read of a
-    built label one dict lookup."""
+    that of the inner ones among them; paf is their AND, pof their OR,
+    and "any" is -1.  A bare graph (``emb`` None) has no face rows.  A
+    label's rows, and the masks they read, are built at its first read
+    and kept, so a caller pays for the labels it reads."""
 
-    __slots__ = ("_graph", "_emb", "_edges_at", "_label_of", "_edge_of", "_vertex", "_face")
+    __slots__ = ("labeling", "_graph", "_emb", "_edges_at", "_label_of", "_edge_of",
+                 "_vertex", "_face")
 
     def __init__(self, g: MultiGraph, emb: EmbeddedGraph | None, labeling: EdgeLabeling):
         super().__init__()
@@ -218,6 +215,7 @@ class _ClassRows(dict):
                 at[u].append(e)
                 if v != u:
                     at[v].append(e)
+        self.labeling = labeling
         self._label_of, self._edge_of = labeling.label_of, labeling.edge_of
         # per vertex and per face its label mask, None until a row reads it
         self._vertex = [None] * g.n
@@ -258,12 +256,19 @@ def _classifier(g: MultiGraph, emb: EmbeddedGraph | None,
     of the walk's ties, of ``verify --class`` and of the flip graphs:
     an exchange of labels f and a is of the kind iff bit a-1 of the
     kind's row of f is set, and the largest partner of f of the kind is
-    the top bit of the partners ANDed with that row."""
+    the top bit of the partners ANDed with that row.  An embedding keeps
+    the rows of the last labeling classified on it, so verifying a
+    listing reads the rows its walk built."""
     if kind not in RESTRICTIONS:
         raise GraphError(f"unknown exchange class {kind!r}")
-    if emb is None and kind not in ("any", "pivot"):
-        raise GraphError(f"exchange class {kind!r} needs an embedding")
-    return _ClassRows(g, emb, labeling)
+    if emb is None:
+        if kind not in ("any", "pivot"):
+            raise GraphError(f"exchange class {kind!r} needs an embedding")
+        return _ClassRows(g, None, labeling)
+    rows = emb.class_rows
+    if rows is None or rows.labeling != labeling:
+        rows = emb.class_rows = _ClassRows(emb.graph, emb, labeling)
+    return rows
 
 
 def _class_rows(g: MultiGraph, emb: EmbeddedGraph | None,
@@ -604,8 +609,9 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
     (:func:`_pivot` per swap, :func:`_widen` once a swap reaches k, on
     the links of the last fully tested tree).  Any other mask gets the
     full union-find test, which a bit at m or above fails, and new
-    links and a rebuild at k = 2.  A step's class is bit a-1 of the
-    class row of r (:func:`_classifier`)."""
+    links and a rebuild at k = 2.  A step's class is one bit of the
+    class row of its larger label (:func:`_classifier`), the row the
+    walk read at that step."""
     check_class = required_class != "any"
     if check_class:
         classes = _classifier(g, embedding, labeling, required_class)
@@ -645,7 +651,8 @@ def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
             step_bad.append(f"step {i - 1} records {tuple(sorted(pairs[i - 1]))}, "
                             f"trees differ by {tuple(sorted((r, a)))}")
         # a label above m names no edge, so the exchange is of no class
-        if check_class and (r > m or a > m or not classes[r][slot] >> a - 1 & 1):
+        if check_class and (r > m or a > m or not (classes[r][slot] >> a - 1 if r > a
+                                                   else classes[a][slot] >> r - 1) & 1):
             step_bad.append(f"step {i - 1} exchange {tuple(sorted((r, a)))} "
                             f"is not {required_class}")
     bad = []
