@@ -201,12 +201,12 @@ class _ClassRows(dict):
     label's rows, and the masks they read, are built at its first read
     and kept, so a caller pays for the labels it reads."""
 
-    __slots__ = ("labeling", "_graph", "_emb", "_edges_at", "_label_of", "_edge_of",
-                 "_vertex", "_face")
+    __slots__ = ("labeling", "_edges", "_edges_at", "_faces", "_face_of", "_outer",
+                 "_label_of", "_edge_of", "_vertex", "_face")
 
     def __init__(self, g: MultiGraph, emb: EmbeddedGraph | None, labeling: EdgeLabeling):
         super().__init__()
-        self._graph, self._emb = g, emb
+        self._edges = g.edges
         if emb is not None and not emb.loop_edges:
             self._edges_at = emb.rotation       # every edge at each vertex, once
         else:
@@ -215,16 +215,20 @@ class _ClassRows(dict):
                 at[u].append(e)
                 if v != u:
                     at[v].append(e)
+        # the parts of the embedding the rows read, not the embedding,
+        # which keeps the rows (_classifier): no reference cycle
+        self._faces, self._face_of, self._outer = (
+            ((), None, -1) if emb is None else (emb.faces, emb.face_of, emb.outer_face))
         self.labeling = labeling
         self._label_of, self._edge_of = labeling.label_of, labeling.edge_of
         # per vertex and per face its label mask, None until a row reads it
         self._vertex = [None] * g.n
-        self._face = [] if emb is None else [None] * len(emb.faces)
+        self._face = [None] * len(self._faces)
 
     def __missing__(self, f: int) -> tuple[int, ...]:
-        g, emb, label, vertex = self._graph, self._emb, self._label_of, self._vertex
+        label, vertex, face_of = self._label_of, self._vertex, self._face_of
         e = self._edge_of[f - 1]
-        u, v = g.edges[e]
+        u, v = self._edges[e]
         pu = vertex[u]
         if pu is None:
             pu = vertex[u] = _label_mask(self._edges_at[u], label)
@@ -233,17 +237,16 @@ class _ClassRows(dict):
             pv = vertex[v] = _label_mask(self._edges_at[v], label)
         pivot = pu | pv
         face = inner = 0
-        fl = -1 if emb is None else emb.face_of[2 * e]
+        fl = -1 if face_of is None else face_of[2 * e]
         if fl >= 0:             # not a loop, whose darts have face -1
-            fr, faces = emb.face_of[2 * e + 1], self._face
+            fr, faces = face_of[2 * e + 1], self._face
             ml, mr = faces[fl], faces[fr]
             if ml is None:
-                ml = faces[fl] = _label_mask([d for d, _ in emb.faces[fl].darts], label)
+                ml = faces[fl] = _label_mask([d for d, _ in self._faces[fl].darts], label)
             if mr is None:
-                mr = faces[fr] = _label_mask([d for d, _ in emb.faces[fr].darts], label)
+                mr = faces[fr] = _label_mask([d for d, _ in self._faces[fr].darts], label)
             face = ml | mr
-            outer = emb.outer_face
-            inner = (0 if fl == outer else ml) | (0 if fr == outer else mr)
+            inner = (0 if fl == self._outer else ml) | (0 if fr == self._outer else mr)
         rows = self[f] = (-1, pivot, face, inner, pivot & face, pivot | face)
         return rows
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import io
 import itertools
 import pickle
@@ -9,6 +10,7 @@ import random
 import re
 import tracemalloc
 import types
+import weakref
 
 import pytest
 
@@ -715,6 +717,22 @@ class TestClassTest:
             tracemalloc.stop()
         assert len(listing.tree_masks) == 50 and all(cls.pof for _, cls in listing.steps)
         assert peak < 0.75 * 2 ** 20
+
+    def test_kept_rows_hold_no_cycle(self, fan):
+        """The embedding keeps the class rows of the walk's labeling for
+        the verify that follows; the rows must not refer back to it, so
+        reference counting alone frees both, with no garbage left for the
+        cyclic collector after every ``gen`` and ``verify``."""
+        emb = build_embedding(fan, (0, 1, 2, 3, 4))
+        verify_gray(greedy_listing(fan, embedding=emb, tiebreak=tiebreak_prefer("pof")), "pof")
+        assert emb.class_rows
+        ref = weakref.ref(emb)
+        gc.disable()
+        try:
+            del emb
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_errors(self, fan, fan_emb):
         lab = EdgeLabeling.identity(7)
