@@ -201,12 +201,12 @@ class _ClassRows(dict):
     label's rows, and the masks they read, are built at its first read
     and kept, so a caller pays for the labels it reads."""
 
-    __slots__ = ("labeling", "_edges", "_edges_at", "_faces", "_face_of", "_outer",
+    __slots__ = ("graph", "labeling", "_edges_at", "_faces", "_face_of", "_outer",
                  "_label_of", "_edge_of", "_vertex", "_face")
 
     def __init__(self, g: MultiGraph, emb: EmbeddedGraph | None, labeling: EdgeLabeling):
         super().__init__()
-        self._edges = g.edges
+        self.graph = g
         if emb is not None and not emb.loop_edges:
             self._edges_at = emb.rotation       # every edge at each vertex, once
         else:
@@ -228,7 +228,7 @@ class _ClassRows(dict):
     def __missing__(self, f: int) -> tuple[int, ...]:
         label, vertex, face_of = self._label_of, self._vertex, self._face_of
         e = self._edge_of[f - 1]
-        u, v = self._edges[e]
+        u, v = self.graph.edges[e]
         pu = vertex[u]
         if pu is None:
             pu = vertex[u] = _label_mask(self._edges_at[u], label)
@@ -252,7 +252,7 @@ class _ClassRows(dict):
 
 
 def _classifier(g: MultiGraph, emb: EmbeddedGraph | None,
-                labeling: EdgeLabeling, kind: str) -> _ClassRows:
+                labeling: EdgeLabeling, kind: str, kept: _ClassRows | None = None) -> _ClassRows:
     """The class rows of the labeled graph (:class:`_ClassRows`), once
     ``kind`` is known to be a class they can tell: pivot reads the graph
     only, the face-based classes need the embedding.  The one class test
@@ -261,12 +261,16 @@ def _classifier(g: MultiGraph, emb: EmbeddedGraph | None,
     kind's row of f is set, and the largest partner of f of the kind is
     the top bit of the partners ANDed with that row.  An embedding keeps
     the rows of the last labeling classified on it, so verifying a
-    listing reads the rows its walk built."""
+    listing reads the rows its walk built; a bare graph has nowhere to
+    keep them, so a caller may pass the rows of its last call as
+    ``kept``, returned when they are of the same graph and labeling."""
     if kind not in RESTRICTIONS:
         raise GraphError(f"unknown exchange class {kind!r}")
     if emb is None:
         if kind not in ("any", "pivot"):
             raise GraphError(f"exchange class {kind!r} needs an embedding")
+        if kept is not None and kept.graph is g and kept.labeling == labeling:
+            return kept
         return _ClassRows(g, None, labeling)
     rows = emb.class_rows
     if rows is None or rows.labeling != labeling:
@@ -318,17 +322,22 @@ def tiebreak_prefer(kind: str):
     if kind not in RESTRICTIONS:
         raise GraphError(f"unknown exchange class {kind!r}")
     slot = RESTRICTIONS.index(kind)
+    bare = None         # the rows of the last bare graph, for the next call on it
 
     def rule(ctx: TieContext) -> Exchange:
         """Pick, among the candidates of this rule's exchange class, the
         one with the maximum smaller label."""
+        nonlocal bare
         cands = ctx.candidates
         if not cands:
             raise GraphError("empty tie set")
         if kind == "any":
             return cands[-1]
         f = cands[-1].larger
-        row = _classifier(ctx.graph, ctx.embedding, ctx.labeling, kind)[f][slot]
+        rows = _classifier(ctx.graph, ctx.embedding, ctx.labeling, kind, bare)
+        if ctx.embedding is None:
+            bare = rows
+        row = rows[f][slot]
         for x in reversed(cands):
             if row >> x.smaller - 1 & 1:
                 return x

@@ -702,7 +702,8 @@ class TestClassTest:
         a 50-tree ``prefer-pof`` listing from a fresh embedding builds
         the rows of the few labels it reads, so its traced peak stays far
         below what an up-front table of all m rows (about 2 MiB here) or
-        a per-edge gather of vertex and face bits (about 1.3 MiB) holds."""
+        a per-edge gather of vertex and face bits (about 1.3 MiB) holds,
+        and the rows kept on the embedding are at most one per step."""
         m = 4000
         g = MultiGraph(3, ((0, 1),) * (m - 2) + ((1, 2), (0, 2)))
         emb = build_embedding(g, (0, 1, 2))
@@ -717,6 +718,7 @@ class TestClassTest:
             tracemalloc.stop()
         assert len(listing.tree_masks) == 50 and all(cls.pof for _, cls in listing.steps)
         assert peak < 0.75 * 2 ** 20
+        assert len(emb.class_rows) <= 49
 
     def test_kept_rows_hold_no_cycle(self, fan):
         """The embedding keeps the class rows of the walk's labeling for
@@ -733,6 +735,36 @@ class TestClassTest:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_rule_keeps_bare_graph_rows(self, fan, monkeypatch):
+        """A bare graph has no embedding to keep its rows on, so a
+        prefer rule keeps the rows of its last call: repeated calls on
+        one graph and labeling build them once (a build gathers every
+        edge, O(m) a call), and a new labeling builds new ones."""
+        built = []
+
+        class Counted(treegen._ClassRows):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(treegen, "_ClassRows", Counted)
+        rule, want = tiebreak_prefer("pivot"), reference_prefer("pivot")
+        lab = EdgeLabeling.identity(fan.m)
+        masks = [mask for mask, _ in greedy_walk(fan, lab, None, None, tiebreak_closest)]
+        built.clear()
+        for mask in masks:
+            cands = valid_exchanges(fan, lab, SpanningTree(fan.m, mask))
+            for f in {x.larger for x in cands}:
+                ctx = TieContext(fan, lab, None, mask,
+                                 tuple(x for x in cands if x.larger == f))
+                assert rule(ctx) == want(ctx)
+        assert len(built) == 1
+        rule(dataclasses.replace(ctx, labeling=EdgeLabeling(tuple(lab.label_of))))
+        rule(dataclasses.replace(ctx, labeling=EdgeLabeling.shuffled(fan.m, random.Random(3))))
+        assert len(built) == 2
 
     def test_errors(self, fan, fan_emb):
         lab = EdgeLabeling.identity(7)
