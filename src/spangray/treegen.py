@@ -187,6 +187,17 @@ def _label_mask(edge_ids, label_of) -> int:
     return int(text, 2) << low - 1
 
 
+def _dart_mask(darts, label_of) -> int:
+    """:func:`_label_mask` of the edges of a face's ``(edge, tail)``
+    darts, with no list of them built for a face of up to 64 darts."""
+    if len(darts) <= 64:
+        mask = 0
+        for e, _ in darts:
+            mask |= 1 << label_of[e] - 1
+        return mask
+    return _label_mask([e for e, _ in darts], label_of)
+
+
 class _ClassRows(dict):
     """The class rows of a labeled graph, by label: ``rows[f]`` holds
     one row per class, in :data:`RESTRICTIONS` order, and the row of a
@@ -242,9 +253,9 @@ class _ClassRows(dict):
             fr, faces = face_of[2 * e + 1], self._face
             ml, mr = faces[fl], faces[fr]
             if ml is None:
-                ml = faces[fl] = _label_mask([d for d, _ in self._faces[fl].darts], label)
+                ml = faces[fl] = _dart_mask(self._faces[fl].darts, label)
             if mr is None:
-                mr = faces[fr] = _label_mask([d for d, _ in self._faces[fr].darts], label)
+                mr = faces[fr] = _dart_mask(self._faces[fr].darts, label)
             face = ml | mr
             inner = (0 if fl == self._outer else ml) | (0 if fr == self._outer else mr)
         rows = self[f] = (-1, pivot, face, inner, pivot & face, pivot | face)

@@ -633,13 +633,19 @@ class TestClassTest:
         with loops and parallel edges: bit a-1 of each kind's row of f is
         set iff ``classify_exchange`` puts the exchange of f and a in
         that kind, and the bare-graph pivot row iff the two edges share
-        an end (``MultiGraph.shares_vertex``)."""
+        an end (``MultiGraph.shares_vertex``).  A 70-cycle and a triangle
+        with 68 parallel edges, with and without a loop, give faces and
+        vertices of more than 64 edges, whose masks are built in bulk."""
         rng = random.Random(17)
         embs = list(enumerate_outerplane(9))
         for n in (2, 3, 5, 8):
             for _ in range(3):
                 g = with_loop(with_loop(random_outerplane_multigraph(n, rng), rng), rng)
                 embs.append(build_embedding(g, tuple(range(n))))
+        triangle = MultiGraph(3, ((0, 1),) * 68 + ((1, 2), (0, 2)))
+        for g in (cycle_graph(70), triangle):
+            for h in (g, with_loop(g, rng)):
+                embs.append(build_embedding(h, tuple(range(h.n))))
         pairs = 0
         for emb in embs:
             g = emb.graph
