@@ -17,4 +17,4 @@ def test_every_case_is_byte_identical():
     new = [name for name in got if name not in want]
     assert not (changed or missing or new), \
         f"changed: {changed}; missing: {missing}; new: {new}"
-    assert len(got) == 6686
+    assert len(got) == 7578
