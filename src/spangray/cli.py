@@ -468,3 +468,7 @@ def entry(argv=None, out=None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(entry())

@@ -384,8 +384,11 @@ def _is_canonical(n: int, bound: tuple, chords: tuple) -> bool:
     return True
 
 
-def _chord_sets(n: int):
-    """Non-crossing sets of polygon diagonals (as position pairs)."""
+def _chord_sets(n: int, max_size: int):
+    """Non-crossing sets of at most ``max_size`` polygon diagonals (as
+    position pairs).  A set grows from one of a chord fewer, so every
+    prefix of a kept set is kept too, and building no larger set lists
+    the kept ones in the order of the unbounded build."""
     diags = [(i, j) for i in range(n) for j in range(i + 2, n)
              if not (i == 0 and j == n - 1)]
 
@@ -399,7 +402,7 @@ def _chord_sets(n: int):
     for d in diags:
         new = []
         for s in sets:
-            if all(not crosses(d, x) for x in s):
+            if len(s) < max_size and all(not crosses(d, x) for x in s):
                 new.append(s + [d])
         sets.extend(new)
     return sets
@@ -428,9 +431,7 @@ def enumerate_outerplane(max_m: int, triangulations_only: bool = False,
             yield emb
     for n in range(3, max_m + 1):
         chord_budget = max_m - n  # boundary needs at least one edge per side
-        for chord_set in _chord_sets(n):
-            if len(chord_set) > chord_budget:
-                continue
+        for chord_set in _chord_sets(n, chord_budget):
             max_c = 1 if simple else chord_budget
             for c_mult in _compositions_upto(len(chord_set), max_c, chord_budget):
                 boundary_budget = max_m - sum(c_mult)

@@ -416,17 +416,19 @@ def _classes(n: int, pairs, image):
     increasing bitmask, as a tuple of pairs; ``image(p, pair)`` is the
     pair under the vertex permutation ``p``.  The first subset of a
     class marks its images under all n! permutations, so each later
-    copy costs one lookup."""
+    copy costs one lookup.  Column k holds pair k's image bit under
+    each permutation, so a subset's images are its columns summed
+    position by position (the empty subset, the first, marks none)."""
     bit = {pair: 1 << k for k, pair in enumerate(pairs)}
-    images = [[bit[image(p, pair)] for pair in pairs]
-              for p in itertools.permutations(range(n))]
+    perms = list(itertools.permutations(range(n)))
+    cols = [[bit[image(p, pair)] for p in perms] for pair in pairs]
     seen = bytearray(1 << len(pairs))
     for bits in range(1 << len(pairs)):
         if seen[bits]:
             continue
         chosen = [k for k in range(len(pairs)) if bits >> k & 1]
-        for img in images:
-            seen[sum(img[k] for k in chosen)] = 1
+        for img in map(sum, zip(*[cols[k] for k in chosen])):
+            seen[img] = 1
         yield tuple(pairs[k] for k in chosen)
 
 

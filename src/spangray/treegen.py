@@ -45,8 +45,10 @@ class SpanningTree:
 
 
 def _chi_line(mask: int, m: int) -> str:
-    """The m-bit mask as a 0/1 line, bit 0 leftmost ("" for m = 0)."""
-    return bin(mask | 1 << m)[3:][::-1]
+    """The m-bit mask as a 0/1 line, bit 0 leftmost ("" for m = 0): the
+    binary digits after "0b1", the sentinel bit m, read backwards in one
+    slice."""
+    return bin(mask | 1 << m)[:2:-1]
 
 
 class Exchange(NamedTuple):
@@ -395,24 +397,33 @@ class Listing:
         return tuple(SpanningTree(m, x) for x in self.tree_masks)
 
     def render_lines(self):
-        """The listing's lines: each tree's chi line, then the step
-        after it, if any, with its class flags when classified.  A
-        step's line is formatted once per distinct step value."""
-        chi, m = _chi_line, self.graph.m
-        masks = self.tree_masks
+        """The listing's lines, one per ``next``: each tree's chi line,
+        then the step after it, if any, with its class flags when
+        classified.  The chi lines are formatted a chunk of
+        :data:`_RENDER_CHUNK` trees at a time, so only that chunk's text
+        is held, never the whole listing's.  A step's line is formatted
+        once per distinct step value, in a memo kept across chunks."""
+        m, masks, steps = self.graph.m, self.tree_masks, self.steps
         text = {}       # step -> its line
-        for x, step in zip(masks, self.steps):
-            yield chi(x, m)
-            line = text.get(step)
-            if line is None:
-                ex, cls = step
-                line = f"- {ex.removed} + {ex.added}"
-                if cls is not None:
-                    line += _flag_text(cls)
-                text[step] = line
-            yield line
-        for x in masks[len(self.steps):]:
-            yield chi(x, m)
+        for lo in range(0, len(masks), _RENDER_CHUNK):
+            hi = lo + _RENDER_CHUNK
+            chis = [_chi_line(x, m) for x in masks[lo:hi]]
+            chunk_steps = steps[lo:hi]
+            for chi, step in zip(chis, chunk_steps):
+                yield chi
+                line = text.get(step)
+                if line is None:
+                    ex, cls = step
+                    line = f"- {ex.removed} + {ex.added}"
+                    if cls is not None:
+                        line += _flag_text(cls)
+                    text[step] = line
+                yield line
+            yield from chis[len(chunk_steps):]
+
+
+# trees per chunk of Listing.render_lines: few passes, little text at once
+_RENDER_CHUNK = 2048
 
 
 def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
@@ -427,14 +438,16 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     second half of its level-f block, the run of trees sharing its labels
     above f.  The walk jumps over those levels by bit arithmetic; at the
     others every partner of f reaches an unlisted tree, so all of them
-    form the tie set.  The tree state is one bitmask per label below a
-    threshold k (:func:`_fundamental`): a tree label's fundamental cut,
-    the non-tree labels whose tree path runs through it, and a non-tree
-    label's fundamental cycle, the tree labels on its path.  The
-    partners of f are then ``cut[f]`` below f, one AND.  An exchange
-    updates the state in place by :func:`_pivot`, a pivot of the
-    fundamental matrix in O(|cycle| + |cut|) XORs, so a step pays for
-    labels below k only.  A level f >= k rebuilds it with k = 2f
+    form the tie set.  The scan starts at level 2: the partners of label
+    1 are ``cut[1] & 0``, always empty, so leaving level 1 out changes
+    no step, tie set or build.  The tree state is one bitmask per label
+    below a threshold k (:func:`_fundamental`): a tree label's
+    fundamental cut, the non-tree labels whose tree path runs through
+    it, and a non-tree label's fundamental cycle, the tree labels on its
+    path.  The partners of f are then ``cut[f]`` below f, one AND.  An
+    exchange updates the state in place by :func:`_pivot`, a pivot of
+    the fundamental matrix in O(|cycle| + |cut|) XORs, so a step pays
+    for labels below k only.  A level f >= k rebuilds it with k = 2f
     (:func:`_widen`), so it is built O(log m) times.  Every exchange
     swaps two labels below k, so the tree labels k and up stay those of
     the initial tree: one O(n log n) :func:`_links` pass over that tree
@@ -461,7 +474,7 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     h = 0
     links = _links(g, labeling, mask)
     k, cut = _widen(g, labeling, mask, 1, links)
-    full = (1 << g.m) - 1
+    full = (1 << g.m) - 1 & ~1     # level 1 has no smaller partner
     kind = getattr(tiebreak, "kind", None)
     slot = RESTRICTIONS.index(kind or "any")
     classes = None      # built at the first tie: a tree has none

@@ -1,5 +1,6 @@
 """Shared graph builders for the test suite."""
 
+import itertools
 from collections import Counter
 from types import SimpleNamespace
 
@@ -255,6 +256,55 @@ def reference_prefer(kind):
             f"no {kind} exchange in tie set {[x.pair() for x in ctx.candidates]}")
 
     return rule
+
+
+def reference_render_lines(listing):
+    """The lines of ``Listing.render_lines`` by a loop per tree: the
+    tree's chi line (the ``bin`` digits after the sentinel bit m,
+    reversed as a second copy), then the step after it, if any, with
+    its class flags when classified."""
+    m, steps = listing.graph.m, listing.steps
+    for i, x in enumerate(listing.tree_masks):
+        yield bin(x | 1 << m)[3:][::-1]
+        if i < len(steps):
+            ex, cls = steps[i]
+            flags = "" if cls is None else " [" + ",".join(
+                k for k in ("pivot", "face", "face_inner") if getattr(cls, k)) + "]"
+            yield f"- {ex.removed} + {ex.added}" + flags
+
+
+def reference_chord_sets(n):
+    """Every non-crossing diagonal set of an n-gon, in the order
+    ``counting._chord_sets`` built them with no size bound."""
+    diags = [(i, j) for i in range(n) for j in range(i + 2, n)
+             if not (i == 0 and j == n - 1)]
+
+    def crosses(a, b):
+        (i, j), (k, l) = a, b
+        if len({i, j, k, l}) < 4:
+            return False
+        return (i < k < j) != (i < l < j)
+
+    sets = [[]]
+    for d in diags:
+        sets.extend([s + [d] for s in sets if all(not crosses(d, x) for x in s)])
+    return sets
+
+
+def reference_classes(n, pairs, image):
+    """``flipgraph._classes`` marking a subset's images as it did by
+    rows: per permutation, one ``sum`` of the chosen pairs' image bits."""
+    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+    images = [[bit[image(p, pair)] for pair in pairs]
+              for p in itertools.permutations(range(n))]
+    seen = bytearray(1 << len(pairs))
+    for bits in range(1 << len(pairs)):
+        if seen[bits]:
+            continue
+        chosen = [k for k in range(len(pairs)) if bits >> k & 1]
+        for img in images:
+            seen[sum(img[k] for k in chosen)] = 1
+        yield tuple(pairs[k] for k in chosen)
 
 
 def reference_spanning_trees(g):

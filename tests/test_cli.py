@@ -163,6 +163,18 @@ def test_closed_pipe_exits_quietly(strip_file):
     assert (first, child.wait(timeout=60), err) == (b"1010101010101010101010\n", 141, b"")
 
 
+@pytest.mark.parametrize("module", ["spangray", "spangray.cli"])
+def test_module_entry_points(fan_file, module):
+    """``python -m spangray`` and ``python -m spangray.cli`` run the
+    command line: both print the fan's counts and exit 0."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child = subprocess.run([sys.executable, "-m", module, "count", fan_file],
+                           capture_output=True, text=True, timeout=60,
+                           env=dict(os.environ, PYTHONPATH=src))
+    assert (child.returncode, child.stdout, child.stderr) == (
+        0, "t(matrix-tree)=21\nt(deletion-contraction)=21\n", "")
+
+
 @pytest.mark.parametrize("command", ["label", "gen", "verify", "count"])
 def test_directed_file_refused(tmp_path, capsys, command):
     """Every command but flip reads an undirected graph, and names

@@ -12,8 +12,8 @@ from collections import Counter
 from conftest import (bundle_graph, complete_graph, cube_graph, cycle_graph,
                       diamond_graph, fan_graph, k33_graph, loopy_triangle,
                       petersen_graph, random_outerplane_multigraph,
-                      reference_fib_predicate, reference_matrix_tree,
-                      triangle_with_parallel)
+                      reference_chord_sets, reference_fib_predicate,
+                      reference_matrix_tree, triangle_with_parallel)
 from spangray import counting, dualtree, embedgraph
 from spangray.counting import (check_fib_bound, check_fib_product,
                                count_bruteforce, count_del_contract,
@@ -422,6 +422,12 @@ class TestEnumeration:
          "99503cf05be8c3fe5d0d89f33e1c02673678bc2449a5ddc41134fe13720851a3"),
         (8, {"simple": True}, 17,
          "b10f6e503ff649f62f1fe9a1b9b1303c6aa9288389a1244a0bfddfc6da34afcb"),
+        # pinned when the chord sets got their size bound
+        (10, {}, 782, "09f9b6a9643c6088b161b1cc0bc0750ab1094ac217d6a14cbb1e11b035b19d44"),
+        (9, {"simple": True}, 30,
+         "3957179a240a06541d7b020bd5d30d9ca75b1f98fa7311930257afdea6b9229e"),
+        (10, {"triangulations_only": True}, 199,
+         "ba46ed25f139f5fd557facbb766eb0bf6b965dfbc64275da237deff1177f138d"),
     ])
     def test_pinned_sequence(self, max_m, kw, count, digest):
         """The order of the sweep, as first written with a composition
@@ -430,6 +436,16 @@ class TestEnumeration:
                for e in enumerate_outerplane(max_m, **kw)]
         assert len(seq) == count
         assert hashlib.sha256(repr(seq).encode()).hexdigest() == digest
+
+    def test_chord_sets_equal_reference(self):
+        """The bounded build gives the unbounded one's sets of at most
+        ``max_size`` chords, in its order, for every bound up to past
+        the n - 3 chords of a triangulation."""
+        for n in range(3, 10):
+            every = reference_chord_sets(n)
+            for max_size in range(n - 1):
+                assert (counting._chord_sets(n, max_size)
+                        == [s for s in every if len(s) <= max_size]), (n, max_size)
 
     def test_all_two_connected_outerplane(self):
         from spangray.dualtree import split_dual

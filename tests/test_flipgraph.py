@@ -10,7 +10,8 @@ import pytest
 
 from conftest import (bundle_graph, complete_graph, cycle_graph,
                       diamond_embedding, diamond_graph, fan_embedding,
-                      fan_graph, k33_graph, reference_spanning_trees)
+                      fan_graph, k33_graph, reference_classes,
+                      reference_spanning_trees)
 from spangray import flipgraph, treegen
 from spangray.cli import entry
 from spangray.counting import (count_matrix_tree, enumerate_outerplane,
@@ -26,8 +27,8 @@ from spangray.flipgraph import (Arborescence, DiGraph, FlipGraph,
                                 enumerate_spanning_trees,
                                 find_outerplane_order, hamilton_path,
                                 run_experiment, to_dot, to_text,
-                                _backtrack_cycle, _posa_cycle, _prunable,
-                                _validate_certificate)
+                                 _backtrack_cycle, _classes, _posa_cycle,
+                                _prunable, _validate_certificate)
 from spangray.treegen import (Exchange, ExchangeClass, RESTRICTIONS,
                               classify_exchange, greedy_listing)
 
@@ -654,6 +655,19 @@ class TestSmallGraphs:
         for n in range(1, 5):
             assert ([d.arcs for d in enumerate_small_digraphs(n)]
                     == [d.arcs for d in min_canonical_small_digraphs(n)]), n
+
+    def test_classes_equal_reference(self):
+        """Marking a subset's images by summed columns keeps the classes
+        and their order of the per-permutation marking: graphs with
+        n <= 6 and digraphs with n <= 4."""
+        for n in range(1, 7):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            image = lambda p, e: tuple(sorted((p[e[0]], p[e[1]])))
+            assert list(_classes(n, pairs, image)) == list(reference_classes(n, pairs, image)), n
+        for n in range(1, 5):
+            arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            image = lambda p, a: (p[a[0]], p[a[1]])
+            assert list(_classes(n, arcs, image)) == list(reference_classes(n, arcs, image)), n
 
     def test_outerplane_matches_minor_oracle(self):
         for n in (3, 4, 5):

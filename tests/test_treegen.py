@@ -16,7 +16,8 @@ import pytest
 
 from conftest import (bundle_graph, cycle_graph, k33_graph, loopy_triangle,
                       random_outerplane_multigraph, reference_prefer,
-                      reference_spanning_trees, wheel_graph)
+                      reference_render_lines, reference_spanning_trees,
+                      wheel_graph)
 from spangray import treegen
 from spangray.cli import entry, parse_listing
 from spangray.counting import (count_matrix_tree, enumerate_outerplane,
@@ -799,7 +800,10 @@ class TestGreedyListing:
         distinct step value: ``_flag_text`` runs once per distinct
         classified step rendered, whether the listing shares its step
         objects (the walk), has a fresh object per step (copied, read
-        back, built by hand) or one object for every step."""
+        back, built by hand) or one object for every step.  A strip
+        listing of more than two render chunks renders as the per-line
+        reference does, whole and cut or padded at a chunk boundary, and
+        formats each distinct step once across chunks."""
         listing = greedy_listing(fan, embedding=fan_emb, tiebreak=tiebreak_prefer("pof"))
         text = "".join(line + "\n" for line in listing.render_lines())
         read = parse_listing(text, fan, listing.labeling, fan_emb, True)
@@ -818,19 +822,35 @@ class TestGreedyListing:
         flagged = []
         flag_text = treegen._flag_text
         monkeypatch.setattr(treegen, "_flag_text", lambda c: flagged.append(c) or flag_text(c))
-        for shown in (listing, read, cut, padded, same, *copies):
-            want = []
-            for i, t in enumerate(shown.trees):
-                want.append(t.chi())
-                if i < len(shown.steps):
-                    ex, cls = shown.steps[i]
-                    want.append(f"- {ex.removed} + {ex.added}" + ("" if cls is None else " ["
-                                + ",".join(k for k in ("pivot", "face", "face_inner")
-                                           if getattr(cls, k)) + "]"))
+        # a strip listing over two render chunks, and its unclassified,
+        # cut and padded variants at a chunk boundary
+        chunk = treegen._RENDER_CHUNK
+        strip = extremal_family(9, 1)
+        long = greedy_listing(strip.graph, embedding=strip, tiebreak=tiebreak_prefer("pof"))
+        assert len(long.tree_masks) == 4181 > 2 * chunk
+        # the memo must outlive a chunk for these steps to be formatted once
+        assert set(long.steps[:chunk]) & set(long.steps[chunk:2 * chunk])
+        at_boundary = (
+            dataclasses.replace(long, steps=tuple((ex, None) for ex, _ in long.steps)),
+            dataclasses.replace(long, steps=long.steps[:chunk - 1]),
+            dataclasses.replace(long, steps=long.steps[:chunk]),
+            dataclasses.replace(long, tree_masks=long.tree_masks[:chunk + 1]),
+            # as many steps as trees: a step line follows the last tree
+            dataclasses.replace(long, tree_masks=long.tree_masks[:chunk],
+                                steps=long.steps[:chunk]),
+            dataclasses.replace(long, tree_masks=long.tree_masks[:2 * chunk],
+                                steps=long.steps[:2 * chunk]))
+        for shown in (listing, read, cut, padded, same, *copies, long, *at_boundary):
             flagged.clear()
-            assert list(shown.render_lines()) == want
+            lines = list(shown.render_lines())
+            assert lines == list(reference_render_lines(shown))
             shown_steps = shown.steps[:len(shown.tree_masks)]
             assert len(flagged) == len({s for s in shown_steps if s[1] is not None})
+            assert len(lines) == len(shown.tree_masks) + len(shown_steps)
+        for shown in at_boundary[-2:]:
+            ex, cls = shown.steps[-1]
+            assert list(shown.render_lines())[-1] == f"- {ex.removed} + {ex.added}" + (
+                flag_text(cls))
         assert [x.split(" [")[0] for x in listing.render_lines()] == list(read.render_lines())
 
     def test_trees_built_lazily_from_masks(self, fan, fan_emb):
