@@ -27,7 +27,7 @@ from spangray.flipgraph import (Arborescence, DiGraph, FlipGraph,
                                 enumerate_spanning_trees,
                                 find_outerplane_order, hamilton_path,
                                 run_experiment, to_dot, to_text,
-                                 _backtrack_cycle, _classes, _posa_cycle,
+                                _backtrack_cycle, _classes, _posa_cycle,
                                 _prunable, _validate_certificate)
 from spangray.treegen import (Exchange, ExchangeClass, RESTRICTIONS,
                               classify_exchange, greedy_listing)
