@@ -3,9 +3,11 @@
 Three independent counters serve as oracles for the generator: the
 Kirchhoff determinant (any multigraph; sparse elimination in
 minimum-degree order, O(1) fill per step on an outerplane graph, exact
-modulo a Mersenne prime above its Hadamard bound), deletion-contraction
-(any multigraph, exponential, for cross-checks, with an optional budget
-of memo states) and series-parallel reduction (outerplane and other
+modulo a Mersenne prime above its Hadamard bound, with rows scaled so
+that one modular inverse at the end is its only division),
+deletion-contraction (any multigraph, exponential, for cross-checks,
+contracting a bridge with no deleted child, with an optional budget of
+memo states) and series-parallel reduction (outerplane and other
 K4-minor-free multigraphs, O(m) reductions).  The extremal checker
 verifies t(G) <= f_{m+1} for outerplane multigraphs and the exact
 characterization of equality (no loops, 2-connected, inner faces of
@@ -17,11 +19,13 @@ tree, is its number of edges off the outer face.  Every count is exact.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .dualtree import _outer_is_cycle
 from .embedgraph import EmbeddedGraph, MultiGraph, build_embedding, is_triangulation
@@ -56,22 +60,39 @@ _MERSENNE_EXPONENTS = (
 def count_matrix_tree(g: MultiGraph) -> int:
     """Number of spanning trees by Kirchhoff's Matrix-Tree theorem: the
     determinant of the Laplacian with the row and column of one root
-    vertex deleted, by symmetric elimination over sparse per-vertex rows.
-    Each step pivots on a vertex of least current degree, taken from a
-    heap; an outerplane graph always has a vertex of degree at most 2,
-    so its fill stays O(1) per step.
+    vertex deleted, by elimination over sparse per-vertex rows.  Each
+    step pivots on a vertex of least current degree, taken from a heap;
+    an outerplane graph always has a vertex of degree at most 2, so its
+    fill stays O(1) per step.
 
-    The arithmetic is exact modulo one prime P, the least Mersenne prime
-    above the Hadamard bound B, the product of deg(v) over v != root
-    (deg counts non-loop edge ends).  The reduced Laplacian is positive
+    The arithmetic is exact modulo one prime P = 2^p - 1, the least
+    Mersenne prime above the Hadamard bound B, the product of deg(v)
+    over v != root (deg counts non-loop edge ends).  Since 2^p = 1 mod
+    P, a residue is reduced by folding, x = (x & P) + (x >> p); two
+    folds bring a product of two residues back to about p bits.
+
+    No step divides.  Before v, with stored pivot s and k neighbours, is
+    eliminated, the row of each neighbour u is multiplied by s, which
+    multiplies the determinant by s^k.  The update of T_uw for
+    neighbours u and w is then s*T_uw - T_uv*T_vw, and the rest of row
+    u is multiplied by s.  Scaling rows, where the congruence D*S*D
+    would scale rows and columns, puts one factor s on an entry, not
+    two, and leaves the entries of a strip exact and far below P.  The
+    stored pivots and the scales are multiplied up apart and divided
+    with one modular inverse at the end.
+
+    The zero-pivot test is sound.  The reduced Laplacian is positive
     semidefinite with diagonal deg(v) >= 1 once no vertex is isolated,
     so each leading principal minor D_k of the elimination order lies in
     [0, B] by Hadamard's inequality, and D_k is 0 mod P only when it is
-    0.  The k-th pivot is D_k / D_(k-1), so the first pivot that is 0
-    mod P marks a zero minor, hence a zero determinant (Fischer's
-    inequality) and a disconnected graph: the count is 0.  Otherwise
-    every pivot is invertible, their product is t(G) mod P, and
-    t(G) <= B < P makes it exact."""
+    0.  The k-th true pivot is D_k / D_(k-1), so the first true pivot
+    that is 0 mod P marks a zero minor, hence a zero determinant
+    (Fischer's inequality) and a disconnected graph: the count is 0.
+    Scaling rows scales the Schur complements by the same rows, so a
+    stored pivot is the true pivot times the scales its row took, each
+    an earlier stored pivot and nonzero mod P: it is 0 mod P exactly
+    when the true pivot is.  Otherwise every scale is invertible, the
+    quotient is t(G) mod P, and t(G) <= B < P makes it exact."""
     _need_vertex(g)
     n = g.n
     if n == 1:
@@ -89,37 +110,55 @@ def count_matrix_tree(g: MultiGraph) -> int:
     # the root of greatest degree leaves the sparsest rows
     root = diag.index(max(diag))
     bound = math.prod(diag) // diag[root]
-    p = next((p for p in _MERSENNE_EXPONENTS if (1 << p) - 1 > bound), None)
-    if p is None:
+    # 2^p - 1 > bound exactly when p reaches the bit length of bound + 1
+    i = bisect.bisect_left(_MERSENNE_EXPONENTS, (bound + 1).bit_length())
+    if i == len(_MERSENNE_EXPONENTS):
         raise GraphError("graph too large for the Matrix-Tree count")
+    p = _MERSENNE_EXPONENTS[i]
     mod = (1 << p) - 1
     for u in rows[root]:
         del rows[u][root]
     rows[root] = None
     heap = [(len(row), v) for v, row in enumerate(rows) if row is not None]
     heapq.heapify(heap)
-    det = 1
+    # t = det / scale.  A pivot s with k neighbours counts s over the s^k
+    # its neighbours' rows took: det takes s when k = 0, scale s^(k-1)
+    det = scale = 1
     while heap:
         k, v = heapq.heappop(heap)
         row = rows[v]
         if row is None or k != len(row):
             continue        # stale: v is gone or its degree has changed
-        pivot = diag[v] % mod
-        if not pivot:
+        s = diag[v] % mod
+        if not s:
             return 0
-        det = det * pivot % mod
         rows[v] = None
-        inv = pow(pivot, -1, mod)
-        for u, a in row.items():
+        if not k:
+            x = det * s
+            x = (x & mod) + (x >> p)
+            det = (x & mod) + (x >> p)
+        elif k > 1:
+            x = scale * pow(s, k - 1, mod)
+            x = (x & mod) + (x >> p)
+            scale = (x & mod) + (x >> p)
+        for u, c in row.items():
             at = rows[u]
-            del at[v]
-            f = a * inv % mod
-            diag[u] = (diag[u] - f * a) % mod
+            a = at.pop(v)
+            for w, x in at.items():
+                if w not in row:
+                    x *= s
+                    x = (x & mod) + (x >> p)
+                    at[w] = (x & mod) + (x >> p)
+            x = s * diag[u] - a * c
+            x = (x & mod) + (x >> p)
+            diag[u] = (x & mod) + (x >> p)
             for w, b in row.items():
                 if w != u:
-                    at[w] = (at.get(w, 0) - f * b) % mod
+                    x = s * at.get(w, 0) - a * b
+                    x = (x & mod) + (x >> p)
+                    at[w] = (x & mod) + (x >> p)
             heapq.heappush(heap, (len(at), u))
-    return det
+    return det * pow(scale, -1, mod) % mod
 
 
 def count_series_parallel(g: MultiGraph) -> int:
@@ -179,10 +218,12 @@ def _branch(n: int, bundles: tuple):
     of parallel edges.  Returns (value, None) at a base case, else
     (None, (deleted, k, contracted)) with t = t(deleted) + k*t(contracted).
     The bundle split off is the first, in sorted order, at the vertex
-    with the fewest distinct neighbours (lowest id first)."""
+    with the fewest distinct neighbours (lowest id first).  When that
+    vertex has one neighbour the bundle is a bridge, every tree takes
+    one of its k edges, t = k*t(contracted), and deleted is None."""
     if n == 1:
         return 1, None
-    if sum(k for _, k in bundles) < n - 1:
+    if sum(map(itemgetter(1), bundles)) < n - 1:
         return 0, None
     degree = [0] * n
     for (a, b), _ in bundles:
@@ -194,7 +235,7 @@ def _branch(n: int, bundles: tuple):
     i = next(i for i, ((a, b), _) in enumerate(bundles) if v in (a, b))
     (a, b), k = bundles[i]
     u = a if b == v else b
-    deleted = (n, bundles[:i] + bundles[i + 1:])
+    deleted = None if degree[v] == 1 else (n, bundles[:i] + bundles[i + 1:])
     # merge v into u, then rename the last vertex v, so ids stay 0..n-2;
     # bundles at neither vertex are shared with the parent state
     last = n - 1
@@ -224,11 +265,19 @@ def _branch(n: int, bundles: tuple):
 def count_del_contract(g: MultiGraph, max_states: int | None = None) -> int | None:
     """Number of spanning trees by deletion-contraction over bundles:
     t(G) = t(G - P) + |P| * t(G / P), where P is all parallel edges
-    between two vertices.  A state is (n, sorted ((u, v), k) bundles),
-    loops dropped, memoized per invocation, on an explicit post-order
-    stack.  Exponential; shares no counting code with the other counters.
+    between two vertices.  When P is a bridge, the only bundle at a
+    vertex, t(G) = |P| * t(G / P): G - P isolates the vertex and counts
+    0, so it is neither built nor stored.  A state is (n, sorted
+    ((u, v), k) bundles), loops dropped, memoized per invocation, on an
+    explicit post-order stack.  Exponential; shares no counting code
+    with the other counters.
+
     Given max_states, it gives up and returns None as soon as its memo
-    holds more states than that."""
+    holds more states than that.  The bridge rule changes no other
+    choice, so the states reached are a subset of those reached with a
+    deleted child at every bridge, and the memo, which only grows, ends
+    no larger: a graph that counted within a budget that way still
+    does, to the same count."""
     _need_vertex(g)
     limit = math.inf if max_states is None else max_states
     mult = Counter((u, v) if u < v else (v, u) for u, v in g.edges if u != v)
@@ -244,11 +293,13 @@ def count_del_contract(g: MultiGraph, max_states: int | None = None) -> int | No
             if split is not None:
                 stack[-1] = (state, split)
                 stack.extend((kid, None) for kid in (split[0], split[2])
-                             if kid not in memo)
+                             if kid is not None and kid not in memo)
                 continue
         else:
             deleted, k, contracted = split
-            value = memo[deleted] + k * memo[contracted]
+            value = k * memo[contracted]
+            if deleted is not None:
+                value += memo[deleted]
         memo[state] = value
         stack.pop()
         if len(memo) > limit:

@@ -138,6 +138,75 @@ def reference_matrix_tree(g):
     return a[d - 1][d - 1]
 
 
+def _reference_branch(n, bundles):
+    """One deletion-contraction step as ``counting._branch`` took it
+    before bridges were contracted: a vertex with one neighbour still
+    gets a deleted child, in which it is isolated and which counts 0."""
+    if n == 1:
+        return 1, None
+    if sum(k for _, k in bundles) < n - 1:
+        return 0, None
+    degree = [0] * n
+    for (a, b), _ in bundles:
+        degree[a] += 1
+        degree[b] += 1
+    v = degree.index(min(degree))
+    if degree[v] == 0:
+        return 0, None
+    i = next(i for i, ((a, b), _) in enumerate(bundles) if v in (a, b))
+    (a, b), k = bundles[i]
+    u = a if b == v else b
+    deleted = (n, bundles[:i] + bundles[i + 1:])
+    last = n - 1
+    into = v if u == last else u
+    moved = Counter()
+    kept = []
+    for bundle in bundles:
+        (a, b), c = bundle
+        if a != v and a != last and b != v and b != last:
+            kept.append(bundle)
+            continue
+        a = into if a == v else (v if a == last else a)
+        b = into if b == v else (v if b == last else b)
+        if a != b:
+            moved[(a, b) if a < b else (b, a)] += c
+    merged = []
+    for bundle in kept:
+        if bundle[0] in moved:
+            moved[bundle[0]] += bundle[1]
+        else:
+            merged.append(bundle)
+    merged.extend(moved.items())
+    merged.sort()
+    return None, (deleted, k, (last, tuple(merged)))
+
+
+def reference_del_contract(g):
+    """(count, memo states) of deletion-contraction as
+    ``counting.count_del_contract`` ran before bridges were contracted,
+    with no budget.  A graph that counts within some budget there must
+    count within it now: the reference for the bridge rule."""
+    mult = Counter((u, v) if u < v else (v, u) for u, v in g.edges if u != v)
+    root = (g.n, tuple(sorted(mult.items())))
+    memo = {}
+    stack = [(root, None)]
+    while stack:
+        state, split = stack[-1]
+        if split is None:
+            value, split = _reference_branch(*state)
+            if split is not None:
+                stack[-1] = (state, split)
+                stack.extend((kid, None) for kid in (split[0], split[2])
+                             if kid not in memo)
+                continue
+        else:
+            deleted, k, contracted = split
+            value = memo[deleted] + k * memo[contracted]
+        memo[state] = value
+        stack.pop()
+    return memo[root], len(memo)
+
+
 def reference_fib_predicate(emb):
     """The equality case of the Fibonacci bound as five separate tests:
     no loops, 2-connected, every inner face of length at most 3, a weak

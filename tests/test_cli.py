@@ -1041,6 +1041,25 @@ class TestCount:
                                     "count mismatch between methods"]
         assert "bound=" not in out
 
+    @pytest.mark.parametrize("states", [None, 3], ids=["checked", "skipped"])
+    def test_fib_count_mismatch_exits_1(self, tmp_path, monkeypatch, states):
+        """The Fibonacci line's series-parallel count is compared with the
+        determinant, also when the cross-check is skipped.  The 5-cycle
+        is below its bound, so a count one too high certifies."""
+        p = tmp_path / "c5.txt"
+        p.write_text("5 5\nouter: 0 1 2 3 4\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+        reduction = counting.count_series_parallel
+        monkeypatch.setattr(counting, "count_series_parallel",
+                            lambda g: reduction(g) + 1)
+        if states is not None:
+            monkeypatch.setattr(cli, "_CROSS_CHECK_STATES", states)
+        rc, out = run(["count", str(p), "--fib"])
+        assert rc == 1
+        cross_check = "5" if states is None else "skipped (over 3 states)"
+        assert out.splitlines() == ["t(matrix-tree)=5",
+                                    f"t(deletion-contraction)={cross_check}",
+                                    "count mismatch between methods"]
+
     def test_nonouterplanar_counts_without_fib(self, tmp_path, monkeypatch):
         """--fib embeds first: a graph it refuses, K4 or a 10-cycle with
         no 'outer:' line, prints nothing and is never counted."""

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -13,7 +14,8 @@ from conftest import (bundle_graph, complete_graph, cube_graph, cycle_graph,
                       diamond_graph, fan_graph, k33_graph, loopy_triangle,
                       petersen_graph, random_outerplane_multigraph,
                       reference_chord_sets, reference_fib_predicate,
-                      reference_matrix_tree, triangle_with_parallel)
+                      reference_del_contract, reference_matrix_tree,
+                      triangle_with_parallel)
 from spangray import counting, dualtree, embedgraph
 from spangray.counting import (check_fib_bound, check_fib_product,
                                count_bruteforce, count_del_contract,
@@ -177,6 +179,18 @@ class TestMatrixTree:
         assert count == fib(1002)
         assert peak < 500 ** 2 * 8 // 4
 
+    @pytest.mark.slow
+    def test_strip_at_scale(self):
+        """The m=10001 strip, with no modular inverse per pivot, counts
+        in well under a second."""
+        g = extremal_family(5000).graph
+        assert g.m == 10001
+        start = time.perf_counter()
+        count = count_matrix_tree(g)
+        elapsed = time.perf_counter() - start
+        assert count == fib(10002)
+        assert elapsed < 5
+
 
 def _frame_depth():
     frame, depth = sys._getframe(), 0
@@ -231,10 +245,35 @@ class TestDelContract:
             sys.setrecursionlimit(limit)
 
     def test_gives_up_past_max_states(self):
-        """The m=121 strip needs 477 memo states."""
+        """The m=121 strip needs 358 memo states."""
         strip = extremal_family(60).graph
-        assert count_del_contract(strip, 477) == fib(122)
-        assert count_del_contract(strip, 476) is None
+        assert count_del_contract(strip, 358) == fib(122)
+        assert count_del_contract(strip, 357) is None
+
+    def test_bridge_has_no_deleted_child(self):
+        """A path on 5 vertices is four bridges: one state per vertex
+        count, with no state in which a vertex is isolated."""
+        path = MultiGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+        assert count_del_contract(path, 5) == 1
+        assert count_del_contract(path, 4) is None
+        assert reference_del_contract(path) == (1, 9)
+
+    def test_counts_within_the_old_budget(self):
+        """The bridge rule only drops states, so every graph counts within
+        the states the search without it needed, to the same value: the
+        sweep, seeded random multigraphs and every strip with m <= 121."""
+        graphs = [emb.graph for emb in enumerate_outerplane(9)]
+        rng = random.Random(43)
+        for _ in range(2000):
+            n = rng.randrange(1, 8)
+            graphs.append(MultiGraph(n, tuple((rng.randrange(n), rng.randrange(n))
+                                              for _ in range(rng.randrange(12)))))
+        strips = [extremal_family(k, d).graph for d in range(3)
+                  for k in range(max(d, 1), 62) if 2 * k - d + 1 <= 121]
+        assert max(g.m for g in strips) == 121 and len(strips) == 180
+        for g in graphs + strips:
+            want, states = reference_del_contract(g)
+            assert count_del_contract(g, states) == want, g
 
     def test_long_strip_is_fibonacci(self):
         strip = extremal_family(500).graph
