@@ -36,13 +36,57 @@ def _read(path: str) -> str:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
+    return _decode(data, path, 0)
+
+
+def _decode(data: bytes, path: str, before: int) -> str:
+    """``data`` as UTF-8, from a file whose earlier bytes hold ``before``
+    whole lines; a byte that is not UTF-8 is a ParseError naming its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the line of the first bad byte, counted as the readers count
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line = before + len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"cannot read {path}: byte 0x{data[exc.start]:02x} "
                          "is not UTF-8", line)
+
+
+# bytes per read of a listing file: a small, fixed buffer, and blocks
+# long enough that a thousand lines are decoded in one batch
+_BLOCK = 1 << 16
+
+
+def _file_blocks(path: str):
+    """The lines of the UTF-8 file ``path``, a block at a time.  Each
+    block is read in :data:`_BLOCK` bytes and ends just after its last
+    "\n" (a block with none grows until one comes or the file ends), so
+    every cut is at a line end and the blocks' lines are those of
+    ``splitlines`` on the whole text."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
+    with fh:
+        before = 0          # the lines of the blocks so far
+        parts = []          # the bytes read since the last "\n"
+        while True:
+            try:
+                data = fh.read(_BLOCK)
+            except OSError as exc:
+                raise ParseError(f"cannot read {path}: {exc.strerror}")
+            cut = data.rfind(b"\n") + 1
+            if data and not cut:
+                parts.append(data)
+                continue
+            parts.append(data[:cut])
+            block = b"".join(parts)
+            parts = [data[cut:]]
+            if block:
+                lines = _decode(block, path, before).splitlines()
+                before += len(lines)
+                yield lines
+            if not data:
+                return
 
 
 def _write(path: str, text: str) -> None:
@@ -179,19 +223,6 @@ def cmd_gen(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _read_listing(text: str, g: MultiGraph) -> tuple[list[int], list[tuple[int, int]]]:
-    """The tree masks and the ``(removed, added)`` step label pairs of a
-    listing in the cmd_gen format: chi lines alternating with
-    "- <removed> + <added> [classes]" step lines; blank and "#" lines
-    ignored.  A listing in gen's exact shape is decoded in bulk; any
-    other goes through the line reader, which names the line of every
-    error."""
-    lines = text.splitlines()
-    m = g.m
-    label = {str(l): l for l in range(1, m + 1)}   # each label as written by gen
-    return _read_bulk(lines, m, label) or _read_lines(lines, m, label)
-
-
 def _step_tokens(line: str):
     """The two label tokens of a step line "- r + a [classes]", or None
     for a line of any other shape."""
@@ -201,91 +232,162 @@ def _step_tokens(line: str):
     return None
 
 
-def _read_bulk(lines: list[str], m: int, label: dict[str, int]):
-    """The masks and pairs of ``lines`` if they have gen's exact shape,
-    else None.  The shape: tree and step lines alternate from the first
-    line to the last tree line, with only blank and "#" lines after it;
-    every tree line is m 0/1 characters; every step line reads by the
-    line reader's rules, with labels written as gen writes them.  On
-    such lines the line reader would return the same.  The tree lines
-    are checked and converted as one batch, and each distinct step line
-    is read once."""
-    end = len(lines)
-    while end and lines[end - 1].lstrip()[:1] in ("", "#"):
-        end -= 1
-    if end % 2 == 0:
-        return None
-    trees = lines[0:end:2]
-    # the last tree line is not blank, so this also needs m >= 1
-    if set(map(len, trees)) != {m}:
-        return None
-    joined = "".join(trees)
-    # deleting every 0 and 1 of the ASCII bytes must leave nothing
-    if not joined.isascii() or joined.encode("ascii").translate(None, b"01"):
-        return None
-    del joined      # freed before the masks are built
-    pair = {}
-    steps = lines[1:end:2]
-    for line in set(steps):
-        tokens = _step_tokens(line)
-        if tokens is None:
-            return None
-        removed, added = label.get(tokens[0]), label.get(tokens[1])
-        if removed is None or added is None:
-            return None
-        pair[line] = (removed, added)
-    # bit 0 is leftmost
-    return [int(t[::-1], 2) for t in trees], list(map(pair.__getitem__, steps))
+class _ListingReader:
+    """Reads a listing in the cmd_gen format one block of lines at a
+    time: chi lines alternating with "- <removed> + <added> [classes]"
+    step lines; blank and "#" lines ignored.  :meth:`read` gives a
+    block's tree masks and, aligned with them, the ``(removed, added)``
+    pair of the step into each (None for the first tree); :meth:`finish`
+    checks the end of the listing.  The parity of tree and step lines,
+    the line count and the last step line carry from block to block.
 
+    While the blocks keep gen's exact shape they are decoded in bulk;
+    the first block that breaks it, and every block after, goes through
+    the line reader, the only source of ParseErrors, which names the
+    line of every fault.  The bulk blocks before it read as the line
+    reader would read them, so the masks, pairs and errors are those of
+    the line reader over the whole file."""
 
-def _read_lines(lines: list[str], m: int, label: dict[str, int]):
-    """The masks and pairs of ``lines``, one line at a time: a line's
-    first character tells which kind it is, and a ParseError names the
-    line of any fault."""
-    masks: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    tree_next = True    # a tree line comes next: first, and after each step
-    lineno = step_line = 1
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        first = line[:1]
-        if first == "-":
-            if tree_next:
-                raise ParseError("step line without a preceding tree", lineno)
+    def __init__(self, m: int):
+        self.m = m
+        self.label = {str(l): l for l in range(1, m + 1)}   # each label as written by gen
+        self.bulk = True
+        self.tree_next = True   # a tree line comes next: first, and after each step
+        self.tail = False       # blank and "#" lines have begun, in bulk
+        self.lineno = 0         # the lines read
+        self.step_line = 1      # the line of the last step line
+        self.trees = 0
+        self.pending = [None]   # the pair of the step into the next tree
+
+    def read(self, lines: list[str]) -> tuple[list[int], list]:
+        masks, pairs = (self.bulk and self._bulk(lines)) or self._lines(lines)
+        self.trees += len(masks)
+        pairs = self.pending + pairs
+        self.pending = pairs[len(masks):]
+        del pairs[len(masks):]
+        return masks, pairs
+
+    def finish(self) -> None:
+        if not self.trees:
+            raise ParseError("listing contains no trees", max(self.lineno, 1))
+        if self.tree_next:
+            raise ParseError("trailing step line without a following tree", self.step_line)
+
+    def _bulk(self, lines: list[str]):
+        """The masks and step pairs of ``lines`` if they keep gen's exact
+        shape, else None, which ends the bulk reading.  The shape: tree
+        and step lines alternate from the first line of the file, with
+        only blank and "#" lines after the last of them; every tree line
+        is m 0/1 characters; every step line reads by the line reader's
+        rules, with labels written as gen writes them.  (A listing that
+        ends on a step line, or has no tree, keeps the shape, and
+        :meth:`finish` names its fault as the line reader would.)  A
+        block's tree lines are checked and converted as one batch, and
+        each distinct step line is read once."""
+        end = len(lines)
+        while end and lines[end - 1].lstrip()[:1] in ("", "#"):
+            end -= 1
+        if self.tail and end:       # a tree or step line after the tail
+            self.bulk = False
+            return None
+        first = 0 if self.tree_next else 1      # the index of the first tree line
+        tree_next = self.tree_next == (end % 2 == 0)
+        trees, steps = lines[first:end:2], lines[1 - first:end:2]
+        # a tree line is not blank, so this also needs m >= 1
+        if set(map(len, trees)) - {self.m}:
+            self.bulk = False
+            return None
+        joined = "".join(trees)
+        # deleting every 0 and 1 of the ASCII bytes must leave nothing
+        if not joined.isascii() or joined.encode("ascii").translate(None, b"01"):
+            self.bulk = False
+            return None
+        del joined      # freed before the masks are built
+        pair, label = {}, self.label
+        for line in set(steps):
             tokens = _step_tokens(line)
-            if tokens is None:
-                raise ParseError(f"bad step line {line!r}", lineno)
-            removed, added = label.get(tokens[0]), label.get(tokens[1])
+            removed = added = None
+            if tokens is not None:
+                removed, added = label.get(tokens[0]), label.get(tokens[1])
             if removed is None or added is None:
-                removed, added = _ints(tokens, "step labels must be integers", lineno)
-                if not (1 <= removed <= m and 1 <= added <= m):
-                    raise ParseError("step label out of range", lineno)
-            pairs.append((removed, added))
-            tree_next = True
-            step_line = lineno
-        elif first and first != "#":
-            if not tree_next:
-                raise ParseError("tree line without a step line", lineno)
-            if len(line) != m or line.strip("01"):
-                raise ParseError(f"expected {m} bits, got {line!r}", lineno)
-            # the check above keeps out the "_" and sign int() would take;
-            # bit 0 is leftmost
-            masks.append(int(line[::-1], 2))
-            tree_next = False
-    if not masks:
-        raise ParseError("listing contains no trees", lineno)
-    if tree_next:
-        raise ParseError("trailing step line without a following tree", step_line)
-    return masks, pairs
+                self.bulk = False
+                return None
+            pair[line] = (removed, added)
+        if steps:       # the last step line is at index end - 1 or end - 2
+            self.step_line = self.lineno + end - (1 if tree_next else 2) + 1
+        self.lineno += len(lines)
+        self.tree_next, self.tail = tree_next, end < len(lines)
+        # bit 0 is leftmost
+        return [int(t[::-1], 2) for t in trees], list(map(pair.__getitem__, steps))
+
+    def _lines(self, lines: list[str]):
+        """The masks and step pairs of ``lines``, one line at a time: a
+        line's first character tells which kind it is, and a ParseError
+        names the line of any fault."""
+        m, label = self.m, self.label
+        masks: list[int] = []
+        pairs: list[tuple[int, int]] = []
+        tree_next, step_line = self.tree_next, self.step_line
+        for lineno, raw in enumerate(lines, start=self.lineno + 1):
+            line = raw.strip()
+            first = line[:1]
+            if first == "-":
+                if tree_next:
+                    raise ParseError("step line without a preceding tree", lineno)
+                tokens = _step_tokens(line)
+                if tokens is None:
+                    raise ParseError(f"bad step line {line!r}", lineno)
+                removed, added = label.get(tokens[0]), label.get(tokens[1])
+                if removed is None or added is None:
+                    removed, added = _ints(tokens, "step labels must be integers", lineno)
+                    if not (1 <= removed <= m and 1 <= added <= m):
+                        raise ParseError("step label out of range", lineno)
+                pairs.append((removed, added))
+                tree_next = True
+                step_line = lineno
+            elif first and first != "#":
+                if not tree_next:
+                    raise ParseError("tree line without a step line", lineno)
+                if len(line) != m or line.strip("01"):
+                    raise ParseError(f"expected {m} bits, got {line!r}", lineno)
+                # the check above keeps out the "_" and sign int() would take;
+                # bit 0 is leftmost
+                masks.append(int(line[::-1], 2))
+                tree_next = False
+        self.lineno += len(lines)
+        self.tree_next, self.step_line = tree_next, step_line
+        return masks, pairs
+
+
+def _listing_batches(blocks, m: int):
+    """The ``(masks, pairs)`` of each block of lines, by
+    :class:`_ListingReader`, and the end checked after the last.  A
+    ParseError waits for the rest of the blocks: a byte that is not
+    UTF-8 anywhere in the file is the error reported, as when the whole
+    file is decoded before it is read."""
+    reader = _ListingReader(m)
+    blocks = iter(blocks)
+    try:
+        for lines in blocks:
+            yield reader.read(lines)
+        reader.finish()
+    except ParseError:
+        for _ in blocks:
+            pass
+        raise
 
 
 def parse_listing(text: str, g: MultiGraph, labeling: EdgeLabeling,
                   embedding: EmbeddedGraph | None,
                   assume_complete: bool) -> treegen.Listing:
-    """The listing :func:`_read_listing` reads, as a :class:`treegen.Listing`."""
-    masks, pairs = _read_listing(text, g)
+    """The listing ``text`` holds, read in one block by
+    :class:`_ListingReader`, as a :class:`treegen.Listing`."""
+    masks, pairs = [], []
+    for batch, batch_pairs in _listing_batches([text.splitlines()], g.m):
+        masks += batch
+        pairs += batch_pairs
     return treegen.Listing(g, labeling, embedding, tuple(masks),
-                           tuple((treegen.Exchange(r, a), None) for r, a in pairs),
+                           tuple((treegen.Exchange(r, a), None) for r, a in pairs[1:]),
                            truncated=not assume_complete,
                            complete=assume_complete or None)
 
@@ -295,12 +397,16 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     g = parsed.graph
     emb = _embed(g, parsed.outer)
     sd, osd, labeling = _labeling_for(emb, args.root)
-    masks, pairs = _read_listing(_read(args.listing), g)
-    genlex_ok = treegen.verify_genlex_masks(masks, g.m)
+
+    def batches():
+        return _listing_batches(_file_blocks(args.listing), g.m)
+
+    # the listing streams through the verifier; a second read of its
+    # masks is only for the repeat search of a listing that is not genlex
+    genlex_ok, rep = treegen.verify_gray_masks(
+        g, labeling, emb, batches(), lambda: (x for masks, _ in batches() for x in masks),
+        truncated=not args.expect_complete, required_class=args.klass)
     print(f"genlex: {'ok' if genlex_ok else 'FAIL'}", file=out)
-    rep = treegen.verify_gray_masks(g, labeling, emb, masks, pairs,
-                                    truncated=not args.expect_complete,
-                                    required_class=args.klass)
     if rep.ok:
         print(f"exchanges: ok class={args.klass} trees={rep.count}"
               + (f" expected={rep.expected}" if rep.expected is not None else ""),

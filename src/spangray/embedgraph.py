@@ -537,7 +537,8 @@ def _tree_mask(g: MultiGraph, labeling: EdgeLabeling, labels) -> int:
     return mask
 
 
-def _links(g: MultiGraph, labeling: EdgeLabeling, mask: int) -> tuple[list[int], list[int]]:
+def _links(g: MultiGraph, labeling: EdgeLabeling,
+           mask: int) -> tuple[list[int], list[int]] | None:
     """``(parent, stamp)``: the edges of the spanning tree ``mask`` joined
     by union by size in decreasing label order, each link stamped with
     the label that made it (a root has stamp 0).  The stamps fall from a
@@ -545,7 +546,15 @@ def _links(g: MultiGraph, labeling: EdgeLabeling, mask: int) -> tuple[list[int],
     finds the vertex that v merges into when every tree edge of label k
     or more is contracted, in O(log n) steps; no path is compressed,
     since that would skip stamps.  One O(n log n) pass; the tree labels
-    come from the binary digits of ``mask``, highest first."""
+    come from the binary digits of ``mask``, highest first.
+
+    The pass is also the tree test: None if ``mask`` is no spanning
+    tree, that is, if it has a bit at m or above, other than n - 1 labels,
+    or a label whose edge links a component to itself (a loop, or the
+    edge that closes a cycle).  It stops there, so it never links a
+    cycle."""
+    if mask >> g.m or mask.bit_count() != g.n - 1:
+        return None
     parent = list(range(g.n))
     stamp = [0] * g.n
     size = [1] * g.n
@@ -559,6 +568,8 @@ def _links(g: MultiGraph, labeling: EdgeLabeling, mask: int) -> tuple[list[int],
             u = parent[u]
         while stamp[v]:
             v = parent[v]
+        if u == v:
+            return None
         if size[u] < size[v]:
             u, v = v, u
         parent[v], stamp[v] = u, l

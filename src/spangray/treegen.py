@@ -440,7 +440,8 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
     others every partner of f reaches an unlisted tree, so all of them
     form the tie set.  The scan starts at level 2: the partners of label
     1 are ``cut[1] & 0``, always empty, so leaving level 1 out changes
-    no step, tie set or build.  The tree state is one bitmask per label
+    no step or tie set, and the first build is that of level 2, with
+    k = min(4, m + 1).  The tree state is one bitmask per label
     below a threshold k (:func:`_fundamental`): a tree label's
     fundamental cut, the non-tree labels whose tree path runs through
     it, and a non-tree label's fundamental cycle, the tree labels on its
@@ -473,7 +474,7 @@ def greedy_walk(g: MultiGraph, labeling: EdgeLabeling,
                           else initial)
     h = 0
     links = _links(g, labeling, mask)
-    k, cut = _widen(g, labeling, mask, 1, links)
+    k, cut = _widen(g, labeling, mask, 2, links)
     full = (1 << g.m) - 1 & ~1     # level 1 has no smaller partner
     kind = getattr(tiebreak, "kind", None)
     slot = RESTRICTIONS.index(kind or "any")
@@ -621,88 +622,170 @@ class GrayReport:
 
 def verify_gray(listing: Listing, required_class: str = "any") -> GrayReport:
     """:func:`verify_gray_masks` on the listing's masks and the label
-    pairs its steps record."""
+    pairs its steps record, as one batch."""
+    masks, n = listing.tree_masks, len(listing.tree_masks)
+    # an Exchange is the (removed, added) tuple; a step not recorded has None
+    pairs = [None, *(ex for ex, _ in listing.steps[:n - 1])]
+    pairs += [None] * (n - len(pairs))
     return verify_gray_masks(listing.graph, listing.labeling, listing.embedding,
-                             listing.tree_masks,
-                             [(ex.removed, ex.added) for ex, _ in listing.steps],
-                             listing.truncated, required_class)
+                             [(masks, pairs)], lambda: masks, listing.truncated,
+                             required_class)[1]
 
 
 def verify_gray_masks(g: MultiGraph, labeling: EdgeLabeling,
-                      embedding: EmbeddedGraph | None, masks, pairs,
-                      truncated: bool, required_class: str = "any") -> GrayReport:
-    """Re-validate a listing given as its tree masks and the
-    ``(removed, added)`` label pair each step records: every tree a
-    spanning tree, no repeats, completeness against an independent
-    count unless ``truncated``, one exchange per consecutive pair, the
-    pair it records, and the requested class for every step.
+                      embedding: EmbeddedGraph | None, batches, again,
+                      truncated: bool, required_class: str = "any") -> tuple[bool, GrayReport]:
+    """``(genlex, report)`` of a listing given as ``batches`` of
+    ``(masks, pairs)``, read once and in order: ``pairs[j]`` is the
+    ``(removed, added)`` label pair recorded for the step into
+    ``masks[j]``, None where none is (always for the first tree).
+    ``genlex`` is :func:`verify_genlex_masks` of the masks; the report
+    checks every tree a spanning tree, no repeats, completeness against
+    an independent count unless ``truncated``, one exchange per
+    consecutive pair, the pair it records, and the requested class for
+    every step.  ``again()`` gives the masks a second time; it is called
+    only when the listing is not genlex or has a bit at m or above.
 
-    One pass decodes each swap once.  Up to the first mask that is not
-    a tree, a mask one swap away from the tree before it (label r out,
-    a in, both at most m) is a tree iff r lies on the fundamental cycle
-    of a: one AND, ``cut[a] & bit r``, on the cut/cycle masks of the
-    previous tree below k, kept as :func:`greedy_walk` keeps them
-    (:func:`_pivot` per swap, :func:`_widen` once a swap reaches k, on
-    the links of the last fully tested tree).  Any other mask gets the
-    full union-find test, which a bit at m or above fails, and new
-    links and a rebuild at k = 2.  A step's class is one bit of the
-    class row of its larger label (:func:`_classifier`), the row the
-    walk read at that step."""
+    One pass over the masks checks genlex, the tree test, the pair and
+    the class together, so no batch is kept once read.  Each distinct
+    ``d = x ^ prev`` of two labels up to m, a candidate swap, is decoded
+    once: a memo holds its two bits and labels, its top bit (the bit of
+    genlex's block mask it sets) and whether the swap is of the required
+    class.  Listings reuse few swaps: the m=22 strip's 28,656 steps use
+    38, a 1,000-tree walk on an n=160, m=280 graph 18 to 23, and the
+    8,693 steps of the 292 outerplane multigraphs with m <= 9 use 2,416
+    (at most 14 in one listing).  The memo
+    is emptied when it reaches 64 + 2^18 / (m + 1) entries, which never
+    happens on those: an entry holds four ints of at most m bits, so the
+    memo stays under 2^20 bits plus O(m) words on any listing.
+
+    Up to the first mask that is not a tree, a mask one swap away from
+    the tree before it (label r out, a in) is a tree iff r lies on the
+    fundamental cycle of a: one AND, ``cut[a] & bit r``, on the cut/cycle
+    masks of the previous tree below k, kept as :func:`greedy_walk`
+    keeps them (:func:`_pivot` per swap, :func:`_widen` once a swap
+    reaches k, on the links of the last fully tested tree).  Any other
+    mask gets the full test, the links of :func:`_links`, which are None
+    for a mask that is not a tree (a bit at m or above included), and a
+    rebuild at level 2.  A step's class is one bit of the class row of
+    its larger label (:func:`_classifier`), the row the walk read at
+    that step.
+
+    Repeats need no set when the masks are genlex and below 2^m: all the
+    trees that share the whole m-bit suffix of a tree are then
+    consecutive, so the first repeat is the first pair of equal
+    consecutive masks.  Otherwise ``again()`` is searched with a set; a
+    bit at m or above breaks the shortcut, since ``[x, x | 1 << m, x]``
+    is genlex on the low bits but repeats x out of line."""
     check_class = required_class != "any"
     if check_class:
         classes = _classifier(g, embedding, labeling, required_class)
         slot = RESTRICTIONS.index(required_class)
     m = g.m
-    non_tree = None
+    low = (1 << m) - 1
+    memo = {}           # d -> (lo bit, hi bit, -hi, hi label, pair lo out, pair hi out, ok)
+    limit = 64 + (1 << 18) // (m + 1)
+    get = memo.get
+    genlex, h = True, 0
+    non_tree = first_equal = None
+    high = False        # some mask has a bit at m or above
     step_bad = []
-    recorded = len(pairs)
     k, cut, links = 0, None, None
-    prev = 0            # no label leaves 0, so the first mask gets the full test
-    for i, x in enumerate(masks):
-        d = x ^ prev
-        out_bit, in_bit = d & prev, d & x
-        swap = out_bit and not out_bit & out_bit - 1 and in_bit and not in_bit & in_bit - 1
-        if swap:
-            r, a = out_bit.bit_length(), in_bit.bit_length()
-        if non_tree is None:
-            if swap and r <= m and a <= m:
-                if r >= k or a >= k:
-                    k, cut = _widen(g, labeling, prev, max(r, a), links)
-                if cut[a] >> r - 1 & 1:
-                    _pivot(cut, r, a)
-                else:
-                    non_tree = i
-            elif not x >> m and g.is_spanning_tree([labeling.edge(l) for l in _labels(x)]):
+    prev = 0
+    i = -1
+    for masks, pairs in batches:
+        steps = enumerate(zip(masks, pairs), i + 1)
+        if i < 0:
+            for i, (x, _) in steps:
+                high = bool(x >> m)
                 links = _links(g, labeling, x)
-                k, cut = _widen(g, labeling, x, 1, links)
+                if links is None:
+                    non_tree = 0
+                else:
+                    k, cut = _widen(g, labeling, x, 2, links)
+                prev = x
+                break
+        for i, (x, pair) in steps:
+            d = x ^ prev
+            e = get(d)
+            if e is None:
+                lo = d & -d
+                hi = d ^ lo
+                if hi and not hi & hi - 1 and not hi >> m:
+                    l, t = lo.bit_length(), hi.bit_length()
+                    if len(memo) >= limit:
+                        memo.clear()
+                    e = memo[d] = (lo, hi, -hi, t, (l, t), (t, l),
+                                   not check_class or classes[t][slot] >> l - 1 & 1)
+            if e is not None:
+                lo, hi, keep, t, lo_out, hi_out, ok = e
+                added = x & d
+                if added == hi or added == lo:
+                    r, a = ra = lo_out if added == hi else hi_out
+                    if h & hi:
+                        genlex = False
+                    h = (h | hi) & keep
+                    if pair != ra and pair is not None:
+                        step_bad.append(f"step {i - 1} records {tuple(sorted(pair))}, "
+                                        f"trees differ by {lo_out}")
+                    if not ok:
+                        step_bad.append(f"step {i - 1} exchange {lo_out} "
+                                        f"is not {required_class}")
+                    if non_tree is None:
+                        if t >= k:
+                            k, cut = _widen(g, labeling, prev, t, links)
+                        if cut[a] >> r - 1 & 1:
+                            _pivot(cut, r, a)
+                        else:
+                            non_tree = i
+                    prev = x
+                    continue
+            # not a swap of two labels up to m
+            top = d & low
+            if top:
+                top = 1 << top.bit_length() - 1
+                if h & top:
+                    genlex = False
+                h = (h | top) & -top
+            elif not d and first_equal is None:
+                first_equal = i
+            if d >> m:
+                high = True
+            out_bit, in_bit = d & prev, d & x
+            if out_bit and not out_bit & out_bit - 1 and in_bit and not in_bit & in_bit - 1:
+                ra = out_bit.bit_length(), in_bit.bit_length()
+                swap = tuple(sorted(ra))
+                if pair != ra and pair is not None:
+                    step_bad.append(f"step {i - 1} records {tuple(sorted(pair))}, "
+                                    f"trees differ by {swap}")
+                # a label above m names no edge, so the exchange is of no class
+                if check_class:
+                    step_bad.append(f"step {i - 1} exchange {swap} is not {required_class}")
             else:
-                non_tree = i
-        prev = x
-        if not i:
-            continue
-        if not swap:
-            step_bad.append(f"trees {i - 1},{i} do not differ in one exchange")
-            continue
-        if i <= recorded and pairs[i - 1] != (r, a):
-            step_bad.append(f"step {i - 1} records {tuple(sorted(pairs[i - 1]))}, "
-                            f"trees differ by {tuple(sorted((r, a)))}")
-        # a label above m names no edge, so the exchange is of no class
-        if check_class and (r > m or a > m or not (classes[r][slot] >> a - 1 if r > a
-                                                   else classes[a][slot] >> r - 1) & 1):
-            step_bad.append(f"step {i - 1} exchange {tuple(sorted((r, a)))} "
-                            f"is not {required_class}")
+                step_bad.append(f"trees {i - 1},{i} do not differ in one exchange")
+            if non_tree is None:
+                links = _links(g, labeling, x)
+                if links is None:
+                    non_tree = i
+                else:
+                    k, cut = _widen(g, labeling, x, 2, links)
+            prev = x
+    count = i + 1
     bad = []
     if non_tree is not None:
         bad.append(f"tree {non_tree} is not a spanning tree")
-    if len(set(masks)) != len(masks):
+    if genlex and not high:
+        if first_equal is not None:
+            bad.append(f"tree {first_equal} repeats tree {first_equal - 1}")
+    else:
         seen = {}
-        for i, x in enumerate(masks):
+        for j, x in enumerate(again()):
             if x in seen:
-                bad.append(f"tree {i} repeats tree {seen[x]}")
+                bad.append(f"tree {j} repeats tree {seen[x]}")
                 break
-            seen[x] = i
+            seen[x] = j
     expected = None if truncated else _count_trees(g, embedding)
-    if expected is not None and len(masks) != expected:
-        bad.append(f"listing has {len(masks)} trees, count says {expected}")
+    if expected is not None and count != expected:
+        bad.append(f"listing has {count} trees, count says {expected}")
     bad += step_bad
-    return GrayReport(not bad, tuple(bad), len(masks), expected)
+    return genlex, GrayReport(not bad, tuple(bad), count, expected)

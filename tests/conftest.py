@@ -6,11 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from spangray.cli import _step_tokens
 from spangray.dualtree import weak_dual
-from spangray.embedgraph import (EdgeLabeling, MultiGraph, _check_crossings,
+from spangray.embedgraph import (EdgeLabeling, MultiGraph, _check_crossings, _ints,
                                  build_embedding, is_triangulation)
 from spangray.errors import (CertificationError, EmbeddingError, GraphError,
-                             NotTwoConnectedError)
+                             NotTwoConnectedError, ParseError)
 from spangray.treegen import SpanningTree, classify_exchange
 
 
@@ -340,6 +341,84 @@ def reference_render_lines(listing):
             flags = "" if cls is None else " [" + ",".join(
                 k for k in ("pivot", "face", "face_inner") if getattr(cls, k)) + "]"
             yield f"- {ex.removed} + {ex.added}" + flags
+
+
+def reference_read_listing(text, g):
+    """The tree masks and ``(removed, added)`` step pairs of a listing
+    text, read whole, as the streaming reader of ``spangray verify``
+    must read it: :func:`reference_read_bulk` on every line at once, or,
+    for a text not in gen's exact shape, :func:`reference_read_lines`."""
+    lines = text.splitlines()
+    m = g.m
+    label = {str(l): l for l in range(1, m + 1)}
+    return reference_read_bulk(lines, m, label) or reference_read_lines(lines, m, label)
+
+
+def reference_read_bulk(lines, m, label):
+    """The masks and pairs of ``lines`` if they have gen's exact shape,
+    else None: tree and step lines alternate up to the last tree line,
+    with only blank and "#" lines after it, every tree line is m 0/1
+    characters and every step line's labels are written as gen writes
+    them."""
+    end = len(lines)
+    while end and lines[end - 1].lstrip()[:1] in ("", "#"):
+        end -= 1
+    if end % 2 == 0:
+        return None
+    trees = lines[0:end:2]
+    if set(map(len, trees)) != {m}:
+        return None
+    joined = "".join(trees)
+    if not joined.isascii() or joined.encode("ascii").translate(None, b"01"):
+        return None
+    pair = {}
+    steps = lines[1:end:2]
+    for line in set(steps):
+        tokens = _step_tokens(line)
+        if tokens is None:
+            return None
+        removed, added = label.get(tokens[0]), label.get(tokens[1])
+        if removed is None or added is None:
+            return None
+        pair[line] = (removed, added)
+    return [int(t[::-1], 2) for t in trees], list(map(pair.__getitem__, steps))
+
+
+def reference_read_lines(lines, m, label):
+    """The masks and pairs of ``lines``, one line at a time, or a
+    ParseError naming the line of the first fault."""
+    masks, pairs = [], []
+    tree_next = True
+    lineno = step_line = 1
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        first = line[:1]
+        if first == "-":
+            if tree_next:
+                raise ParseError("step line without a preceding tree", lineno)
+            tokens = _step_tokens(line)
+            if tokens is None:
+                raise ParseError(f"bad step line {line!r}", lineno)
+            removed, added = label.get(tokens[0]), label.get(tokens[1])
+            if removed is None or added is None:
+                removed, added = _ints(tokens, "step labels must be integers", lineno)
+                if not (1 <= removed <= m and 1 <= added <= m):
+                    raise ParseError("step label out of range", lineno)
+            pairs.append((removed, added))
+            tree_next = True
+            step_line = lineno
+        elif first and first != "#":
+            if not tree_next:
+                raise ParseError("tree line without a step line", lineno)
+            if len(line) != m or line.strip("01"):
+                raise ParseError(f"expected {m} bits, got {line!r}", lineno)
+            masks.append(int(line[::-1], 2))
+            tree_next = False
+    if not masks:
+        raise ParseError("listing contains no trees", lineno)
+    if tree_next:
+        raise ParseError("trailing step line without a following tree", step_line)
+    return masks, pairs
 
 
 def reference_chord_sets(n):

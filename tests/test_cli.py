@@ -14,7 +14,8 @@ import tracemalloc
 
 import pytest
 
-from conftest import random_outerplane_multigraph
+from conftest import (random_outerplane_multigraph, reference_read_bulk,
+                      reference_read_lines, reference_read_listing)
 from spangray import cli, counting, flipgraph, treegen
 from spangray.cli import entry, parse_listing
 from spangray.embedgraph import EdgeLabeling, MultiGraph
@@ -90,12 +91,13 @@ def test_bad_graph_file_names_the_line(tmp_path, capsys, text, err):
 @pytest.mark.parametrize("command", ["label", "gen", "verify", "count", "flip"])
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("where, bad", [(0, b"\xff"), (3, b"\xe2\x82"), (-1, b"\xc3")])
-def test_file_not_utf8_names_the_line(tmp_path, capsys, fan_file, command, newline,
-                                      where, bad):
+def test_file_not_utf8_names_the_line(tmp_path, capsys, monkeypatch, fan_file, command,
+                                      newline, where, bad):
     """A byte that is not UTF-8 exits 2 naming the line it is on, with
     LF, CR LF or CR line ends: in the graph file, or for verify in the
-    listing.  ``where`` is the line index; on the last line the bad
-    bytes end the file."""
+    listing, read in blocks of the default size and of 5 bytes, which
+    counts the line over the earlier blocks.  ``where`` is the line
+    index; on the last line the bad bytes end the file."""
     if command == "verify":
         text = run(["gen", fan_file])[1]
         argv = ["verify", fan_file]
@@ -108,9 +110,11 @@ def test_file_not_utf8_names_the_line(tmp_path, capsys, fan_file, command, newli
     data = newline.encode().join(lines) + (b"" if where == -1 else newline.encode())
     path = tmp_path / "bad.txt"
     path.write_bytes(data)
-    assert run(argv + [str(path)]) == (2, "")
-    assert capsys.readouterr().err == \
-        f"error: line {i + 1}: cannot read {path}: byte 0x{bad[0]:02x} is not UTF-8\n"
+    for block in (cli._BLOCK, 5)[:2 if command == "verify" else 1]:
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert run(argv + [str(path)]) == (2, "")
+        assert capsys.readouterr().err == \
+            f"error: line {i + 1}: cannot read {path}: byte 0x{bad[0]:02x} is not UTF-8\n"
 
 
 def test_seeded_graph_file_mutations():
@@ -802,23 +806,57 @@ class TestVerify:
         parse_listing(listing, g, EdgeLabeling.identity(7), None, True)
         assert made.count("SpanningTree") == 0 and made.count("Exchange") == 20
 
-    def test_verify_memory_stays_small(self, strip_file, tmp_path):
-        """verify of the m=22 strip's listing, 28,657 trees in 1.5 MiB of
-        text, decodes it in bulk: its tracemalloc peak stays under 12 MiB
-        (8.7 MiB with the line reader alone, 8.1 MiB in bulk)."""
-        lp = tmp_path / "listing.txt"
+    @staticmethod
+    def _verify_peak(tmp_path, k, digons, max_trees=None):
+        """The tracemalloc peak, in bytes, and the seconds of one
+        ``verify --class pof`` of gen's listing of the strip
+        ``extremal_family(k, digons)``, after one untraced run."""
+        g = counting.extremal_family(k, digons).graph
+        gp, lp = tmp_path / f"strip{g.m}.txt", tmp_path / f"strip{g.m}.listing"
+        gp.write_text(f"{g.n} {g.m}\nouter: {' '.join(map(str, range(g.n)))}\n"
+                      + "".join(f"{u} {v}\n" for u, v in g.edges))
+        argv = ["gen", str(gp), "--tiebreak", "prefer-pof"]
         with open(lp, "w", encoding="utf-8") as fh:
-            assert entry(["gen", strip_file, "--tiebreak", "prefer-pof"], out=fh) == 0
-        argv = ["verify", strip_file, str(lp), "--class", "pof", "--expect-complete"]
-        want = (0, "genlex: ok\nexchanges: ok class=pof trees=28657 expected=28657\n")
+            assert entry(argv + ([] if max_trees is None else ["--max-trees", str(max_trees)]),
+                         out=fh) == 0
+        argv = ["verify", str(gp), str(lp), "--class", "pof"]
+        trees = max_trees
+        if max_trees is None:
+            argv.append("--expect-complete")
+            trees = counting.fib(g.m + 1)
+        want = (0, f"genlex: ok\nexchanges: ok class=pof trees={trees}"
+                + ("" if max_trees else f" expected={trees}") + "\n")
         assert run(argv) == want
         tracemalloc.start()
         try:
+            start = time.perf_counter()
             assert run(argv) == want
+            seconds = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+        return peak, seconds
+
+    def test_verify_memory_stays_small(self, tmp_path):
+        """verify streams the listing through the verifier a block at a
+        time and keeps no list of its lines or masks: on the m=22 strip,
+        28,657 trees in 1.5 MiB of text, its tracemalloc peak stays
+        under 2 MiB (about 0.7 MiB; 8.1 MiB when the reader held every
+        line), and within 1 MiB of the peak on the m=17 strip, whose
+        2,584 trees are 11 times fewer."""
+        peaks = [self._verify_peak(tmp_path, *strip)[0] for strip in ((11, 1), (8, 0))]
+        assert max(peaks) < 2 * 2 ** 20, [f"{p / 2 ** 20:.2f} MiB" for p in peaks]
+        assert abs(peaks[0] - peaks[1]) < 2 ** 20
+
+    @pytest.mark.slow
+    def test_verify_memory_at_scale(self, tmp_path):
+        """verify --class pof of gen's 1,000-tree listing of the m=10001
+        strip, 9.5 MiB of text: a traced peak under 16 MiB (about
+        10 MiB; 57 MiB when the reader held every line) in well under a
+        minute (about 1 s traced)."""
+        peak, seconds = self._verify_peak(tmp_path, 5000, 0, max_trees=1000)
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+        assert seconds < 60
 
     def test_parser_built_once(self, fan_file, tmp_path, monkeypatch, capsys):
         """gen, a usage error, gen again and verify in one process print
@@ -853,6 +891,21 @@ def _read_outcome(read, *args):
         return str(exc), exc.line
 
 
+def _write(path, text: str) -> str:
+    """Write ``text`` to ``path`` as UTF-8, line ends as they are; the path."""
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+def _batches_read(path, m: int):
+    """The masks and step pairs verify's reader reads from the file."""
+    masks, pairs = [], []
+    for batch, batch_pairs in cli._listing_batches(cli._file_blocks(str(path)), m):
+        masks += batch
+        pairs += batch_pairs
+    return masks, pairs[1:]
+
+
 def _gen_text(emb, tiebreak) -> tuple[MultiGraph, str]:
     """The graph and gen's listing text for an embedded graph."""
     listing = treegen.greedy_listing(emb.graph, embedding=emb, tiebreak=tiebreak,
@@ -862,50 +915,79 @@ def _gen_text(emb, tiebreak) -> tuple[MultiGraph, str]:
 
 
 class TestListingReader:
-    """``_read_listing`` decodes a listing in gen's exact shape in bulk
-    and gives any other to the line reader, ``_read_lines``.  On gen's
-    listings and on seeded mutants of them, it returns what the line
-    reader alone returns: the same masks and pairs, or a ParseError with
-    the same message and line."""
+    """verify's listing reader, ``cli._listing_batches`` over the blocks
+    of ``cli._file_blocks``, against the whole-text reference reader
+    (``reference_read_listing``), whose bulk decoder and line reader
+    agree on every listing.  Read in one block, and with the block size
+    cut to a few bytes so that lines straddle blocks, the streaming
+    reader gives the reference's masks and pairs, or a ParseError with
+    its message and line, and decodes in bulk exactly the listings the
+    reference's bulk decoder takes."""
 
     @staticmethod
-    def _read_both(g, text):
-        """The outcome, checked equal for both readers, and whether the
+    def _stream(blocks, m):
+        """What ``_listing_batches`` reads from ``blocks``, as the
+        reference returns it, and whether it read every block in bulk."""
+        reader = cli._ListingReader(m)
+        masks, pairs = [], []
+        try:
+            for lines in blocks:
+                batch, batch_pairs = reader.read(lines)
+                assert len(batch) == len(batch_pairs)
+                masks += batch
+                pairs += batch_pairs
+            reader.finish()
+        except ParseError as exc:
+            return (str(exc), exc.line), False
+        assert pairs[0] is None
+        return (masks, pairs[1:]), reader.bulk
+
+    @classmethod
+    def _read_all(cls, g, text, path, block, monkeypatch):
+        """The reference's outcome, checked equal for its two readers and
+        for the streaming reader on ``text`` in one block and on its
+        file in blocks of ``block`` bytes, and whether the reference's
         bulk decoder took the text."""
         m = g.m
         label = {str(l): l for l in range(1, m + 1)}
         lines = text.splitlines()
-        whole = _read_outcome(cli._read_listing, text, g)
-        assert whole == _read_outcome(cli._read_lines, lines, m, label)
-        return whole, cli._read_bulk(lines, m, label) is not None
+        whole = _read_outcome(reference_read_listing, text, g)
+        assert whole == _read_outcome(reference_read_lines, lines, m, label)
+        bulk = reference_read_bulk(lines, m, label) is not None
+        assert cls._stream([lines], m) == (whole, bulk)
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert cls._stream(cli._file_blocks(_write(path, text)), m) == (whole, bulk)
+        return whole, bulk
 
     @staticmethod
     def _strip(m):
         """The extremal strip with m edges, m >= 2."""
         return counting.extremal_family(m // 2, 1 - m % 2)
 
-    def test_gen_listings_read_in_bulk(self):
+    def test_gen_listings_read_in_bulk(self, tmp_path, monkeypatch):
         """The strips with m = 2 ... 22 and every outerplane multigraph
         with m <= 7, under closest and prefer-pof: read in bulk, as the
         masks gen listed."""
         embs = [self._strip(m) for m in range(2, 23)]
         embs += counting.enumerate_outerplane(7)
-        for emb in embs:
+        path = tmp_path / "l.txt"
+        for i, emb in enumerate(embs):
             for tiebreak in (treegen.tiebreak_closest, treegen.tiebreak_prefer("pof")):
                 g, text = _gen_text(emb, tiebreak)
-                (masks, pairs), bulk = self._read_both(g, text)
+                block = 4096 if g.m > 12 else 3 + i % 29
+                (masks, pairs), bulk = self._read_all(g, text, path, block, monkeypatch)
                 assert bulk, text[:200]
                 assert len(masks) == counting.count_series_parallel(g) == len(pairs) + 1
 
-    def test_empty_graph_listing(self):
+    def test_empty_graph_listing(self, tmp_path, monkeypatch):
         """With m = 0 the one tree line is blank: both readers find no tree."""
         g = MultiGraph(1, ())
         text = "".join(line + "\n" for line in treegen.greedy_listing(g).render_lines())
         assert text == "\n"
-        assert self._read_both(g, text + "# trees=1\n") == \
-            (("line 2: listing contains no trees", 2), False)
+        assert self._read_all(g, text + "# trees=1\n", tmp_path / "l.txt", 2,
+                              monkeypatch) == (("line 2: listing contains no trees", 2), False)
 
-    def test_line_reader_decodes_like_gen(self):
+    def test_line_reader_decodes_like_gen(self, tmp_path, monkeypatch):
         """Step labels written with a leading 0 and "#" lines between
         the steps send the 3-face strip's listing to the line reader,
         which reads each distinct step line once: it returns the masks
@@ -921,24 +1003,66 @@ class TestListingReader:
                 lines += [" ".join(["-", "0" + r, "+", "0" + a, *flags]), "# note"]
             else:
                 lines.append(line)
-        m = g.m
-        assert cli._read_bulk(lines, m, {str(l): l for l in range(1, m + 1)}) is None
-        assert cli._read_listing("\n".join(lines), g) == \
-            (list(listing.tree_masks), [(ex.removed, ex.added) for ex, _ in listing.steps])
+        path = tmp_path / "l.txt"
+        assert self._read_all(g, "\n".join(lines), path, 11, monkeypatch) == \
+            ((list(listing.tree_masks), [(ex.removed, ex.added) for ex, _ in listing.steps]),
+             False)
         repeated = [i for i, line in enumerate(lines) if line == lines[1]]
         assert len(repeated) > 1
         bad = lines[1].replace("+ 0", "+ 9")
         for at in (repeated, repeated[1:]):
             mutant = [bad if i in at else line for i, line in enumerate(lines)]
-            assert _read_outcome(cli._read_listing, "\n".join(mutant), g) == \
-                (f"line {at[0] + 1}: step label out of range", at[0] + 1)
+            assert self._read_all(g, "\n".join(mutant), path, 11, monkeypatch) == \
+                ((f"line {at[0] + 1}: step label out of range", at[0] + 1), False)
 
-    def test_seeded_mutants_read_alike(self):
+    def test_block_boundaries(self, tmp_path, monkeypatch):
+        """Cuts the block reader must get right, each read as the
+        reference reads it: a lone-CR listing longer than one block,
+        which is one block grown to the whole file; trailing "#" lines
+        over two blocks; a block that ends on a step line, also where
+        that step line ends the file.  And a bad step line in the first
+        block with a byte that is not UTF-8 in a later one reports the
+        byte, as decoding the whole text first does."""
+        emb = counting.extremal_family(3)
+        g, text = _gen_text(emb, treegen.tiebreak_prefer("pof"))
+        lines = text.splitlines()
+        path = tmp_path / "l.txt"
+
+        def blocks(text, size):
+            monkeypatch.setattr(cli, "_BLOCK", size)
+            return list(cli._file_blocks(_write(path, text)))
+
+        cr = "\r".join(lines) + "\r"
+        assert len(cr) > 4 * 16 and blocks(cr, 16) == [lines]
+        masks, pairs = self._read_all(g, cr, path, 16, monkeypatch)[0]
+        assert len(masks) == 21 == len(pairs) + 1
+
+        tail = text + "# one\n#\n# three\n\n# five\n"
+        assert sum(any(line[:1] == "#" for line in b) for b in blocks(tail, 16)) >= 2
+        assert self._read_all(g, tail, path, 16, monkeypatch)[1]
+
+        size = len(lines[0]) + len(lines[1]) + 2
+        assert blocks(text, size)[0] == lines[:2]
+        assert self._read_all(g, text, path, size, monkeypatch)[1]
+        cut = lines[0] + "\n" + lines[1] + "\n"
+        assert blocks(cut, size) == [lines[:2]]
+        assert self._read_all(g, cut, path, size, monkeypatch)[0] == \
+            ("line 2: trailing step line without a following tree", 2)
+
+        data = ("\n".join(lines[:3] + ["- 1 +"] + lines[4:]) + "\n").encode() + b"\xff\n"
+        path.write_bytes(data)
+        monkeypatch.setattr(cli, "_BLOCK", 16)
+        line = len(lines) + 1
+        assert _read_outcome(_batches_read, path, g.m) == \
+            (f"line {line}: cannot read {path}: byte 0xff is not UTF-8", line)
+
+    def test_seeded_mutants_read_alike(self, tmp_path, monkeypatch):
         """About 2,000 seeded mutants of small gen listings, and a few of
         the m=22 strip's: CR LF line ends, surrounding spaces, blank and
         "#" lines, step labels 0, m + 1, 07, +1, -1 and 5,000 digits,
         junk flag text, stray or replaced characters, and cut,
-        duplicated, swapped and deleted lines."""
+        duplicated, swapped and deleted lines; each read in blocks of a
+        seeded 1 to 40 bytes (4,096 for the strip)."""
         rng = random.Random(19)
         bases = [_gen_text(self._strip(m), tiebreak)
                  for m in (2, 3, 7, 8)
@@ -988,14 +1112,17 @@ class TestListingReader:
             newline = "\r\n" if rng.random() < 0.2 else "\n"
             return "".join(line + newline for line in lines)
 
+        sizes = random.Random(20)
+        path = tmp_path / "l.txt"
         seen = collections.Counter()    # (read in bulk, read without error)
         for n in range(2000):
             g, text = bases[n % len(bases)]
-            outcome, bulk = self._read_both(g, mutant(g, text))
+            outcome, bulk = self._read_all(g, mutant(g, text), path, sizes.randrange(1, 41),
+                                           monkeypatch)
             seen[bulk, isinstance(outcome[0], list)] += 1
         g, text = _gen_text(self._strip(22), treegen.tiebreak_prefer("pof"))
         for _ in range(8):
-            outcome, bulk = self._read_both(g, mutant(g, text))
+            outcome, bulk = self._read_all(g, mutant(g, text), path, 4096, monkeypatch)
             seen[bulk, isinstance(outcome[0], list)] += 1
         # a bulk read never fails; the line reader both read and refused
         assert seen[True, False] == 0

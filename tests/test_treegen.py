@@ -18,13 +18,13 @@ from conftest import (bundle_graph, cycle_graph, k33_graph, loopy_triangle,
                       random_outerplane_multigraph, reference_prefer,
                       reference_render_lines, reference_spanning_trees,
                       wheel_graph)
-from spangray import treegen
+from spangray import cli, treegen
 from spangray.cli import entry, parse_listing
 from spangray.counting import (count_matrix_tree, enumerate_outerplane,
                                extremal_family)
 from spangray.dualtree import (default_root_leaf, dual_tree_labeling,
                                orient_split_dual, split_dual)
-from spangray.embedgraph import (EdgeLabeling, MultiGraph, _fundamental, _links,
+from spangray.embedgraph import (EdgeLabeling, MultiGraph, _fundamental, _labels, _links,
                                  build_embedding)
 from spangray.errors import CertificationError, GraphError
 from spangray.flipgraph import Arborescence
@@ -48,6 +48,16 @@ def run_cli(argv):
     """``spangray`` with argv, as (exit code, stdout)."""
     buf = io.StringIO()
     return entry(argv, out=buf), buf.getvalue()
+
+
+def verify_stdout(genlex, rep, klass):
+    """What ``spangray verify --class klass`` prints for the genlex
+    verdict and the report."""
+    out = f"genlex: {'ok' if genlex else 'FAIL'}\n"
+    if rep.ok:
+        return out + (f"exchanges: ok class={klass} trees={rep.count}"
+                      + ("" if rep.expected is None else f" expected={rep.expected}") + "\n")
+    return out + "".join(f"exchanges: FAIL {v}\n" for v in rep.violations)
 
 
 def genlex_brute(masks, m):
@@ -1082,6 +1092,25 @@ class TestWalk:
         assert 0 < walk_builds < len(ks)
         assert max(ks) < 64
 
+    def test_links_are_the_tree_test(self, fan):
+        """``_links`` is None exactly for the masks that are no spanning
+        tree, by the union-find test of ``is_spanning_tree``: every mask
+        of the fan, the diamond with a loop and a parallel edge added,
+        and the triangle with a loop, each also with a bit at m.  It
+        ends on the masks of n - 1 labels that hold a cycle."""
+        rng = random.Random(37)
+        diamond = MultiGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 1), (2, 3)))
+        for g in (fan, diamond, loopy_triangle()):
+            lab = EdgeLabeling.shuffled(g.m, rng)
+            cycles = 0
+            for x in range(1 << g.m):
+                ids = [lab.edge(l) for l in _labels(x)]
+                tree = g.is_spanning_tree(ids)
+                assert (_links(g, lab, x) is not None) == tree, (g, x)
+                assert _links(g, lab, x | 1 << g.m) is None
+                cycles += len(ids) == g.n - 1 and not tree
+            assert cycles
+
     def test_contracted_paths_keep_the_low_labels(self):
         """For every threshold k, each non-tree label below k holds
         exactly the labels below k of its tree path (found here by a
@@ -1146,7 +1175,7 @@ class TestWalk:
             counts.append((g.m, len(reads), ks[:]))
         assert [m for m, _, _ in counts] == [3001, 10001]
         assert counts[0][1:] == counts[1][1:]
-        assert counts[0][1:] == (105, [2, 4, 8, 16, 32, 2, 6, 14, 30])
+        assert counts[0][1:] == (89, [4, 8, 16, 32, 4, 10, 22])
 
     @pytest.mark.parametrize("rule", [tiebreak_closest, tiebreak_prefer("pof")],
                              ids=["closest", "prefer-pof"])
@@ -1458,13 +1487,7 @@ class TestVerifiers:
                         klass = next(classes)
                         genlex = verify_genlex(fake)
                         rep = verify_gray(fake, klass)
-                        want = f"genlex: {'ok' if genlex else 'FAIL'}\n"
-                        if rep.ok:
-                            want += (f"exchanges: ok class={klass} trees={rep.count}"
-                                     + ("" if rep.expected is None
-                                        else f" expected={rep.expected}") + "\n")
-                        else:
-                            want += "".join(f"exchanges: FAIL {v}\n" for v in rep.violations)
+                        want = verify_stdout(genlex, rep, klass)
                         lp.write_text("".join(line + "\n" for line in fake.render_lines()))
                         argv = ["verify", str(gp), str(lp), "--root", str(root_edge),
                                 "--class", klass]
@@ -1526,6 +1549,96 @@ class TestVerifiers:
         bare = greedy_listing(fan)
         assert bare.complete and verify_gray(bare).expected == 21
         assert calls == [fan, fan]
+
+    def test_repeats_off_genlex_are_searched(self, fan, fan_emb, tmp_path, monkeypatch):
+        """Repeats need the search over a second read of the masks only
+        off genlex.  A listing file that is not genlex and repeats a
+        tree eight lines after it: ``spangray verify`` reads the file
+        twice and prints the report of the from-scratch verifier; the
+        listing it came from is read once.  Library masks
+        ``[x, x | 1 << m, x]`` are genlex on their low bits but repeat x
+        out of line, and ``verify_gray`` finds it."""
+        gp, lp = tmp_path / "fan.txt", tmp_path / "l.txt"
+        g = fan
+        gp.write_text(f"{g.n} {g.m}\nouter: {' '.join(map(str, fan_emb.outer_order))}\n"
+                      + "".join(f"{u} {v}\n" for u, v in g.edges))
+        reads = []
+        file_blocks = cli._file_blocks
+        monkeypatch.setattr(cli, "_file_blocks", lambda path: reads.append(path)
+                            or file_blocks(path))
+        argv = ["verify", str(gp), str(lp), "--class", "pof", "--expect-complete"]
+        listing = greedy_listing(g, embedding=fan_emb, tiebreak=tiebreak_prefer("pof"))
+        masks = listing.tree_masks
+        repeat = Listing(g, listing.labeling, fan_emb, masks[:10] + masks[2:3] + masks[11:],
+                         listing.steps, False, None)
+        for fake, genlex, times in ((listing, True, 1), (repeat, False, 2)):
+            assert verify_genlex(fake) is genlex
+            lp.write_text("".join(line + "\n" for line in fake.render_lines()))
+            reads.clear()
+            rep = from_scratch_report(fake, "pof")
+            assert run_cli(argv) == (0 if rep.ok else 1, verify_stdout(genlex, rep, "pof"))
+            assert reads == [str(lp)] * times
+        assert "tree 10 repeats tree 2" in rep.violations
+        m = g.m
+        x = masks[0]
+        high = Listing(g, listing.labeling, fan_emb, (x, x | 1 << m, x), (), True, None)
+        assert verify_genlex(high)
+        assert verify_gray(high) == from_scratch_report(high, "any")
+        assert verify_gray(high).violations == (
+            "tree 1 is not a spanning tree", "tree 2 repeats tree 0",
+            "trees 0,1 do not differ in one exchange", "trees 1,2 do not differ in one exchange")
+        # on genlex, the first of two consecutive repeats is reported
+        twice = Listing(g, listing.labeling, fan_emb, masks[:1] * 2 + masks[1:2] * 2,
+                        listing.steps[:1] * 3, True, None)
+        assert verify_genlex(twice)
+        assert verify_gray(twice) == from_scratch_report(twice, "any")
+        assert verify_gray(twice).violations[0] == "tree 1 repeats tree 0"
+
+    def test_swap_memo_is_bounded(self):
+        """The memo of decoded swaps is emptied at its bound, so a
+        listing whose every step is a new swap keeps the verifier's
+        memory flat.  On 2 vertices joined by m = 4,095 edges, the masks
+        of label m and one of 1 ... m - 1, in increasing order: genlex,
+        no tree, so no cut/cycle state is built, and 4,094 steps that
+        each swap a new pair of labels up to m.  The traced peak stays
+        under 1 MiB (0.34 MiB; 6.9 MiB with the memo unbounded)."""
+        m = 4095
+        top = 1 << m - 1
+        listing = Listing(bundle_graph(m), EdgeLabeling.identity(m), None,
+                          tuple(top | 1 << a for a in range(m - 1)), (), True, None)
+        assert verify_genlex(listing)
+        tracemalloc.start()
+        try:
+            rep = verify_gray(listing)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.violations == ("tree 0 is not a spanning tree",)
+        assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+    def test_first_build_is_at_level_2(self, fan, monkeypatch):
+        """The first cut/cycle build of a walk and of a verify is that of
+        level 2, with k = min(4, m + 1): the walk's scan starts at level
+        2, and the verifier's first swap has a label of at least 2, so a
+        build at level 1 would be rebuilt at once."""
+        ks = []
+
+        def build(*args):
+            ks.append(args[3])
+            return _fundamental(*args)
+
+        monkeypatch.setattr(treegen, "_fundamental", build)
+        rng = random.Random(31)
+        graphs = [MultiGraph(2, ((0, 1),)), MultiGraph(2, ((0, 1), (0, 1))), cycle_graph(3),
+                  fan, random_outerplane_multigraph(9, rng)]
+        for g in graphs:
+            lab = EdgeLabeling.shuffled(g.m, rng)
+            ks.clear()
+            listing = greedy_listing(g, labeling=lab)
+            assert ks[0] == min(4, g.m + 1)
+            ks.clear()
+            assert verify_gray(listing).ok
+            assert ks[0] == min(4, g.m + 1)
 
     def test_gray_completeness(self, fan, fan_emb):
         part = greedy_listing(fan, embedding=fan_emb, max_trees=6)
